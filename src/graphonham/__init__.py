@@ -26,7 +26,6 @@ from .fracmatch import (
     GraphPeninsula,
     HalfCover,
     HalfMatching,
-    check_duality,
     fmn_half,
     fvcn_half,
     fvcn_value,
@@ -34,28 +33,23 @@ from .fracmatch import (
     half_integral_perfect_matching,
     is_bipartite,
     is_connected,
-    non_bipartite_if_uhc,
     uniquely_half_covered,
 )
 from .graphon import (
     ConditionReport,
     ConnectivityVerdict,
-    DegreeProfile,
     PeninsulaCertificate,
     PowerFamilyGraphon,
     StepGraphon,
     analyze,
-    block_positivity_graph,
     build_certificate,
     check_connected,
     check_degree_tail,
     check_exact_bipartite_split,
-    degree_profile,
     degree_tail_ratio,
     find_peninsula,
     load_graphon,
     load_graphon_file,
-    peninsula_kind_via_cover,
 )
 from .hamilton import (
     HamiltonVerdict,
@@ -89,7 +83,6 @@ from .pathsys import (
 from .presets import PRESET_NAMES, get_preset, preset_payload
 from .sampler import (
     SampledGraph,
-    VertexType,
     degree_concentration_report,
     edge_coin,
     edge_stream_offset,

@@ -91,11 +91,20 @@ class FiniteGraph:
         if self.loops:
             raise FormatError("operation requires a simple (loop-free) graph", "loops")
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour lists, ascending because the edges are sorted.
+
+        Built on first use and kept on the instance, so every caller shares
+        one copy per graph.
+        """
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = tuple(map(tuple, lists))
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def degrees(self) -> list[int]:
@@ -231,7 +240,7 @@ class GraphPeninsula:
 # bipartite matching engines
 
 
-def _hopcroft_karp(nl: int, nr: int, adj: list[list[int]]) -> tuple[int, list[int], list[int]]:
+def _hopcroft_karp(nl: int, nr: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
     """Maximum matching of a bipartite graph given left adjacency lists.
 
     Returns (size, match_l, match_r) with -1 for unmatched vertices.
@@ -272,13 +281,20 @@ def _hopcroft_karp(nl: int, nr: int, adj: list[list[int]]) -> tuple[int, list[in
     return size, match_l, match_r
 
 
-def _double_cover_matching(g: FiniteGraph) -> tuple[int, list[int], list[int]]:
-    """Maximum matching in the bipartite double cover of a simple graph."""
+def _double_cover_matching(g: FiniteGraph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Maximum matching in the bipartite double cover of a simple graph.
+
+    Solved once per graph: the result is kept on `g`, so every fold of it
+    (fvcn, the Koenig cover, the half matching) shares one solve.
+    """
     g.require_simple()
+    found = g.__dict__.get("_matching")
+    if found is not None:
+        return found
     n = g.n
     if n == 0 or not g.edges:
-        return 0, [-1] * n, [-1] * n
-    if len(g.edges) >= _SCIPY_EDGE_THRESHOLD:
+        size, match_l, match_r = 0, [-1] * n, [-1] * n
+    elif len(g.edges) >= _SCIPY_EDGE_THRESHOLD:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -293,12 +309,14 @@ def _double_cover_matching(g: FiniteGraph) -> tuple[int, list[int], list[int]]:
             if v != -1:
                 match_r[v] = u
         size = sum(1 for v in match_l if v != -1)
-        return size, match_l, match_r
-    adj = g.adjacency()
-    return _hopcroft_karp(n, n, adj)
+    else:
+        size, match_l, match_r = _hopcroft_karp(n, n, g.adjacency())
+    found = (size, tuple(match_l), tuple(match_r))
+    object.__setattr__(g, "_matching", found)
+    return found
 
 
-def _koenig_cover(g: FiniteGraph, match_l: list[int], match_r: list[int]) -> tuple[set[int], set[int]]:
+def _koenig_cover(g: FiniteGraph, match_l: Sequence[int], match_r: Sequence[int]) -> tuple[set[int], set[int]]:
     """Minimum vertex cover of the double cover from a maximum matching.
 
     Alternating BFS from unmatched left copies; cover = (L \\ Z) u (R n Z).
@@ -479,11 +497,6 @@ def fvcn_value(g: FiniteGraph) -> Fraction:
     return Fraction(size, 2)
 
 
-def check_duality(g: FiniteGraph) -> bool:
-    """Self-test: optimal matching weight equals optimal cover weight."""
-    return fmn_half(g).weight == fvcn_half(g).weight
-
-
 def _induced_without(g: FiniteGraph, removed: set[int]) -> FiniteGraph:
     keep = [v for v in range(g.n) if v not in removed]
     remap = {v: i for i, v in enumerate(keep)}
@@ -582,11 +595,6 @@ def is_bipartite(g: FiniteGraph) -> bool:
                 elif color[v] == color[u]:
                     return False
     return True
-
-
-def non_bipartite_if_uhc(g: FiniteGraph) -> bool:
-    """Non-bipartiteness check, the testable half of the UHC implication."""
-    return not is_bipartite(g)
 
 
 def is_connected(g: FiniteGraph) -> bool:

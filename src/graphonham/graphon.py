@@ -167,36 +167,6 @@ def load_graphon_file(path) -> Graphon:
 
 
 # ---------------------------------------------------------------------------
-# degree profile
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degrees of a model: per-block values (step) or closed form (power)."""
-
-    kind: str
-    block_degrees: Optional[tuple[Fraction, ...]] = None
-    beta: Optional[Fraction] = None
-
-    def validate(self) -> None:
-        if self.kind == "step":
-            assert self.block_degrees is not None
-            for d in self.block_degrees:
-                assert 0 <= d <= 1
-        else:
-            assert self.beta is not None and self.beta > 0
-
-
-def degree_profile(g: Graphon) -> DegreeProfile:
-    if isinstance(g, StepGraphon):
-        prof = DegreeProfile("step", block_degrees=g.block_degrees())
-    else:
-        prof = DegreeProfile("power", beta=g.beta)
-    prof.validate()
-    return prof
-
-
-# ---------------------------------------------------------------------------
 # connectivity
 
 
@@ -504,71 +474,6 @@ def find_peninsula(g: Graphon, cap: int = ENUMERATION_CAP) -> Optional[Peninsula
     if best_flat is not None:
         return build_certificate(g, best_flat, "peninsula")
     return None
-
-
-def block_positivity_graph(g: StepGraphon):
-    """The weighted finite graph of the block structure.
-
-    Vertices are blocks carrying their masses as weights; edges join distinct
-    blocks of positive density; a positive diagonal becomes a self-loop.
-    """
-    from .fracmatch import FiniteGraph
-
-    k = g.k
-    edges = [
-        (i, j) for i in range(k) for j in range(i + 1, k) if g.densities[i][j] > 0
-    ]
-    loops = [i for i in range(k) if g.densities[i][i] > 0]
-    return FiniteGraph.build(k, edges, weights=list(g.block_masses), loops=loops)
-
-
-def peninsula_kind_via_cover(g: StepGraphon) -> Optional[str]:
-    """Trap verdict through half-integral covers of the weighted block graph.
-
-    A trap corresponds to a non-constant half-integral cover of total weight
-    at most 1/2; the narrow kind to weight strictly below 1/2.  The constant
-    half function always covers, so the optimal weight never exceeds 1/2, and
-    a non-constant cover of weight at most 1/2 must zero out some loop-free
-    block, whose positive-density neighbors are then forced to one.
-
-    An independent route through the min-cut machinery; `find_peninsula`
-    stays the certificate-producing detector.
-    """
-    from .fracmatch import fvcn_half
-
-    bg = block_positivity_graph(g)
-    if fvcn_half(bg).weight < HALF:
-        return "narrow"
-    masks = g.positivity_masks()
-    for i in range(g.k):
-        if g.densities[i][i] != 0:
-            continue
-        removed = {i} | {j for j in range(g.k) if (masks[i] >> j) & 1}
-        keep = [j for j in range(g.k) if j not in removed]
-        neigh_mass = sum(
-            (g.block_masses[j] for j in removed if j != i), Fraction(0)
-        )
-        if neigh_mass > HALF:
-            continue
-        sub = _induced_block_graph(g, keep)
-        if neigh_mass + fvcn_half(sub).weight <= HALF:
-            return "peninsula"
-    return None
-
-
-def _induced_block_graph(g: StepGraphon, keep: list[int]):
-    from .fracmatch import FiniteGraph
-
-    remap = {b: i for i, b in enumerate(keep)}
-    edges = [
-        (remap[a], remap[b])
-        for a in keep
-        for b in keep
-        if a < b and g.densities[a][b] > 0
-    ]
-    loops = [remap[b] for b in keep if g.densities[b][b] > 0]
-    weights = [g.block_masses[b] for b in keep]
-    return FiniteGraph.build(len(keep), edges, weights=weights, loops=loops)
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,6 @@ def _dp_layers(adj: list[int], n: int):
     return layers
 
 
-def _compact(chunks_m, chunks_b):
-    allm = np.concatenate(chunks_m)
-    allb = np.concatenate(chunks_b)
-    order = np.argsort(allm, kind="stable")
-    allm, allb = allm[order], allb[order]
-    uniq, first = np.unique(allm, return_index=True)
-    merged = np.bitwise_or.reduceat(allb, first)
-    return [uniq], [merged]
-
-
 def _reconstruct(layers, adj: list[int], n: int, last: int) -> list[int]:
     path = [last]
     mask = (1 << n) - 1
@@ -176,7 +166,7 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
     import sys
 
     n = g.n
-    adj_sets = [sorted(s) for s in _neighbor_lists(g)]
+    adj = g.adjacency()
     in_path = [False] * n
     path = [0]
     in_path[0] = True
@@ -194,7 +184,7 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
         v = path[-1]
         if len(path) == n:
             return True if (adj_bits[0] >> v) & 1 else False
-        for w in adj_sets[v]:
+        for w in adj[v]:
             if in_path[w]:
                 continue
             path.append(w)
@@ -236,14 +226,6 @@ def exact_hamilton(g: FiniteGraph, budget: int = DEFAULT_BACKTRACK_BUDGET) -> Ha
 # rotation heuristic
 
 
-def _neighbor_lists(g: FiniteGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def posa_heuristic(
     g: FiniteGraph,
     seed: int = 0,
@@ -260,7 +242,7 @@ def posa_heuristic(
     n = g.n
     if n < 3:
         return None
-    adj = _neighbor_lists(g)
+    adj = [set(a) for a in g.adjacency()]
     if max_rotations is None:
         max_rotations = 50 * n
     rng = random.Random(seed)
@@ -329,8 +311,4 @@ def classify(
     cycle = posa_heuristic(g, seed=seed, restarts=posa_restarts, max_rotations=max_rotations)
     if cycle is not None:
         return HamiltonVerdict(STATUS_HAMILTONIAN, cycle)
-    if g.n <= DP_VERTEX_CAP:
-        return _exact_dp(g)
-    if budget > 0:
-        return _backtrack(g, budget)
-    return HamiltonVerdict(STATUS_UNKNOWN)
+    return exact_hamilton(g, budget)

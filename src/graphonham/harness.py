@@ -34,9 +34,9 @@ from .hamilton import classify
 from .presets import PRESETS, preset_payload
 from .sampler import (
     SampledGraph,
-    _sample_type_arrays,
     degree_concentration_report,
     sample_graph,
+    sample_types,
 )
 
 CSV_SCHEMA = 1
@@ -327,7 +327,8 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
 
     Order-independent: records are grouped by n and counted; `hamiltonian`
     reports found / certified-absent / unknown separately plus the implied
-    frequency band [found, 1 - certified-absent].
+    frequency band [found, 1 - certified-absent].  Frequencies are over the
+    trials that finished without error; `errors` counts the others.
     """
     per_n: dict[int, dict] = {}
     for n in config.n_values:
@@ -335,6 +336,7 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
         trials = len(group)
         errors = sum(1 for r in group if r.error is not None)
         ok = [r for r in group if r.error is None]
+        done = len(ok)
         summary: dict = {"trials": trials, "errors": errors}
         for prop in config.properties:
             if prop == "hamiltonian":
@@ -348,10 +350,10 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
                     "not_certified": not_ham,
                     "unknown": unknown,
                     "frequency_band": [
-                        found / trials if trials else 0.0,
-                        1 - not_ham / trials if trials else 1.0,
+                        found / done if done else 0.0,
+                        1 - not_ham / done if done else 1.0,
                     ],
-                    "found_wilson": wilson_interval(found, trials),
+                    "found_wilson": wilson_interval(found, done),
                 }
             elif prop == "peninsula_counts":
                 hits = sum(
@@ -359,7 +361,7 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
                     for r in ok
                     if r.outcomes.get("n_a", 0) > r.outcomes.get("n_c", 0) + config.t
                 )
-                summary["peninsula_counts"] = _freq_summary(hits, trials)
+                summary["peninsula_counts"] = _freq_summary(hits, done)
             elif prop == "degree_concentration":
                 vals = [r.outcomes["degree_concentration"] for r in ok]
                 summary["degree_concentration"] = {
@@ -374,7 +376,7 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
                 }
             else:
                 hits = sum(1 for r in ok if r.outcomes.get(prop) is True)
-                summary[prop] = _freq_summary(hits, trials)
+                summary[prop] = _freq_summary(hits, done)
         per_n[n] = summary
     regime = analyze(config.graphon).regime
     return ExperimentReport(config.to_dict(), regime, per_n)
@@ -543,7 +545,7 @@ def multinomial_fluctuation_report(config: ExperimentConfig) -> FluctuationRepor
     counts = []
     hits = 0
     for trial in range(config.trials):
-        block, offset = _sample_type_arrays(config.graphon, n, config.seed, trial)
+        block, offset = sample_types(config.graphon, n, config.seed, trial)
         n_a, n_b, n_c = classify_types(cert, config.graphon, block, offset)
         counts.append((n_a, n_b, n_c))
         if n_a > n_c + config.t:

@@ -118,7 +118,7 @@ def _rooted_children(t: FiniteGraph, root: int) -> list[list[int]]:
     q = deque([root])
     while q:
         u = q.popleft()
-        for v in sorted(adj[u]):
+        for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 children[u].append(v)
@@ -224,7 +224,7 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
         raise ValueError("need at least 3 vertices")
     theta = ceil(alpha * n)  # integer degree threshold for "low"
     deg = g.degrees()
-    adj = [sorted(s) for s in _sorted_adjacency(g)]
+    adj = g.adjacency()
     low = sorted(
         (v for v in range(n) if deg[v] < 2 * theta), key=lambda v: (deg[v], v)
     )
@@ -256,17 +256,9 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     return system
 
 
-def _sorted_adjacency(g: FiniteGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _merge_paths(g: FiniteGraph, paths: list[list[int]], theta: int) -> list[list[int]]:
     """First-fit merging through an unused degree->=theta common neighbor."""
-    adj = _sorted_adjacency(g)
+    adj = [set(a) for a in g.adjacency()]
     deg = g.degrees()
     while True:
         in_system = {v for p in paths for v in p}

@@ -10,8 +10,7 @@ run in any order, in parallel, and still replay bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -23,26 +22,19 @@ _TYPE_CHANNEL = 0
 _EDGE_CHANNEL = 1
 
 
-def _stream(seed: int, trial_index: int, channel: int) -> np.random.Generator:
+def _philox(seed: int, trial_index: int, channel: int) -> np.random.Philox:
+    """The bit generator of one (seed, trial_index, channel) stream."""
     if not 0 <= trial_index < 1 << 62:
         raise FormatError("trial_index out of range", "trial_index")
     key = np.array(
         [np.uint64(seed & (1 << 64) - 1), np.uint64((trial_index << 1) | channel)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
 
 
-@dataclass(frozen=True)
-class VertexType:
-    """Latent type of one vertex: block index plus offset within the block.
-
-    For the analytic family there are no blocks; `block` is None and `offset`
-    is the position in [0, 1).
-    """
-
-    block: Optional[int]
-    offset: float
+def _stream(seed: int, trial_index: int, channel: int) -> np.random.Generator:
+    return np.random.Generator(_philox(seed, trial_index, channel))
 
 
 @dataclass(frozen=True)
@@ -57,26 +49,10 @@ class SampledGraph:
     seed: int
     trial_index: int
 
-    @property
-    def types(self) -> list[VertexType]:
-        if self.type_block is None:
-            return [VertexType(None, float(o)) for o in self.type_offset]
-        return [
-            VertexType(int(b), float(o))
-            for b, o in zip(self.type_block, self.type_offset)
-        ]
-
     def degrees(self) -> np.ndarray:
         if len(self.edges) == 0:
             return np.zeros(self.n, dtype=np.int64)
         return np.bincount(self.edges.ravel(), minlength=self.n)
-
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[int(u)].add(int(v))
-            adj[int(v)].add(int(u))
-        return adj
 
     def to_finite_graph(self) -> FiniteGraph:
         return FiniteGraph.build(self.n, [(int(u), int(v)) for u, v in self.edges])
@@ -100,9 +76,15 @@ def _cumulative_masses(g: StepGraphon) -> np.ndarray:
     return cum
 
 
-def _sample_type_arrays(
-    g: Graphon, n: int, seed: int, trial_index: int
+def sample_types(
+    g: Graphon, n: int, seed: int, trial_index: int = 0
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Stage one alone: n i.i.d. latent types, deterministic in the key.
+
+    Returns (block, offset): the block index of each vertex and its offset
+    within the block.  The analytic family has no blocks; `block` is None
+    and `offset` is the position in [0, 1).
+    """
     if n < 1:
         raise FormatError("n must be at least 1", "n")
     gen = _stream(seed, trial_index, _TYPE_CHANNEL)
@@ -115,14 +97,6 @@ def _sample_type_arrays(
     width = cum[block] - low[block]
     offset = np.where(width > 0, (u - low[block]) / np.where(width > 0, width, 1.0), 0.0)
     return block, offset
-
-
-def sample_types(g: Graphon, n: int, seed: int, trial_index: int = 0) -> list[VertexType]:
-    """Stage one alone: n i.i.d. latent types, deterministic in the key."""
-    block, offset = _sample_type_arrays(g, n, seed, trial_index)
-    if block is None:
-        return [VertexType(None, float(o)) for o in offset]
-    return [VertexType(int(b), float(o)) for b, o in zip(block, offset)]
 
 
 def _edge_probabilities(
@@ -138,7 +112,7 @@ def _edge_probabilities(
 
 def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> SampledGraph:
     """Both stages; consumes exactly C(n, 2) edge coins in row-major i < j order."""
-    block, offset = _sample_type_arrays(g, n, seed, trial_index)
+    block, offset = sample_types(g, n, seed, trial_index)
     gen = _stream(seed, trial_index, _EDGE_CHANNEL)
     iu, ju = np.triu_indices(n, k=1)
     coins = gen.random(len(iu))
@@ -161,14 +135,9 @@ def edge_coin(seed: int, trial_index: int, offset: int) -> float:
     counter by offset // 4 and discarding offset % 4 draws lands exactly on
     the requested position; this is what makes per-pair accounting testable.
     """
-    key = np.array(
-        [np.uint64(seed & (1 << 64) - 1), np.uint64((trial_index << 1) | _EDGE_CHANNEL)],
-        dtype=np.uint64,
-    )
-    bg = np.random.Philox(key=key)
+    bg = _philox(seed, trial_index, _EDGE_CHANNEL)
     bg.advance(offset // 4)
-    gen = np.random.Generator(bg)
-    return float(gen.random(offset % 4 + 1)[-1])
+    return float(np.random.Generator(bg).random(offset % 4 + 1)[-1])
 
 
 def degree_concentration_report(graph: SampledGraph) -> float:

@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: exhaustive enumeration over tiny
 domains, kept free of the library's optimization machinery so the two routes
-stay independent.
+stay independent.  The one exception is `peninsula_kind_via_cover`, a second
+trap detector built on the library's weighted min-cut covers instead of on
+the block-support enumeration that `find_peninsula` uses.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from graphonham import FiniteGraph, fvcn_half
 
 HALF = Fraction(1, 2)
 VALUES = (Fraction(0), HALF, Fraction(1))
@@ -188,6 +192,53 @@ def step_peninsula_oracle_labels(g) -> tuple[bool, bool]:
         if has and narrow:
             break
     return has, narrow
+
+
+def block_positivity_graph(g, keep=None) -> FiniteGraph:
+    """The weighted finite graph of a step graphon's blocks (or of `keep`).
+
+    Vertices are blocks carrying their masses as weights; edges join distinct
+    blocks of positive density; a positive diagonal becomes a self-loop.
+    """
+    keep = list(range(g.k)) if keep is None else keep
+    remap = {b: i for i, b in enumerate(keep)}
+    edges = [
+        (remap[a], remap[b])
+        for a in keep
+        for b in keep
+        if a < b and g.densities[a][b] > 0
+    ]
+    loops = [remap[b] for b in keep if g.densities[b][b] > 0]
+    weights = [g.block_masses[b] for b in keep]
+    return FiniteGraph.build(len(keep), edges, weights=weights, loops=loops)
+
+
+def peninsula_kind_via_cover(g):
+    """Trap verdict through half-integral covers of the weighted block graph.
+
+    A trap corresponds to a non-constant half-integral cover of total weight
+    at most 1/2; the narrow kind to weight strictly below 1/2.  The constant
+    half function always covers, so the optimal weight never exceeds 1/2, and
+    a non-constant cover of weight at most 1/2 must zero out some loop-free
+    block, whose positive-density neighbors are then forced to one.
+    """
+    if fvcn_half(block_positivity_graph(g)).weight < HALF:
+        return "narrow"
+    masks = g.positivity_masks()
+    for i in range(g.k):
+        if g.densities[i][i] != 0:
+            continue
+        removed = {i} | {j for j in range(g.k) if (masks[i] >> j) & 1}
+        keep = [j for j in range(g.k) if j not in removed]
+        neigh_mass = sum(
+            (g.block_masses[j] for j in removed if j != i), Fraction(0)
+        )
+        if neigh_mass > HALF:
+            continue
+        sub = block_positivity_graph(g, keep)
+        if neigh_mass + fvcn_half(sub).weight <= HALF:
+            return "peninsula"
+    return None
 
 
 def cut_norm_subset_oracle(f) -> Fraction:

@@ -31,9 +31,9 @@ from graphonham import (
     get_preset,
     graph_peninsula,
     half_integral_perfect_matching,
+    is_bipartite,
     low_degree_path_system,
     multinomial_fluctuation_report,
-    non_bipartite_if_uhc,
     odd_walk,
     posa_heuristic,
     run_experiment,
@@ -49,6 +49,7 @@ from oracles import (
     max_half_matching_weight,
     min_half_cover_weight,
     min_odd_walk_length,
+    peninsula_kind_via_cover,
     step_peninsula_oracle_labels,
     step_peninsula_oracle_sets,
     uniquely_half_covered_oracle,
@@ -119,8 +120,6 @@ def test_criterion_02_graph_peninsula_correspondence():
 
 
 def test_criterion_03_step_graphon_reduction():
-    from graphonham import peninsula_kind_via_cover
-
     rng = random.Random(303)
     found = narrow_found = 0
     for _ in range(500):
@@ -160,7 +159,7 @@ def test_criterion_04_uhc_implies_nonbipartite_and_perfect_matching():
             continue
         assert uniquely_half_covered_oracle(g)
         seen += 1
-        assert non_bipartite_if_uhc(g)
+        assert not is_bipartite(g)
         m = half_integral_perfect_matching(g)
         assert m is not None and m.weight == Fraction(g.n, 2)
         m.validate(g)

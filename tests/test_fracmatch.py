@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from graphonham import (
     FiniteGraph,
     FormatError,
-    check_duality,
     fmn_half,
     fvcn_half,
     fvcn_value,
     graph_peninsula,
     half_integral_perfect_matching,
     is_bipartite,
-    non_bipartite_if_uhc,
     uniquely_half_covered,
 )
 from conftest import random_graph
@@ -121,7 +119,7 @@ class TestDuality:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         sub = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
         g = FiniteGraph.build(n, sub)
-        assert check_duality(g)
+        assert fmn_half(g).weight == fvcn_half(g).weight
 
     def test_oracle_equivalence_small(self, rng):
         for _ in range(60):
@@ -200,7 +198,7 @@ class TestPerfectMatching:
             if not uniquely_half_covered(g)[0]:
                 continue
             seen += 1
-            assert non_bipartite_if_uhc(g)
+            assert not is_bipartite(g)
             m = half_integral_perfect_matching(g)
             assert m is not None
             m.validate(g)
@@ -214,3 +212,23 @@ def test_fvcn_value_matches_cover(rng):
     for _ in range(30):
         g = random_graph(rng, rng.randrange(2, 20), 0.3)
         assert fvcn_value(g) == fvcn_half(g).weight
+
+
+def test_adjacency_and_double_cover_solved_once_per_graph(rng, monkeypatch):
+    from graphonham import fracmatch
+
+    g = random_graph(rng, 40, 0.3)
+    assert 0 < len(g.edges) < 4000  # the Hopcroft-Karp engine, not scipy's
+    adj = g.adjacency()
+    assert adj is g.adjacency()
+    assert all(isinstance(a, tuple) and list(a) == sorted(a) for a in adj)
+    calls = []
+    solve = fracmatch._hopcroft_karp
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fracmatch, "_hopcroft_karp", counted)
+    assert fvcn_value(g) == fvcn_half(g).weight == fmn_half(g).weight
+    assert len(calls) == 1

@@ -12,13 +12,16 @@ from graphonham import (
     check_connected,
     check_degree_tail,
     check_exact_bipartite_split,
-    degree_profile,
     degree_tail_ratio,
     find_peninsula,
     load_graphon,
 )
 from conftest import random_step_graphon
-from oracles import step_peninsula_oracle_labels, step_peninsula_oracle_sets
+from oracles import (
+    peninsula_kind_via_cover,
+    step_peninsula_oracle_labels,
+    step_peninsula_oracle_sets,
+)
 
 F = Fraction
 
@@ -128,9 +131,8 @@ class TestDegreeTail:
             assert degree_tail_ratio(g, a) == 2
 
     def test_profile(self):
-        prof = degree_profile(U)
-        assert prof.block_degrees == (F(1, 2), F(1, 2))
-        assert degree_profile(PowerFamilyGraphon.build("2")).beta == 2
+        assert U.block_degrees() == (F(1, 2), F(1, 2))
+        assert PowerFamilyGraphon.build("2").beta == 2
 
 
 class TestPeninsula:
@@ -188,8 +190,6 @@ class TestPeninsula:
                 assert (cert.kind == "narrow") == narrow1
 
     def test_cover_route_agrees(self, rng):
-        from graphonham import peninsula_kind_via_cover
-
         for name, g, want in [
             ("balanced", U, "peninsula"),
             ("clique-side", W, "peninsula"),

@@ -7,6 +7,7 @@ from graphonham import (
     ExperimentConfig,
     FormatError,
     NoCertificate,
+    TrialRecord,
     aggregate,
     find_peninsula,
     get_preset,
@@ -169,6 +170,20 @@ class TestFluctuation:
         oracle = float(exact_binomial_upper_tail(400, 203))
         assert abs(rep.frequency - oracle) <= 0.03
         assert 0.40 <= rep.frequency <= 0.50
+
+
+def test_aggregate_frequencies_exclude_errored_trials():
+    cfg = small_config(trials=4)
+    outcomes = {"connected": True, "min_degree_ge_2": True, "ham_status": "hamiltonian"}
+    records = [TrialRecord(24, t, 9, outcomes=dict(outcomes)) for t in range(2)]
+    records += [TrialRecord(24, t, 9, error="ValueError: boom") for t in range(2, 4)]
+    summary = aggregate(cfg, records).per_n[24]
+    assert summary["trials"] == 4 and summary["errors"] == 2
+    assert summary["connected"]["frequency"] == 1.0
+    assert summary["connected"]["wilson"] == wilson_interval(2, 2)
+    assert summary["min_degree_ge_2"]["frequency"] == 1.0
+    assert summary["hamiltonian"]["frequency_band"] == [1.0, 1.0]
+    assert summary["hamiltonian"]["found_wilson"] == wilson_interval(2, 2)
 
 
 def test_wilson_interval_basics():

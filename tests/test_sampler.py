@@ -33,14 +33,22 @@ def test_constant_zero_gives_empty_graph():
 
 
 def test_single_block_types():
-    types = sample_types(StepGraphon.constant("0.5"), 20, seed=1)
-    assert all(t.block == 0 for t in types)
-    assert all(0 <= t.offset < 1 for t in types)
+    block, offset = sample_types(StepGraphon.constant("0.5"), 20, seed=1)
+    assert len(block) == len(offset) == 20
+    assert all(b == 0 for b in block)
+    assert all(0 <= o < 1 for o in offset)
 
 
 def test_n_zero_rejected():
     with pytest.raises(FormatError):
         sample_types(StepGraphon.constant("0.5"), 0, seed=1)
+
+
+def test_trial_index_out_of_range_rejected():
+    with pytest.raises(FormatError, match="trial_index"):
+        sample_graph(HALF_HALF, 5, seed=1, trial_index=1 << 62)
+    with pytest.raises(FormatError, match="trial_index"):
+        edge_coin(1, 1 << 62, 0)
 
 
 def test_replay_determinism():
@@ -64,8 +72,8 @@ def test_balanced_bipartite_edges_cross_classes_only():
 def test_block_count_within_three_sigma():
     # binomial CLT band; a diagnostic, checked at this pinned seed
     n = 100_000
-    types = sample_types(HALF_HALF, n, seed=2024)
-    count = sum(1 for t in types if t.block == 0)
+    block, _ = sample_types(HALF_HALF, n, seed=2024)
+    count = int((block == 0).sum())
     sigma = math.sqrt(n / 4)
     assert abs(count - n / 2) <= 3 * sigma
 

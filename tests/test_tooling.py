@@ -1,0 +1,25 @@
+"""The traced benchmark run wraps graphonham functions and methods by name.
+
+Installing and removing its tracer here makes a renamed or deleted target
+fail in the unit suite instead of in a traced benchmark run.
+"""
+
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    targets = [(ns, attr) for _, ns, attr in tracing.FUNCTIONS]
+    targets += [(cls, attr) for _, cls, attr in tracing.METHODS]
+    originals = [vars(ns)[attr] for ns, attr in targets]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(vars(ns)[a] is not old for (ns, a), old in zip(targets, originals))
+    finally:
+        tracer.uninstall()
+    assert all(vars(ns)[a] is old for (ns, a), old in zip(targets, originals))
