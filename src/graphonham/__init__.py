@@ -17,6 +17,7 @@ from .errors import (
     FormatError,
     GraphonHamError,
     GreedyStuck,
+    InvariantViolation,
     NoCertificate,
     NotBinaryTree,
     TypesMissing,

@@ -52,3 +52,7 @@ class TypesMissing(GraphonHamError):
 
 class NoCertificate(GraphonHamError):
     """Operation needs a peninsula certificate attached to the configuration."""
+
+
+class InvariantViolation(GraphonHamError):
+    """An internal consistency check failed: a bug, never a property of the input."""

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvariantViolation
 
 HALF = Fraction(1, 2)
 
@@ -38,36 +38,59 @@ _SCIPY_EDGE_THRESHOLD = 4000
 # graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGraph:
     """A finite graph with optional exact vertex weights and self-loops.
 
-    Edges are stored normalized (u < v, deduplicated).  Self-loops are only
-    legal in weighted mode, where they encode a diagonal positivity constraint
-    forcing f(v) >= 1/2 in any fractional vertex cover.
+    The edge set is held as arrays built once: `edge_array` is the (m, 2)
+    int32 array of edges with u < v, sorted and without repeats, and
+    `indptr`/`indices` are the CSR of the symmetric adjacency, each row
+    ascending.  Self-loops are only legal in weighted mode, where they encode
+    a diagonal positivity constraint forcing f(v) >= 1/2 in any fractional
+    vertex cover.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     weights: Optional[tuple[Fraction, ...]] = None
     loops: tuple[int, ...] = ()
 
     @staticmethod
     def build(
         n: int,
-        edges: Iterable[tuple[int, int]],
+        edges: np.ndarray | Iterable[tuple[int, int]],
         weights: Optional[Sequence[Fraction]] = None,
         loops: Iterable[int] = (),
     ) -> "FiniteGraph":
-        if n < 0:
-            raise FormatError("vertex count must be nonnegative", "n")
-        norm = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"edge ({u},{v}) out of range", "edges")
-            if u == v:
-                raise FormatError(f"self-loop at {u} not allowed in edge list", "edges")
-            norm.add((u, v) if u < v else (v, u))
+        """Validate and normalise an (m, 2) integer array or iterable of pairs."""
+        if not 0 <= n < 1 << 31:
+            raise FormatError("vertex count must be in [0, 2**31)", "n")
+        try:
+            e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        except OverflowError:
+            raise FormatError("edge endpoint out of range", "edges") from None
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise FormatError("edges must be pairs (u, v)", "edges")
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        bad = (lo < 0) | (hi >= n)
+        if bad.any():
+            u, v = e[bad.argmax()].tolist()
+            raise FormatError(f"edge ({u},{v}) out of range", "edges")
+        if (lo == hi).any():
+            raise FormatError(f"self-loop at {lo[(lo == hi).argmax()]} not allowed in edge list", "edges")
+        # sort and drop repeats by hand: np.unique hashes before it sorts,
+        # which is far slower on these nearly sorted keys
+        key = np.sort(lo * n + hi)
+        key = key[np.diff(key, prepend=-1) != 0]
+        lo, hi = key // n, key % n
+        # both directions of every edge, sorted by (row, column)
+        both = np.sort(np.concatenate([key, hi * n + lo]))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
         loops = tuple(sorted(set(loops)))
         if loops and weights is None:
             raise FormatError("self-loops are only supported in weighted mode", "loops")
@@ -81,7 +104,17 @@ class FiniteGraph:
             w = tuple(Fraction(x) for x in weights)
             if any(x < 0 for x in w):
                 raise FormatError("vertex weights must be nonnegative", "weights")
-        return FiniteGraph(n, tuple(sorted(norm)), w, loops)
+        edge_array = np.column_stack([lo, hi]).astype(np.int32)
+        return FiniteGraph(n, edge_array, indptr, (both % n).astype(np.int32), w, loops)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as ascending (u, v) tuples, built on first use and kept."""
+        edges = self.__dict__.get("_edges")
+        if edges is None:
+            edges = tuple(map(tuple, self.edge_array.tolist()))
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     @property
     def weighted(self) -> bool:
@@ -92,34 +125,27 @@ class FiniteGraph:
             raise FormatError("operation requires a simple (loop-free) graph", "loops")
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour lists, ascending because the edges are sorted.
+        """Neighbour lists, ascending, sliced from the CSR.
 
         Built on first use and kept on the instance, so every caller shares
         one copy per graph.
         """
         adj = self.__dict__.get("_adjacency")
         if adj is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            adj = tuple(map(tuple, lists))
+            ind, ptr = self.indices.tolist(), self.indptr.tolist()
+            adj = tuple(tuple(ind[ptr[v]:ptr[v + 1]]) for v in range(self.n))
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.diff(self.indptr).tolist()
 
     def vertex_weight(self, v: int) -> Fraction:
         return self.weights[v] if self.weights is not None else Fraction(1)
 
     def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {len(self.edges)}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges)
+        lines = [f"{self.n} {len(self.edge_array)}"]
+        lines.extend(f"{u} {v}" for u, v in self.edge_array.tolist())
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -153,6 +179,19 @@ class FiniteGraph:
 # certificates
 
 
+_UNIT_VALUES = (Fraction(0), HALF, Fraction(1))
+_HALF_UNITS = {x: k for k, x in enumerate(_UNIT_VALUES)}
+
+
+def _half_units(values: Sequence[Fraction], what: str) -> np.ndarray:
+    """Exact values in {0, 1/2, 1} as integer half-units 0, 1, 2."""
+    units = [_HALF_UNITS.get(x) for x in values]
+    if None in units:
+        bad = values[units.index(None)]
+        raise AssertionError(f"{what} value {bad} not in {{0, 1/2, 1}}")
+    return np.array(units, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class HalfCover:
     """A half-integral fractional vertex cover with its exact total weight."""
@@ -163,16 +202,19 @@ class HalfCover:
     def validate(self, g: FiniteGraph) -> None:
         if len(self.values) != g.n:
             raise AssertionError("cover has wrong length")
-        for f in self.values:
-            if f not in (Fraction(0), HALF, Fraction(1)):
-                raise AssertionError(f"cover value {f} not in {{0, 1/2, 1}}")
-        for u, v in g.edges:
-            if self.values[u] + self.values[v] < 1:
-                raise AssertionError(f"edge ({u},{v}) uncovered")
-        for v in g.loops:
-            if self.values[v] < HALF:
-                raise AssertionError(f"loop at {v} demands f(v) >= 1/2")
-        total = sum((g.vertex_weight(v) * self.values[v] for v in range(g.n)), Fraction(0))
+        h = _half_units(self.values, "cover")
+        u, v = g.edge_array.T
+        uncovered = h[u] + h[v] < 2
+        if uncovered.any():
+            k = uncovered.argmax()
+            raise AssertionError(f"edge ({u[k]},{v[k]}) uncovered")
+        for x in g.loops:
+            if h[x] < 1:
+                raise AssertionError(f"loop at {x} demands f(v) >= 1/2")
+        if g.weights is None:
+            total = Fraction(int(h.sum()), 2)
+        else:
+            total = sum((w * x for w, x in zip(g.weights, h.tolist())), Fraction(0)) / 2
         if total != self.weight:
             raise AssertionError("stored weight disagrees with recomputed sum")
 
@@ -185,19 +227,15 @@ class HalfMatching:
     weight: Fraction
 
     def validate(self, g: FiniteGraph) -> None:
-        if len(self.values) != len(g.edges):
+        if len(self.values) != len(g.edge_array):
             raise AssertionError("matching has wrong length")
-        for m in self.values:
-            if m not in (Fraction(0), HALF, Fraction(1)):
-                raise AssertionError(f"matching value {m} not in {{0, 1/2, 1}}")
-        load = [Fraction(0)] * g.n
-        for (u, v), m in zip(g.edges, self.values):
-            load[u] += m
-            load[v] += m
-        for v, l in enumerate(load):
-            if l > 1:
-                raise AssertionError(f"vertex {v} overloaded: {l}")
-        if sum(self.values, Fraction(0)) != self.weight:
+        h = _half_units(self.values, "matching")
+        # each endpoint of an edge repeated once per half-unit on the edge
+        load = np.bincount(np.repeat(g.edge_array.ravel(), np.repeat(h, 2)), minlength=g.n)
+        if (load > 2).any():
+            v = int(load.argmax())
+            raise AssertionError(f"vertex {v} overloaded: {Fraction(int(load[v]), 2)}")
+        if Fraction(int(h.sum()), 2) != self.weight:
             raise AssertionError("stored weight disagrees with recomputed sum")
 
     def is_perfect(self, g: FiniteGraph) -> bool:
@@ -222,15 +260,25 @@ class GraphPeninsula:
             raise AssertionError("A must be nonempty")
         if sa & sb:
             raise AssertionError("A and B must be disjoint")
-        for u, v in g.edges:
-            if (u in sa and (v in sa or v in sb)) or (v in sa and (u in sa or u in sb)):
-                raise AssertionError(f"edge ({u},{v}) meets A x (A u B)")
-        bound = Fraction(g.n - len(self.B), 2)
+        if len(sa) != len(self.A) or len(sb) != len(self.B):
+            raise AssertionError("A and B must not repeat a vertex")
+        if not all(0 <= x < g.n for x in sa | sb):
+            raise AssertionError("A and B must be vertices of the graph")
+        in_a = np.zeros(g.n, dtype=bool)
+        in_a[list(sa)] = True
+        in_ab = in_a.copy()
+        in_ab[list(sb)] = True
+        u, v = g.edge_array.T
+        meets = (in_a[u] & in_ab[v]) | (in_a[v] & in_ab[u])
+        if meets.any():
+            k = meets.argmax()
+            raise AssertionError(f"edge ({u[k]},{v[k]}) meets A x (A u B)")
+        excess = 2 * len(self.A) - (g.n - len(self.B))
         if self.kind == "narrow":
-            if not len(self.A) > bound:
+            if not excess > 0:
                 raise AssertionError("narrow requires |A| > (n-|B|)/2")
         elif self.kind == "peninsula":
-            if not len(self.A) >= bound:
+            if not excess >= 0:
                 raise AssertionError("peninsula requires |A| >= (n-|B|)/2")
         else:
             raise AssertionError(f"unknown kind {self.kind!r}")
@@ -292,23 +340,20 @@ def _double_cover_matching(g: FiniteGraph) -> tuple[int, tuple[int, ...], tuple[
     if found is not None:
         return found
     n = g.n
-    if n == 0 or not g.edges:
+    m = len(g.edge_array)
+    if m == 0:
         size, match_l, match_r = 0, [-1] * n, [-1] * n
-    elif len(g.edges) >= _SCIPY_EDGE_THRESHOLD:
+    elif m >= _SCIPY_EDGE_THRESHOLD:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import maximum_bipartite_matching
 
-        e = np.asarray(g.edges, dtype=np.int32)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        bi = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+        data = np.ones(len(g.indices), dtype=np.int8)
+        bi = csr_matrix((data, g.indices, g.indptr), shape=(n, n))
         ml = maximum_bipartite_matching(bi, perm_type="column")
-        match_l = [int(x) for x in ml]
-        match_r = [-1] * n
-        for u, v in enumerate(match_l):
-            if v != -1:
-                match_r[v] = u
-        size = sum(1 for v in match_l if v != -1)
+        matched = np.flatnonzero(ml >= 0)
+        mr = np.full(n, -1)
+        mr[ml[matched]] = matched
+        size, match_l, match_r = len(matched), ml.tolist(), mr.tolist()
     else:
         size, match_l, match_r = _hopcroft_karp(n, n, g.adjacency())
     found = (size, tuple(match_l), tuple(match_r))
@@ -450,19 +495,10 @@ def _weighted_cover(g: FiniteGraph) -> HalfCover:
 def fmn_half(g: FiniteGraph) -> HalfMatching:
     """Maximum-weight half-integral fractional matching of a simple graph."""
     size, match_l, _ = _double_cover_matching(g)
-    pair = {}
-    for u, v in enumerate(match_l):
-        if v != -1:
-            pair[(u, v)] = True
-    values = []
-    for u, v in g.edges:
-        m = Fraction(0)
-        if (u, v) in pair:
-            m += HALF
-        if (v, u) in pair:
-            m += HALF
-        values.append(m)
-    matching = HalfMatching(tuple(values), Fraction(size, 2))
+    ml = np.array(match_l, dtype=np.int64)
+    u, v = g.edge_array.T
+    units = (ml[u] == v).astype(np.int64) + (ml[v] == u)
+    matching = HalfMatching(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(size, 2))
     matching.validate(g)
     return matching
 
@@ -478,14 +514,12 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
         return _weighted_cover(g)
     size, match_l, match_r = _double_cover_matching(g)
     cover_l, cover_r = _koenig_cover(g, match_l, match_r)
-    values = tuple(
-        Fraction((1 if v in cover_l else 0) + (1 if v in cover_r else 0), 2)
-        for v in range(g.n)
-    )
-    cover = HalfCover(values, sum(values, Fraction(0)))
+    values = tuple(_UNIT_VALUES[(v in cover_l) + (v in cover_r)] for v in range(g.n))
+    cover = HalfCover(values, Fraction(len(cover_l) + len(cover_r), 2))
     cover.validate(g)
     # Koenig: |cover| = |matching|, so the folded weights agree exactly.
-    assert cover.weight == Fraction(size, 2)
+    if cover.weight != Fraction(size, 2):
+        raise InvariantViolation(f"Koenig cover weight {cover.weight} != matching size {size}/2")
     return cover
 
 
@@ -498,10 +532,11 @@ def fvcn_value(g: FiniteGraph) -> Fraction:
 
 
 def _induced_without(g: FiniteGraph, removed: set[int]) -> FiniteGraph:
-    keep = [v for v in range(g.n) if v not in removed]
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges if u not in removed and v not in removed]
-    return FiniteGraph.build(len(keep), edges)
+    keep = np.ones(g.n, dtype=bool)
+    keep[list(removed)] = False
+    remap = np.cumsum(keep) - 1
+    u, v = g.edge_array.T
+    return FiniteGraph.build(int(keep.sum()), remap[g.edge_array[keep[u] & keep[v]]])
 
 
 def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
@@ -535,7 +570,8 @@ def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
             values[v] = Fraction(0)
             witness = HalfCover(tuple(values), sum(values, Fraction(0)))
             witness.validate(g)
-            assert witness.weight <= half_n
+            if witness.weight > half_n:
+                raise InvariantViolation(f"witness weight {witness.weight} exceeds n/2")
             return False, witness
     return True, None
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .fracmatch import FiniteGraph, fvcn_value, graph_peninsula, is_connected
 
 STATUS_HAMILTONIAN = "hamiltonian"
@@ -50,13 +51,17 @@ def validate_cycle(g: FiniteGraph, cycle) -> bool:
     """Spanning, no repeats, consecutive pairs (wrap included) all edges."""
     if len(cycle) != g.n or g.n < 3:
         return False
-    if len(set(cycle)) != g.n:
+    if set(cycle) != set(range(g.n)):
         return False
-    eset = set(g.edges)
-    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-        if ((a, b) if a < b else (b, a)) not in eset:
-            return False
-    return True
+    adj = g.adjacency()
+    return all(b in adj[a] for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]))
+
+
+def _checked_cycle(g: FiniteGraph, cycle) -> tuple[int, ...]:
+    """A cycle a search found, as a tuple; it must validate."""
+    if not validate_cycle(g, cycle):
+        raise InvariantViolation(f"search returned an invalid Hamilton cycle on {len(cycle)} vertices")
+    return tuple(cycle)
 
 
 def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
@@ -71,7 +76,8 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
         return OBSTRUCTION_MIN_DEGREE
     if g.n >= 3 and fvcn_value(g) < Fraction(g.n, 2):
         cert = graph_peninsula(g)
-        assert cert is not None and cert.kind == "narrow"
+        if cert is None or cert.kind != "narrow":
+            raise InvariantViolation("fvcn < n/2 but no narrow certificate was extracted")
         cert.validate(g)
         return OBSTRUCTION_NARROW
     return None
@@ -82,11 +88,7 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
 
 
 def _adjacency_bits(g: FiniteGraph) -> list[int]:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    return [sum(1 << w for w in a) for a in g.adjacency()]
 
 
 def _dp_layers(adj: list[int], n: int):
@@ -156,9 +158,7 @@ def _exact_dp(g: FiniteGraph) -> HamiltonVerdict:
             if closable:
                 last = (closable & -closable).bit_length() - 1
                 cycle = _reconstruct(layers, adj, n, last)
-                verdict = HamiltonVerdict(STATUS_HAMILTONIAN, tuple(cycle))
-                assert validate_cycle(g, verdict.witness)
-                return verdict
+                return HamiltonVerdict(STATUS_HAMILTONIAN, _checked_cycle(g, cycle))
     return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=OBSTRUCTION_EXHAUSTED)
 
 
@@ -200,9 +200,7 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
 
     res = rec()
     if res is True:
-        verdict = HamiltonVerdict(STATUS_HAMILTONIAN, tuple(path))
-        assert validate_cycle(g, verdict.witness)
-        return verdict
+        return HamiltonVerdict(STATUS_HAMILTONIAN, _checked_cycle(g, path))
     if res is False:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=OBSTRUCTION_EXHAUSTED)
     return HamiltonVerdict(STATUS_UNKNOWN)
@@ -262,8 +260,7 @@ def posa_heuristic(
                 continue
             closes = path[0] in adj[tail]
             if closes and len(path) == n:
-                assert validate_cycle(g, path)
-                return tuple(path)
+                return _checked_cycle(g, path)
             if closes:
                 # non-spanning cycle: reopen at a vertex that sees outside
                 reopened = False

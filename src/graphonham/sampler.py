@@ -55,7 +55,7 @@ class SampledGraph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def to_finite_graph(self) -> FiniteGraph:
-        return FiniteGraph.build(self.n, [(int(u), int(v)) for u, v in self.edges])
+        return FiniteGraph.build(self.n, self.edges)
 
     def sidecar_dict(self) -> dict:
         d = {

@@ -4,7 +4,9 @@ Everything here is deliberately naive: exhaustive enumeration over tiny
 domains, kept free of the library's optimization machinery so the two routes
 stay independent.  The one exception is `peninsula_kind_via_cover`, a second
 trap detector built on the library's weighted min-cut covers instead of on
-the block-support enumeration that `find_peninsula` uses.
+the block-support enumeration that `find_peninsula` uses.  The
+`validate_*_reference` functions are the plain `Fraction` loops the
+certificate validators were before they became integer array checks.
 """
 
 from fractions import Fraction
@@ -239,6 +241,68 @@ def peninsula_kind_via_cover(g):
         if neigh_mass + fvcn_half(sub).weight <= HALF:
             return "peninsula"
     return None
+
+
+def validate_half_cover_reference(cover, g) -> None:
+    """The per-vertex, per-edge `Fraction` loop that `HalfCover.validate`
+    replaced; raises AssertionError exactly when a cover is invalid."""
+    if len(cover.values) != g.n:
+        raise AssertionError("cover has wrong length")
+    for f in cover.values:
+        if f not in VALUES:
+            raise AssertionError(f"cover value {f} not in {{0, 1/2, 1}}")
+    for u, v in g.edges:
+        if cover.values[u] + cover.values[v] < 1:
+            raise AssertionError(f"edge ({u},{v}) uncovered")
+    for v in g.loops:
+        if cover.values[v] < HALF:
+            raise AssertionError(f"loop at {v} demands f(v) >= 1/2")
+    total = sum((g.vertex_weight(v) * cover.values[v] for v in range(g.n)), Fraction(0))
+    if total != cover.weight:
+        raise AssertionError("stored weight disagrees with recomputed sum")
+
+
+def validate_half_matching_reference(matching, g) -> None:
+    """The loop that `HalfMatching.validate` replaced."""
+    if len(matching.values) != len(g.edges):
+        raise AssertionError("matching has wrong length")
+    for m in matching.values:
+        if m not in VALUES:
+            raise AssertionError(f"matching value {m} not in {{0, 1/2, 1}}")
+    load = [Fraction(0)] * g.n
+    for (u, v), m in zip(g.edges, matching.values):
+        load[u] += m
+        load[v] += m
+    for v, l in enumerate(load):
+        if l > 1:
+            raise AssertionError(f"vertex {v} overloaded: {l}")
+    if sum(matching.values, Fraction(0)) != matching.weight:
+        raise AssertionError("stored weight disagrees with recomputed sum")
+
+
+def validate_peninsula_reference(cert, g) -> None:
+    """The set-membership loop that `GraphPeninsula.validate` replaced.
+
+    It trusts A and B to be distinct in-range vertices, which the array
+    validator checks as well.
+    """
+    sa, sb = set(cert.A), set(cert.B)
+    if not sa:
+        raise AssertionError("A must be nonempty")
+    if sa & sb:
+        raise AssertionError("A and B must be disjoint")
+    for u, v in g.edges:
+        if (u in sa and (v in sa or v in sb)) or (v in sa and (u in sa or u in sb)):
+            raise AssertionError(f"edge ({u},{v}) meets A x (A u B)")
+    bound = Fraction(g.n - len(cert.B), 2)
+    if cert.kind == "narrow":
+        if not len(cert.A) > bound:
+            raise AssertionError("narrow requires |A| > (n-|B|)/2")
+    elif cert.kind == "peninsula":
+        if not len(cert.A) >= bound:
+            raise AssertionError("peninsula requires |A| >= (n-|B|)/2")
+    else:
+        raise AssertionError(f"unknown kind {cert.kind!r}")
 
 
 def cut_norm_subset_oracle(f) -> Fraction:

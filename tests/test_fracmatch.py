@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from graphonham import (
     FiniteGraph,
     FormatError,
+    GraphPeninsula,
+    HalfCover,
+    HalfMatching,
     fmn_half,
     fvcn_half,
     fvcn_value,
@@ -22,6 +26,10 @@ from oracles import (
     max_half_matching_weight,
     min_half_cover_weight,
     uniquely_half_covered_oracle,
+    validate_half_cover_reference,
+    validate_half_matching_reference,
+    validate_peninsula_reference,
+    VALUES,
 )
 
 HALF = Fraction(1, 2)
@@ -232,3 +240,150 @@ def test_adjacency_and_double_cover_solved_once_per_graph(rng, monkeypatch):
     monkeypatch.setattr(fracmatch, "_hopcroft_karp", counted)
     assert fvcn_value(g) == fvcn_half(g).weight == fmn_half(g).weight
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# integer half-unit validators against the Fraction loops they replaced
+
+
+def _accepted(check, obj, g) -> bool:
+    try:
+        check(obj, g)
+    except AssertionError:
+        return False
+    return True
+
+
+def _agree(obj, g, reference) -> bool:
+    new = _accepted(type(obj).validate, obj, g)
+    assert new == _accepted(reference, obj, g), (obj, g.edges)
+    return new
+
+
+def test_array_validators_accept_what_the_loops_accept(rng):
+    verdicts = []
+    for trial in range(300):
+        n = rng.randrange(1, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        if trial % 3 == 1:
+            g = FiniteGraph.build(n, g.edges, weights=[Fraction(rng.randrange(0, 9), 4) for _ in range(n)])
+        elif trial % 3 == 2:
+            loops = [v for v in range(n) if rng.random() < 0.3]
+            g = FiniteGraph.build(n, g.edges, weights=[Fraction(rng.randrange(1, 7), 6) for _ in range(n)], loops=loops)
+        best = fvcn_half(g)
+        covers = [best, HalfCover(best.values, best.weight + HALF)]
+        for _ in range(6):
+            vals = [rng.choice(VALUES) for _ in range(n)]
+            if rng.random() < 0.1:
+                vals[rng.randrange(n)] = Fraction(3, 2)
+            weight = sum((g.vertex_weight(v) * vals[v] for v in range(n)), Fraction(0))
+            covers.append(HalfCover(tuple(vals), weight if rng.random() < 0.8 else weight + 1))
+        verdicts += [_agree(c, g, validate_half_cover_reference) for c in covers]
+        if g.loops or g.weighted:
+            continue
+        matchings = [fmn_half(g)]
+        for _ in range(4):
+            vals = [rng.choice(VALUES) if rng.random() < 0.3 else Fraction(0) for _ in g.edges]
+            matchings.append(HalfMatching(tuple(vals), sum(vals, Fraction(0))))
+        verdicts += [_agree(m, g, validate_half_matching_reference) for m in matchings]
+        certs = [c for c in [graph_peninsula(g)] if c is not None]
+        for _ in range(4):
+            labels = [rng.choice("AABC") for _ in range(n)]
+            A = tuple(v for v in range(n) if labels[v] == "A")
+            B = tuple(v for v in range(n) if labels[v] == "B")
+            certs.append(GraphPeninsula(A, B, rng.choice(["narrow", "peninsula", "other"])))
+        verdicts += [_agree(c, g, validate_peninsula_reference) for c in certs]
+    assert 300 < sum(verdicts) < len(verdicts) - 300
+
+
+def _corrupted_certificates():
+    c5 = cycle(5)
+    vals = [HALF] * 5
+    vals[0] = Fraction(0)
+    yield "uncovered edge", c5, HalfCover(tuple(vals), Fraction(2))
+    vals = [HALF] * 5
+    vals[2] = Fraction(3, 2)
+    yield "value 3/2", c5, HalfCover(tuple(vals), Fraction(7, 2))
+    yield "wrong weight", c5, HalfCover((HALF,) * 5, Fraction(3))
+    path = FiniteGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+    yield "edge in A x A", path, GraphPeninsula((0, 1, 3), (), "narrow")
+    yield "edge in A x B", path, GraphPeninsula((0, 3), (1,), "narrow")
+    looped = FiniteGraph.build(2, [(0, 1)], weights=[Fraction(1), Fraction(1)], loops=[1])
+    yield "loop below 1/2", looped, HalfCover((Fraction(1), Fraction(0)), Fraction(1))
+    star = FiniteGraph.build(4, [(0, 1), (0, 2), (0, 3)])
+    yield "overloaded vertex", star, HalfMatching((HALF,) * 3, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("what, g, cert", list(_corrupted_certificates()), ids=lambda x: x if isinstance(x, str) else "")
+def test_corrupted_certificates_rejected_by_both(what, g, cert):
+    reference = {
+        HalfCover: validate_half_cover_reference,
+        HalfMatching: validate_half_matching_reference,
+        GraphPeninsula: validate_peninsula_reference,
+    }[type(cert)]
+    with pytest.raises(AssertionError):
+        reference(cert, g)
+    with pytest.raises(AssertionError):
+        cert.validate(g)
+
+
+def test_peninsula_rejects_repeated_or_foreign_vertices():
+    g = FiniteGraph.build(4, [(2, 3)])
+    GraphPeninsula((0, 1), (), "peninsula").validate(g)
+    for cert in [GraphPeninsula((0, 0, 0), (), "narrow"), GraphPeninsula((0, 4), (), "peninsula"),
+                 GraphPeninsula((0, -1), (), "peninsula")]:
+        with pytest.raises(AssertionError):
+            cert.validate(g)
+
+
+# ---------------------------------------------------------------------------
+# FiniteGraph.build
+
+
+def _same_graph(a, b):
+    assert a.n == b.n
+    assert a.edges == b.edges
+    assert a.adjacency() == b.adjacency()
+    assert np.array_equal(a.edge_array, b.edge_array)
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def test_build_normalises_every_input_form():
+    ref = FiniteGraph.build(5, [(0, 1), (0, 4), (1, 2), (2, 4)])
+    assert ref.edges == ((0, 1), (0, 4), (1, 2), (2, 4))
+    assert ref.adjacency() == ((1, 4), (0, 2), (1, 4), (), (0, 2))
+    assert ref.degrees() == [2, 2, 2, 0, 2]
+    forms = [
+        [(2, 4), (1, 0), (4, 0), (2, 1)],
+        ((4, 2), (0, 1), (1, 2), (0, 4), (2, 1), (4, 0)),
+        iter([[1, 2], [0, 1], [0, 4], [4, 2], [0, 1]]),
+        np.array([(2, 4), (1, 0), (4, 0), (2, 1), (1, 0)], dtype=np.int32),
+        np.array([(0, 1), (0, 4), (1, 2), (2, 4)], dtype=np.int64),
+    ]
+    for edges in forms:
+        _same_graph(FiniteGraph.build(5, edges), ref)
+    csr = np.zeros((5, 5), dtype=int)
+    for u, v in ref.edges:
+        csr[u, v] = csr[v, u] = 1
+    assert ref.indptr.tolist() == [0] + np.cumsum(csr.sum(axis=1)).tolist()
+    assert ref.indices.tolist() == [v for u in range(5) for v in range(5) if csr[u, v]]
+
+
+@pytest.mark.parametrize("edge", [(-1, 2), (0, 5), (2**40, 1), (1, 2**40), (2**70, 0), (3, 3)])
+def test_build_rejects_bad_endpoints(edge):
+    for edges in ([(0, 1), edge], np.array([(0, 1), edge], dtype=object)):
+        with pytest.raises(FormatError, match="edges"):
+            FiniteGraph.build(5, edges)
+    if max(edge) < 2**63:
+        with pytest.raises(FormatError, match="edges"):
+            FiniteGraph.build(5, np.array([(0, 1), edge], dtype=np.int64))
+
+
+def test_build_empty_graphs():
+    for n, edges in [(0, []), (0, np.zeros((0, 2), dtype=np.int32)), (3, []), (3, ())]:
+        g = FiniteGraph.build(n, edges)
+        assert g.n == n and g.edges == () and len(g.edge_array) == 0
+        assert g.adjacency() == ((),) * n
+        assert g.degrees() == [0] * n
+        assert g.indptr.tolist() == [0] * (n + 1)
+        assert fvcn_value(g) == 0

@@ -1,0 +1,85 @@
+"""Golden hashes of small campaigns and sampled graphs.
+
+The hashes pin the bytes a campaign writes (with the runtime columns of
+`trials.csv` dropped) and the edge-list text of a few sampled graphs, so a
+change to the graph core, the matching or the certificate checks that moves
+any verdict, fvcn value or edge shows up here.  They were taken before the
+graph core became array-backed and must not be regenerated to make a change
+pass: a mismatch means behaviour changed.
+"""
+
+import csv
+import hashlib
+import io
+import os
+
+import pytest
+
+from graphonham import ExperimentConfig, PRESET_NAMES, get_preset, run_experiment, sample_graph
+
+CAMPAIGN_HASHES = {
+    "constant-0.3": "fb16309959ff14f388abb6367bde48e7fe1d9f4043a4bd64da1769f0963459f1",
+    "balanced-bipartite": "bb617328b737ff20626640176ebc7e42f72174364b5fcbdf4e9971ae0f10e0d9",
+    "bipartite-plus-clique": "4a844d7999154bb45d14e8ef10ad6767fbd383c1f93da43f47eed1950573d1c3",
+    "narrow-three-block": "f3e938b4a2c8c063d2ba6627ab4efb65ee5458b4dc59c29856a083477d87e61f",
+    "two-component": "5dcc32f99ef83e0504e8849d9dce80af321a5ec9892fda27a213776b1865a637",
+    "isolated-block": "cddecd8c559f929f85c13111ea49d4590075d35897a82717cde78789e0b12244",
+    "power-half": "d23f1ce195ce04cd04df069035ac53c8d2bb74243401c38db0d91177f35b36fb",
+    "power-one": "53d42cffca8d07f7fdb1ad08bbd371e68c43b9c40ec672728f6be952f08c3fb8",
+    "power-two": "62f159dc2b53f9c22215f271915d20a26c68ddd82c6eaa15551e98be9f91a513",
+}
+
+GRAPH_HASHES = {
+    ("constant-0.3", 50, 11):
+        "4c2d7b7eb0041356b8871cc31163816d1bfbf2703a0783ae47a3f15e693717bf",
+    ("narrow-three-block", 80, 12):
+        "1307be62b3ca879807b8b1a3a8e27745cc4d14761dd31b2f92832022f5ceebbc",
+    ("power-one", 60, 13):
+        "66f941741fd4ee2aa2e76a73d46765e800d69c2e457491ce39d1dbe058ec1080",
+}
+
+_RUNTIME_COLUMNS = ("runtime_sample", "runtime_properties")
+
+
+def _campaign_digest(out_dir: str) -> str:
+    with open(os.path.join(out_dir, "trials.csv"), encoding="utf-8", newline="") as fh:
+        schema, body = fh.read().split("\n", 1)
+    rows = list(csv.reader(io.StringIO(body)))
+    keep = [i for i, c in enumerate(rows[0]) if c not in _RUNTIME_COLUMNS]
+    assert len(keep) == len(rows[0]) - len(_RUNTIME_COLUMNS)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([row[i] for i in keep])
+    with open(os.path.join(out_dir, "report.json"), "rb") as fh:
+        report = fh.read()
+    h = hashlib.sha256()
+    h.update(schema.encode() + b"\n" + buf.getvalue().encode() + b"\0" + report)
+    return h.hexdigest()
+
+
+def test_every_preset_is_pinned():
+    assert set(CAMPAIGN_HASHES) == set(PRESET_NAMES)
+
+
+@pytest.mark.parametrize("preset", sorted(CAMPAIGN_HASHES))
+def test_campaign_bytes_unchanged(preset, tmp_path):
+    config = ExperimentConfig.from_dict({
+        "graphon": preset,
+        "n_values": [20, 60],
+        "trials": 6,
+        "seed": 2024,
+        "properties": ["connected", "min_degree_ge_2", "hamiltonian", "fvcn_ge_half"],
+        "budget": 5000,
+    })
+    _, records = run_experiment(config, out_dir=str(tmp_path))
+    assert all(r.error is None for r in records)
+    assert _campaign_digest(str(tmp_path)) == CAMPAIGN_HASHES[preset]
+
+
+@pytest.mark.parametrize("key", sorted(GRAPH_HASHES))
+def test_edge_list_text_unchanged(key):
+    preset, n, seed = key
+    g = sample_graph(get_preset(preset), n, seed).to_finite_graph()
+    digest = hashlib.sha256(g.to_edge_list_text().encode()).hexdigest()
+    assert digest == GRAPH_HASHES[key]

@@ -145,3 +145,60 @@ class TestClassify:
                 v = exact_hamilton(g)
                 assert v.status == "hamiltonian"
                 assert cheap_obstructions(g) is None
+
+
+def test_trap_route_never_builds_edge_tuples():
+    """The narrow-trap route reads the edge and CSR arrays only; the tuple
+    view `edges` is for text I/O, path systems and tests."""
+    from graphonham import fvcn_value, get_preset, is_connected, sample_graph
+
+    g = sample_graph(get_preset("narrow-three-block"), 200, 4, 0).to_finite_graph()
+    assert len(g.edge_array) >= 4000  # scipy's matching engine
+    assert is_connected(g) and min(g.degrees()) >= 2
+    assert classify(g).obstruction == "narrow_graph_peninsula"
+    assert fvcn_value(g) < g.n / 2
+    assert "_edges" not in vars(g)
+
+
+class TestInvariants:
+    """Soundness checks are raises, not asserts, so `python -O` keeps them."""
+
+    def test_invalid_cycle_raises_invariant_violation(self, monkeypatch):
+        from graphonham import InvariantViolation, hamilton
+
+        monkeypatch.setattr(hamilton, "validate_cycle", lambda g, cycle: False)
+        with pytest.raises(InvariantViolation):
+            posa_heuristic(complete(10), seed=3)
+        with pytest.raises(InvariantViolation):
+            exact_hamilton(cycle(6))
+        with pytest.raises(InvariantViolation):
+            exact_hamilton(complete(26), budget=10_000)
+
+    def test_verdicts_unchanged_under_optimize_flag(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import json, sys\n"
+            "from graphonham import FiniteGraph, classify, get_preset, sample_graph\n"
+            "edges, trap = json.loads(sys.stdin.read())\n"
+            "graphs = [FiniteGraph.build(10, edges), "
+            "sample_graph(get_preset('narrow-three-block'), *trap).to_finite_graph()]\n"
+            "print(json.dumps([__debug__] + [classify(g, budget=1000).to_dict() for g in graphs]))\n"
+        )
+        trap = [200, 4, 0]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], input=json.dumps([PETERSEN.edges, trap]),
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        ).stdout
+        from graphonham import get_preset, sample_graph
+
+        trap_graph = sample_graph(get_preset("narrow-three-block"), *trap).to_finite_graph()
+        expected = [classify(g, budget=1000).to_dict() for g in (PETERSEN, trap_graph)]
+        assert expected[0]["obstruction"] == "exact_search_exhausted"
+        assert expected[1]["obstruction"] == "narrow_graph_peninsula"
+        assert json.loads(out) == [False] + expected

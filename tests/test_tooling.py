@@ -23,3 +23,19 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(vars(ns)[a] is old for (ns, a), old in zip(targets, originals))
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads on the first large double-cover matching, not on import,
+    so runs that never build a FiniteGraph pay nothing for it."""
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, graphonham; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60, check=True,
+    ).stdout
+    assert out.strip() == "False"
