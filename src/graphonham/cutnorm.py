@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, TypesMissing
+from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, TypesMissing
 from .graphon import ENUMERATION_CAP, StepGraphon
 from .sampler import SampledGraph
 
@@ -32,14 +32,23 @@ class StepFunction:
 
     def __post_init__(self):
         k = len(self.masses)
-        assert k >= 1 and all(m >= 0 for m in self.masses)
-        assert sum(self.masses, Fraction(0)) == 1
-        assert len(self.values) == k
+        if k < 1:
+            raise FormatError("need at least one block", "masses")
+        for i, m in enumerate(self.masses):
+            if m < 0:
+                raise FormatError("block masses must be nonnegative", f"masses[{i}]")
+        if sum(self.masses, Fraction(0)) != 1:
+            raise FormatError("block masses must sum exactly to 1", "masses")
+        if len(self.values) != k:
+            raise FormatError(f"value matrix must be {k}x{k}", "values")
         for i, row in enumerate(self.values):
-            assert len(row) == k
+            if len(row) != k:
+                raise FormatError(f"row has {len(row)} entries, expected {k}", f"values[{i}]")
             for j, v in enumerate(row):
-                assert -1 <= v <= 1
-                assert self.values[j][i] == v
+                if not -1 <= v <= 1:
+                    raise FormatError("values must lie in [-1,1]", f"values[{i}][{j}]")
+                if self.values[j][i] != v:
+                    raise FormatError("value matrix must be symmetric", f"values[{i}][{j}]")
 
     @property
     def k(self) -> int:
@@ -81,7 +90,8 @@ def _refine(ma: tuple[Fraction, ...], mb: tuple[Fraction, ...]) -> list[tuple[Fr
             if ib == len(mb):
                 break
             rb = mb[ib]
-    assert sum(c[0] for c in cells) == 1
+    if sum(c[0] for c in cells) != 1:
+        raise InvariantViolation("refinement cells do not sum to mass 1")
     return cells
 
 
@@ -147,7 +157,8 @@ def cut_norm_exact(f: StepFunction, cap: int = ENUMERATION_CAP) -> CutNormResult
     cols = [sum(mat[i][j] for i in S) for j in range(k)]
     T = tuple(j for j in range(k) if (cols[j] > 0 if positive else cols[j] < 0))
     value = Fraction(best[0], scale)
-    assert evaluate_box(f, S, T) == value
+    if evaluate_box(f, S, T) != value:
+        raise InvariantViolation(f"witness box does not re-score to the cut norm {value}")
     return CutNormResult(value, S, T)
 
 
@@ -206,7 +217,8 @@ class DistanceEstimate:
     witness: CutNormResult
 
     def validate(self) -> None:
-        assert 0 <= self.lower <= self.upper
+        if not 0 <= self.lower <= self.upper:
+            raise InvariantViolation(f"distance bounds out of order: {self.lower} > {self.upper}")
 
 
 def empirical_step_function(graph: SampledGraph) -> StepFunction:

@@ -3,10 +3,10 @@
 Everything here is computed over exact rationals.  The optimization engine is
 the bipartite double cover: each vertex v becomes a left copy v+ and a right
 copy v-, each edge uv becomes the two copies u+v- and v+u-.  A maximum
-matching there folds back to an optimal half-integral fractional matching of
-the original graph, and a minimum vertex cover there (via Koenig's theorem,
-or min-cut in the vertex-weighted case) folds back to an optimal half-integral
-fractional vertex cover.  The sandwich
+matching there (scipy's Hopcroft-Karp on the graph's CSR) folds back to an
+optimal half-integral fractional matching of the original graph, and the
+minimum vertex cover that Koenig's theorem builds from it folds back to an
+optimal half-integral fractional vertex cover.  The sandwich
 
     fmn(G) >= matching(D)/2  and  fvcn(G) <= cover(D)/2,
     fmn(G) <= fvcn(G),       and  matching(D) = cover(D)
@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,10 +28,6 @@ from .errors import FormatError, InvariantViolation
 
 HALF = Fraction(1, 2)
 
-# Above this size the double-cover matching is delegated to scipy's C
-# implementation; below it a plain Hopcroft-Karp avoids csr setup overhead.
-_SCIPY_EDGE_THRESHOLD = 4000
-
 
 # ---------------------------------------------------------------------------
 # graphs
@@ -40,30 +35,21 @@ _SCIPY_EDGE_THRESHOLD = 4000
 
 @dataclass(frozen=True, eq=False)
 class FiniteGraph:
-    """A finite graph with optional exact vertex weights and self-loops.
+    """A finite simple graph: no weights, no self-loops, no repeated edges.
 
     The edge set is held as arrays built once: `edge_array` is the (m, 2)
     int32 array of edges with u < v, sorted and without repeats, and
     `indptr`/`indices` are the CSR of the symmetric adjacency, each row
-    ascending.  Self-loops are only legal in weighted mode, where they encode
-    a diagonal positivity constraint forcing f(v) >= 1/2 in any fractional
-    vertex cover.
+    ascending.
     """
 
     n: int
     edge_array: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    weights: Optional[tuple[Fraction, ...]] = None
-    loops: tuple[int, ...] = ()
 
     @staticmethod
-    def build(
-        n: int,
-        edges: np.ndarray | Iterable[tuple[int, int]],
-        weights: Optional[Sequence[Fraction]] = None,
-        loops: Iterable[int] = (),
-    ) -> "FiniteGraph":
+    def build(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "FiniteGraph":
         """Validate and normalise an (m, 2) integer array or iterable of pairs."""
         if not 0 <= n < 1 << 31:
             raise FormatError("vertex count must be in [0, 2**31)", "n")
@@ -91,21 +77,8 @@ class FiniteGraph:
         both = np.sort(np.concatenate([key, hi * n + lo]))
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
-        loops = tuple(sorted(set(loops)))
-        if loops and weights is None:
-            raise FormatError("self-loops are only supported in weighted mode", "loops")
-        for v in loops:
-            if not 0 <= v < n:
-                raise FormatError(f"loop vertex {v} out of range", "loops")
-        w = None
-        if weights is not None:
-            if len(weights) != n:
-                raise FormatError("need one weight per vertex", "weights")
-            w = tuple(Fraction(x) for x in weights)
-            if any(x < 0 for x in w):
-                raise FormatError("vertex weights must be nonnegative", "weights")
         edge_array = np.column_stack([lo, hi]).astype(np.int32)
-        return FiniteGraph(n, edge_array, indptr, (both % n).astype(np.int32), w, loops)
+        return FiniteGraph(n, edge_array, indptr, (both % n).astype(np.int32))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -115,14 +88,6 @@ class FiniteGraph:
             edges = tuple(map(tuple, self.edge_array.tolist()))
             object.__setattr__(self, "_edges", edges)
         return edges
-
-    @property
-    def weighted(self) -> bool:
-        return self.weights is not None
-
-    def require_simple(self) -> None:
-        if self.loops:
-            raise FormatError("operation requires a simple (loop-free) graph", "loops")
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour lists, ascending, sliced from the CSR.
@@ -139,9 +104,6 @@ class FiniteGraph:
 
     def degrees(self) -> list[int]:
         return np.diff(self.indptr).tolist()
-
-    def vertex_weight(self, v: int) -> Fraction:
-        return self.weights[v] if self.weights is not None else Fraction(1)
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {len(self.edge_array)}"]
@@ -208,14 +170,7 @@ class HalfCover:
         if uncovered.any():
             k = uncovered.argmax()
             raise AssertionError(f"edge ({u[k]},{v[k]}) uncovered")
-        for x in g.loops:
-            if h[x] < 1:
-                raise AssertionError(f"loop at {x} demands f(v) >= 1/2")
-        if g.weights is None:
-            total = Fraction(int(h.sum()), 2)
-        else:
-            total = sum((w * x for w, x in zip(g.weights, h.tolist())), Fraction(0)) / 2
-        if total != self.weight:
+        if Fraction(int(h.sum()), 2) != self.weight:
             raise AssertionError("stored weight disagrees with recomputed sum")
 
 
@@ -285,57 +240,17 @@ class GraphPeninsula:
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching engines
-
-
-def _hopcroft_karp(nl: int, nr: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
-    """Maximum matching of a bipartite graph given left adjacency lists.
-
-    Returns (size, match_l, match_r) with -1 for unmatched vertices.
-    """
-    INF = float("inf")
-    match_l = [-1] * nl
-    match_r = [-1] * nr
-    size = 0
-    while True:
-        dist = [0 if match_l[u] == -1 else INF for u in range(nl)]
-        q = deque(u for u in range(nl) if match_l[u] == -1)
-        reachable_free = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    reachable_free = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        if not reachable_free:
-            break
-
-        def dfs(u: int) -> bool:
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
-        for u in range(nl):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
-    return size, match_l, match_r
+# the double-cover matching and its Koenig cover
 
 
 def _double_cover_matching(g: FiniteGraph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Maximum matching in the bipartite double cover of a simple graph.
+    """Maximum matching in the bipartite double cover of a graph.
 
-    Solved once per graph: the result is kept on `g`, so every fold of it
-    (fvcn, the Koenig cover, the half matching) shares one solve.
+    The CSR of the graph is the biadjacency of its double cover, so it goes
+    straight to scipy's Hopcroft-Karp.  Solved once per graph: the result is
+    kept on `g`, so every fold of it (fvcn, the Koenig cover, the half
+    matching) shares one solve.
     """
-    g.require_simple()
     found = g.__dict__.get("_matching")
     if found is not None:
         return found
@@ -343,7 +258,7 @@ def _double_cover_matching(g: FiniteGraph) -> tuple[int, tuple[int, ...], tuple[
     m = len(g.edge_array)
     if m == 0:
         size, match_l, match_r = 0, [-1] * n, [-1] * n
-    elif m >= _SCIPY_EDGE_THRESHOLD:
+    else:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -354,8 +269,6 @@ def _double_cover_matching(g: FiniteGraph) -> tuple[int, tuple[int, ...], tuple[
         mr = np.full(n, -1)
         mr[ml[matched]] = matched
         size, match_l, match_r = len(matched), ml.tolist(), mr.tolist()
-    else:
-        size, match_l, match_r = _hopcroft_karp(n, n, g.adjacency())
     found = (size, tuple(match_l), tuple(match_r))
     object.__setattr__(g, "_matching", found)
     return found
@@ -390,110 +303,11 @@ def _koenig_cover(g: FiniteGraph, match_l: Sequence[int], match_r: Sequence[int]
 
 
 # ---------------------------------------------------------------------------
-# Dinic max-flow for the vertex-weighted case
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for eid in self.head[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    eid = self.head[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[eid]))
-                        if got:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
-
-def _weighted_cover(g: FiniteGraph) -> HalfCover:
-    """Min-weight half-integral cover via min-cut on the weighted double cover."""
-    n = g.n
-    weights = [g.vertex_weight(v) for v in range(n)]
-    scale = lcm(*[w.denominator for w in weights]) if n else 1
-    caps = [int(w * scale) for w in weights]
-    inf = sum(caps) * 2 + 1
-    s, t = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
-    for v in range(n):
-        net.add_edge(s, v, caps[v])          # v+ capacity
-        net.add_edge(n + v, t, caps[v])      # v- capacity
-    for u, v in g.edges:
-        net.add_edge(u, n + v, inf)
-        net.add_edge(v, n + u, inf)
-    for v in g.loops:
-        net.add_edge(v, n + v, inf)
-    net.max_flow(s, t)
-    reach = net.source_side(s)
-    values = []
-    for v in range(n):
-        half_units = (0 if v in reach else 1) + (1 if (n + v) in reach else 0)
-        values.append(Fraction(half_units, 2))
-    weight = sum((weights[v] * values[v] for v in range(n)), Fraction(0))
-    cover = HalfCover(tuple(values), weight)
-    cover.validate(g)
-    return cover
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
 def fmn_half(g: FiniteGraph) -> HalfMatching:
-    """Maximum-weight half-integral fractional matching of a simple graph."""
+    """Maximum-weight half-integral fractional matching."""
     size, match_l, _ = _double_cover_matching(g)
     ml = np.array(match_l, dtype=np.int64)
     u, v = g.edge_array.T
@@ -506,12 +320,9 @@ def fmn_half(g: FiniteGraph) -> HalfMatching:
 def fvcn_half(g: FiniteGraph) -> HalfCover:
     """Minimum-weight half-integral fractional vertex cover.
 
-    Unweighted simple graphs go through Koenig's construction on the double
-    cover; vertex-weighted graphs (the block-positivity case, possibly with
-    loops) go through an exact integer min-cut.
+    Koenig's construction on the double cover's maximum matching; the cover
+    it yields does not depend on which maximum matching the solver found.
     """
-    if g.weighted or g.loops:
-        return _weighted_cover(g)
     size, match_l, match_r = _double_cover_matching(g)
     cover_l, cover_r = _koenig_cover(g, match_l, match_r)
     values = tuple(_UNIT_VALUES[(v in cover_l) + (v in cover_r)] for v in range(g.n))
@@ -525,8 +336,6 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
 
 def fvcn_value(g: FiniteGraph) -> Fraction:
     """Exact fvcn without materializing the cover (fast path)."""
-    if g.weighted or g.loops:
-        return _weighted_cover(g).weight
     size, _, _ = _double_cover_matching(g)
     return Fraction(size, 2)
 
@@ -545,7 +354,6 @@ def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
     Returns (verdict, witness); the witness is a valid non-constant cover of
     weight at most n/2 whenever the verdict is False.
     """
-    g.require_simple()
     n = g.n
     if n == 0:
         return True, None
@@ -582,7 +390,6 @@ def graph_peninsula(g: FiniteGraph) -> Optional[GraphPeninsula]:
     narrow  <=> fvcn(G) < n/2,
     peninsula (non-strict) <=> G is not uniquely half-covered.
     """
-    g.require_simple()
     n = g.n
     if n == 0:
         return None
@@ -607,7 +414,6 @@ def _peninsula_from_cover(cover: HalfCover, kind: str) -> GraphPeninsula:
 
 def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:
     """A half-integral matching of weight n/2, when one exists."""
-    g.require_simple()
     m = fmn_half(g)
     if m.weight != Fraction(g.n, 2):
         return None

@@ -68,7 +68,8 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
     """First certified necessary-condition failure, if any.
 
     Checked in order: connectivity, minimum degree 2, then a narrow trap
-    (fvcn < n/2, which already rules out a perfect fractional matching).
+    (fvcn < n/2, which already rules out a perfect fractional matching),
+    whose certificate `graph_peninsula` has validated before returning it.
     """
     if not is_connected(g):
         return OBSTRUCTION_DISCONNECTED
@@ -78,7 +79,6 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
         cert = graph_peninsula(g)
         if cert is None or cert.kind != "narrow":
             raise InvariantViolation("fvcn < n/2 but no narrow certificate was extracted")
-        cert.validate(g)
         return OBSTRUCTION_NARROW
     return None
 
@@ -133,15 +133,18 @@ def _reconstruct(layers, adj: list[int], n: int, last: int) -> list[int]:
         masks, ends = layers[level - 1]
         prev_mask = mask ^ (1 << v)
         idx = int(np.searchsorted(masks, prev_mask))
-        assert masks[idx] == prev_mask
+        if idx == len(masks) or masks[idx] != prev_mask:
+            raise InvariantViolation("DP layer lost a mask on the reconstructed path")
         cands = int(ends[idx]) & adj[v]
-        assert cands
+        if not cands:
+            raise InvariantViolation(f"DP layer has no predecessor for vertex {v}")
         u = (cands & -cands).bit_length() - 1
         path.append(u)
         mask = prev_mask
         v = u
     path.reverse()
-    assert path[0] == 0
+    if path[0] != 0:
+        raise InvariantViolation("reconstructed path does not start at vertex 0")
     return path
 
 
@@ -212,7 +215,6 @@ def exact_hamilton(g: FiniteGraph, budget: int = DEFAULT_BACKTRACK_BUDGET) -> Ha
     The DP answer is unconditional; the backtracking answer is exact unless
     the node budget runs out, in which case the verdict is `unknown`.
     """
-    g.require_simple()
     if g.n < 3:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=OBSTRUCTION_EXHAUSTED)
     if g.n <= DP_VERTEX_CAP:
@@ -299,7 +301,6 @@ def classify(
     max_rotations: Optional[int] = None,
 ) -> HamiltonVerdict:
     """cheap obstructions -> rotation heuristic -> exact search -> unknown."""
-    g.require_simple()
     if g.n < 3:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=OBSTRUCTION_MIN_DEGREE)
     obs = cheap_obstructions(g)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .errors import BipartiteOrDisconnected, GreedyStuck, NotBinaryTree
-from .fracmatch import FiniteGraph
+from .errors import BipartiteOrDisconnected, GreedyStuck, InvariantViolation, NotBinaryTree
+from .fracmatch import FiniteGraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def odd_walk(h: FiniteGraph, i: int, j: int) -> list[int]:
         return direct
     u, v = odd_edge
     detour = tree_path(i, u) + tree_path(v, j)
-    assert (len(detour) - 1) % 2 == 1 and len(detour) - 1 <= 2 * n - 1
+    if (len(detour) - 1) % 2 != 1 or len(detour) - 1 > 2 * n - 1:
+        raise InvariantViolation(f"detour of length {len(detour) - 1} is not an odd walk of length <= 2n-1")
     return detour
 
 
@@ -141,7 +142,8 @@ def _decompose_rooted(root: int, children: list[list[int]]) -> list[list[int]]:
         if not kids:
             paths.append([r])
             continue
-        assert len(kids) == 2
+        if len(kids) != 2:
+            raise InvariantViolation(f"internal vertex {r} has {len(kids)} children, not 2")
         left = _spine(kids[0], children, stack)
         right = _spine(kids[1], children, stack)
         paths.append(left[::-1] + [r] + right)
@@ -165,7 +167,6 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
     Binary tree here means: exactly one vertex of degree 2 (the root), any
     number of degree-3 internal vertices, any number of degree-1 leaves.
     """
-    t.require_simple()
     n = t.n
     if n < 3 or len(t.edges) != n - 1:
         raise NotBinaryTree("not a tree of order at least 3")
@@ -173,25 +174,18 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
     roots = [v for v in range(n) if deg[v] == 2]
     if len(roots) != 1 or any(d not in (1, 2, 3) for d in deg) or deg.count(2) != 1:
         raise NotBinaryTree("degrees must be one 2, rest in {1, 3}")
-    adj = t.adjacency()
-    reach = {0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in reach:
-                reach.add(v)
-                q.append(v)
-    if len(reach) != n:
+    if not is_connected(t):
         raise NotBinaryTree("tree must be connected")
     children = _rooted_children(t, roots[0])
     paths = _decompose_rooted(roots[0], children)
     system = PathSystem(tuple(tuple(p) for p in paths))
     system.validate(t)
-    assert system.vertices() == set(range(n))
+    if system.vertices() != set(range(n)):
+        raise InvariantViolation("tree decomposition misses a vertex")
     leaves = {v for v in range(n) if deg[v] == 1}
     endpoints = {p[0] for p in system.paths} | {p[-1] for p in system.paths}
-    assert endpoints == leaves
+    if endpoints != leaves:
+        raise InvariantViolation("tree decomposition endpoints are not the leaves")
     return system
 
 
@@ -215,7 +209,6 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     neighbors; that means the input is outside the light-tail regime the
     construction is designed for, and is reported rather than masked.
     """
-    g.require_simple()
     n = g.n
     alpha = Fraction(alpha)
     if not 0 < alpha < Fraction(1, 2):

@@ -1,3 +1,7 @@
+import csv
+import hashlib
+import io
+import os
 import random
 from fractions import Fraction
 
@@ -26,6 +30,28 @@ def random_step_graphon(rng: random.Random, k: int, zero_prob: float = 0.5,
                 d = Fraction(rng.randrange(1, 9), 8)
             dens[i][j] = dens[j][i] = d
     return StepGraphon(tuple(masses), tuple(tuple(r) for r in dens))
+
+
+_RUNTIME_COLUMNS = ("runtime_sample", "runtime_properties")
+
+
+def campaign_digest(out_dir: str) -> str:
+    """SHA-256 of a campaign's `trials.csv`, runtime columns dropped, and
+    its `report.json`: equal digests mean the same verdicts and bytes."""
+    with open(os.path.join(out_dir, "trials.csv"), encoding="utf-8", newline="") as fh:
+        schema, body = fh.read().split("\n", 1)
+    rows = list(csv.reader(io.StringIO(body)))
+    keep = [i for i, c in enumerate(rows[0]) if c not in _RUNTIME_COLUMNS]
+    assert len(keep) == len(rows[0]) - len(_RUNTIME_COLUMNS)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([row[i] for i in keep])
+    with open(os.path.join(out_dir, "report.json"), "rb") as fh:
+        report = fh.read()
+    h = hashlib.sha256()
+    h.update(schema.encode() + b"\n" + buf.getvalue().encode() + b"\0" + report)
+    return h.hexdigest()
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: exhaustive enumeration over tiny
 domains, kept free of the library's optimization machinery so the two routes
-stay independent.  The one exception is `peninsula_kind_via_cover`, a second
-trap detector built on the library's weighted min-cut covers instead of on
-the block-support enumeration that `find_peninsula` uses.  The
+stay independent.  `peninsula_kind_via_cover` is a second trap detector
+built on exhaustive half-integral covers of the weighted block graph instead
+of on the block-support enumeration that `find_peninsula` uses.  The
 `validate_*_reference` functions are the plain `Fraction` loops the
 certificate validators were before they became integer array checks.
 """
@@ -12,33 +12,42 @@ certificate validators were before they became integer array checks.
 from fractions import Fraction
 from itertools import product
 
-from graphonham import FiniteGraph, fvcn_half
-
 HALF = Fraction(1, 2)
 VALUES = (Fraction(0), HALF, Fraction(1))
 
 
 def min_half_cover_weight(g) -> Fraction:
     """Exhaustive minimum over all {0, 1/2, 1} vertex assignments."""
-    n = g.n
-    adj_lower = [[] for _ in range(n)]
-    for u, v in g.edges:
+    return min_weighted_half_cover(g.n, g.edges, [Fraction(1)] * g.n, ())
+
+
+def min_weighted_half_cover(k, edges, weights, loops) -> Fraction:
+    """Exhaustive minimum of sum w(v) f(v) over f in {0, 1/2, 1}^k.
+
+    Every edge uv needs f(u) + f(v) >= 1 and every loop at v needs
+    f(v) >= 1/2; branches whose partial weight reaches the best total so far
+    are cut, the constant-one function being the first such total.
+    """
+    adj_lower = [[] for _ in range(k)]
+    for u, v in edges:
         a, b = (u, v) if u > v else (v, u)
         adj_lower[a].append(b)
-    best = [Fraction(n)]
-    assignment = [Fraction(0)] * n
+    looped = set(loops)
+    best = [sum(weights, Fraction(0))]
+    assignment = [Fraction(0)] * k
 
     def rec(i: int, total: Fraction) -> None:
         if total >= best[0]:
             return
-        if i == n:
+        if i == k:
             best[0] = total
             return
         for val in VALUES:
-            ok = all(assignment[u] + val >= 1 for u in adj_lower[i])
-            if ok:
+            if i in looped and val < HALF:
+                continue
+            if all(assignment[u] + val >= 1 for u in adj_lower[i]):
                 assignment[i] = val
-                rec(i + 1, total + val)
+                rec(i + 1, total + weights[i] * val)
         assignment[i] = Fraction(0)
 
     rec(0, Fraction(0))
@@ -196,11 +205,12 @@ def step_peninsula_oracle_labels(g) -> tuple[bool, bool]:
     return has, narrow
 
 
-def block_positivity_graph(g, keep=None) -> FiniteGraph:
-    """The weighted finite graph of a step graphon's blocks (or of `keep`).
+def block_positivity_graph(g, keep=None):
+    """The weighted block graph of a step graphon (or of the blocks `keep`).
 
-    Vertices are blocks carrying their masses as weights; edges join distinct
-    blocks of positive density; a positive diagonal becomes a self-loop.
+    Returned as (k, edges, weights, loops): vertices are blocks carrying
+    their masses as weights, edges join distinct blocks of positive density,
+    and a positive diagonal becomes a self-loop.
     """
     keep = list(range(g.k)) if keep is None else keep
     remap = {b: i for i, b in enumerate(keep)}
@@ -212,7 +222,7 @@ def block_positivity_graph(g, keep=None) -> FiniteGraph:
     ]
     loops = [remap[b] for b in keep if g.densities[b][b] > 0]
     weights = [g.block_masses[b] for b in keep]
-    return FiniteGraph.build(len(keep), edges, weights=weights, loops=loops)
+    return len(keep), edges, weights, loops
 
 
 def peninsula_kind_via_cover(g):
@@ -224,7 +234,7 @@ def peninsula_kind_via_cover(g):
     a non-constant cover of weight at most 1/2 must zero out some loop-free
     block, whose positive-density neighbors are then forced to one.
     """
-    if fvcn_half(block_positivity_graph(g)).weight < HALF:
+    if min_weighted_half_cover(*block_positivity_graph(g)) < HALF:
         return "narrow"
     masks = g.positivity_masks()
     for i in range(g.k):
@@ -238,7 +248,7 @@ def peninsula_kind_via_cover(g):
         if neigh_mass > HALF:
             continue
         sub = block_positivity_graph(g, keep)
-        if neigh_mass + fvcn_half(sub).weight <= HALF:
+        if neigh_mass + min_weighted_half_cover(*sub) <= HALF:
             return "peninsula"
     return None
 
@@ -254,11 +264,7 @@ def validate_half_cover_reference(cover, g) -> None:
     for u, v in g.edges:
         if cover.values[u] + cover.values[v] < 1:
             raise AssertionError(f"edge ({u},{v}) uncovered")
-    for v in g.loops:
-        if cover.values[v] < HALF:
-            raise AssertionError(f"loop at {v} demands f(v) >= 1/2")
-    total = sum((g.vertex_weight(v) * cover.values[v] for v in range(g.n)), Fraction(0))
-    if total != cover.weight:
+    if sum(cover.values, Fraction(0)) != cover.weight:
         raise AssertionError("stored weight disagrees with recomputed sum")
 
 

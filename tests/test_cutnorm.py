@@ -5,6 +5,7 @@ import pytest
 
 from graphonham import (
     EnumerationCapExceeded,
+    FormatError,
     StepFunction,
     StepGraphon,
     TypesMissing,
@@ -63,7 +64,7 @@ class TestExact:
             cut_norm_exact(f)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(FormatError, match=r"values\[0\]\[1\]"):
             StepFunction((F(1, 2), F(1, 2)), ((F(0), F(1)), (F(0), F(0))))
 
 

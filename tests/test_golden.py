@@ -1,21 +1,33 @@
-"""Golden hashes of small campaigns and sampled graphs.
+"""Golden hashes of small campaigns, sampled graphs and certificates.
 
 The hashes pin the bytes a campaign writes (with the runtime columns of
-`trials.csv` dropped) and the edge-list text of a few sampled graphs, so a
-change to the graph core, the matching or the certificate checks that moves
-any verdict, fvcn value or edge shows up here.  They were taken before the
-graph core became array-backed and must not be regenerated to make a change
+`trials.csv` dropped), the edge-list text of a few sampled graphs, and the
+contents of the half-integral certificates on a fixed set of small graphs,
+so a change to the graph core, the matching or the certificate checks that
+moves any verdict, fvcn value, edge or certificate shows up here.  The
+campaign and graph hashes were taken before the graph core became
+array-backed, the certificate hash while graphs under 4000 edges still went
+through a second matching engine; none may be regenerated to make a change
 pass: a mismatch means behaviour changed.
 """
 
-import csv
 import hashlib
-import io
-import os
+import random
 
 import pytest
 
-from graphonham import ExperimentConfig, PRESET_NAMES, get_preset, run_experiment, sample_graph
+from graphonham import (
+    ExperimentConfig,
+    PRESET_NAMES,
+    fmn_half,
+    fvcn_half,
+    get_preset,
+    graph_peninsula,
+    run_experiment,
+    sample_graph,
+    uniquely_half_covered,
+)
+from conftest import campaign_digest, random_graph
 
 CAMPAIGN_HASHES = {
     "constant-0.3": "fb16309959ff14f388abb6367bde48e7fe1d9f4043a4bd64da1769f0963459f1",
@@ -38,25 +50,7 @@ GRAPH_HASHES = {
         "66f941741fd4ee2aa2e76a73d46765e800d69c2e457491ce39d1dbe058ec1080",
 }
 
-_RUNTIME_COLUMNS = ("runtime_sample", "runtime_properties")
-
-
-def _campaign_digest(out_dir: str) -> str:
-    with open(os.path.join(out_dir, "trials.csv"), encoding="utf-8", newline="") as fh:
-        schema, body = fh.read().split("\n", 1)
-    rows = list(csv.reader(io.StringIO(body)))
-    keep = [i for i, c in enumerate(rows[0]) if c not in _RUNTIME_COLUMNS]
-    assert len(keep) == len(rows[0]) - len(_RUNTIME_COLUMNS)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in rows:
-        writer.writerow([row[i] for i in keep])
-    with open(os.path.join(out_dir, "report.json"), "rb") as fh:
-        report = fh.read()
-    h = hashlib.sha256()
-    h.update(schema.encode() + b"\n" + buf.getvalue().encode() + b"\0" + report)
-    return h.hexdigest()
-
+CERTIFICATE_HASH = "a66dc48359fa07ff96cd9a50efd7fa664d560cf83a1e858de89d58ee948719e0"
 
 def test_every_preset_is_pinned():
     assert set(CAMPAIGN_HASHES) == set(PRESET_NAMES)
@@ -74,7 +68,7 @@ def test_campaign_bytes_unchanged(preset, tmp_path):
     })
     _, records = run_experiment(config, out_dir=str(tmp_path))
     assert all(r.error is None for r in records)
-    assert _campaign_digest(str(tmp_path)) == CAMPAIGN_HASHES[preset]
+    assert campaign_digest(str(tmp_path)) == CAMPAIGN_HASHES[preset]
 
 
 @pytest.mark.parametrize("key", sorted(GRAPH_HASHES))
@@ -83,3 +77,28 @@ def test_edge_list_text_unchanged(key):
     g = sample_graph(get_preset(preset), n, seed).to_finite_graph()
     digest = hashlib.sha256(g.to_edge_list_text().encode()).hexdigest()
     assert digest == GRAPH_HASHES[key]
+
+
+def _certificate_graphs():
+    rng = random.Random(4711)
+    for _ in range(150):
+        yield random_graph(rng, rng.randrange(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
+    for preset in ("constant-0.3", "balanced-bipartite", "narrow-three-block", "power-one"):
+        for trial in range(3):
+            yield sample_graph(get_preset(preset), 60, 31, trial).to_finite_graph()
+
+
+def test_certificates_unchanged():
+    h = hashlib.sha256()
+    for g in _certificate_graphs():
+        _, witness = uniquely_half_covered(g)
+        cert = graph_peninsula(g)
+        h.update(repr((
+            g.n,
+            g.edges,
+            [str(x) for x in fvcn_half(g).values],
+            str(fmn_half(g).weight),
+            None if witness is None else [str(x) for x in witness.values],
+            None if cert is None else (cert.kind, cert.A, cert.B),
+        )).encode() + b"\n")
+    assert h.hexdigest() == CERTIFICATE_HASH

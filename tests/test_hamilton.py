@@ -153,7 +153,7 @@ def test_trap_route_never_builds_edge_tuples():
     from graphonham import fvcn_value, get_preset, is_connected, sample_graph
 
     g = sample_graph(get_preset("narrow-three-block"), 200, 4, 0).to_finite_graph()
-    assert len(g.edge_array) >= 4000  # scipy's matching engine
+    assert len(g.edge_array) >= 4000  # a graph of trap-campaign size
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
@@ -174,31 +174,47 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             exact_hamilton(complete(26), budget=10_000)
 
-    def test_verdicts_unchanged_under_optimize_flag(self):
+    def test_verdicts_unchanged_under_optimize_flag(self, tmp_path):
         import json
         import os
         import subprocess
         import sys
         from pathlib import Path
 
+        from graphonham import ExperimentConfig, get_preset, run_experiment, sample_graph
+        from conftest import campaign_digest
+
         script = (
             "import json, sys\n"
-            "from graphonham import FiniteGraph, classify, get_preset, sample_graph\n"
-            "edges, trap = json.loads(sys.stdin.read())\n"
+            "from graphonham import ExperimentConfig, FiniteGraph, classify, get_preset, "
+            "run_experiment, sample_graph\n"
+            "edges, trap, campaigns = json.loads(sys.stdin.read())\n"
             "graphs = [FiniteGraph.build(10, edges), "
             "sample_graph(get_preset('narrow-three-block'), *trap).to_finite_graph()]\n"
+            "for config, out_dir in campaigns:\n"
+            "    run_experiment(ExperimentConfig.from_dict(config), out_dir=out_dir)\n"
             "print(json.dumps([__debug__] + [classify(g, budget=1000).to_dict() for g in graphs]))\n"
         )
         trap = [200, 4, 0]
+        campaigns = [
+            ({"graphon": preset, "n_values": [60], "trials": 4, "seed": 2024,
+              "properties": ["connected", "min_degree_ge_2", "hamiltonian", "fvcn_ge_half"],
+              "budget": 5000}, str(tmp_path / "optimized" / preset))
+            for preset in ("narrow-three-block", "power-one")
+        ]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run(
-            [sys.executable, "-O", "-c", script], input=json.dumps([PETERSEN.edges, trap]),
-            capture_output=True, text=True, env=env, timeout=120, check=True,
+            [sys.executable, "-O", "-c", script], input=json.dumps([PETERSEN.edges, trap, campaigns]),
+            capture_output=True, text=True, env=env, timeout=300, check=True,
         ).stdout
-        from graphonham import get_preset, sample_graph
 
         trap_graph = sample_graph(get_preset("narrow-three-block"), *trap).to_finite_graph()
         expected = [classify(g, budget=1000).to_dict() for g in (PETERSEN, trap_graph)]
         assert expected[0]["obstruction"] == "exact_search_exhausted"
         assert expected[1]["obstruction"] == "narrow_graph_peninsula"
         assert json.loads(out) == [False] + expected
+        for config, optimized_dir in campaigns:
+            normal_dir = str(tmp_path / "normal" / config["graphon"])
+            _, records = run_experiment(ExperimentConfig.from_dict(config), out_dir=normal_dir)
+            assert all(r.error is None for r in records)
+            assert campaign_digest(optimized_dir) == campaign_digest(normal_dir)

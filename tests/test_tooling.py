@@ -1,9 +1,11 @@
-"""The traced benchmark run wraps graphonham functions and methods by name.
+"""Checks on the package as a body of code rather than on its results.
 
-Installing and removing its tracer here makes a renamed or deleted target
+The traced benchmark run wraps graphonham functions and methods by name;
+installing and removing its tracer here makes a renamed or deleted target
 fail in the unit suite instead of in a traced benchmark run.
 """
 
+import ast
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -26,7 +28,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    """scipy loads on the first large double-cover matching, not on import,
+    """scipy loads on the first nonempty double-cover matching, not on import,
     so runs that never build a FiniteGraph pay nothing for it."""
     import os
     import subprocess
@@ -39,3 +41,16 @@ def test_import_leaves_scipy_unloaded():
         timeout=60, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_no_bare_asserts_in_package():
+    """`python -O` strips `assert` statements, so every check in the package
+    is an explicit raise; this keeps a new bare `assert` from slipping in."""
+    package = Path(__file__).resolve().parents[1] / "src" / "graphonham"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
