@@ -2,7 +2,8 @@
 
 Subcommands: analyze, sample, test, certify, experiment, pathsys.  Any
 validation failure exits with status 2 and a machine-readable error object on
-stderr.
+stderr.  A campaign in which some trial hit an internal invariant violation
+(a bug, not bad input) writes its outputs and then exits with status 3.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import GraphonHamError
+from .errors import GraphonHamError, InvariantViolation
 from .fracmatch import (
     FiniteGraph,
     fmn_half,
@@ -24,7 +25,6 @@ from .fracmatch import (
 from .graphon import analyze, load_graphon_file
 from .harness import (
     ExperimentConfig,
-    default_jobs,
     multinomial_fluctuation_report,
     records_to_csv,
     run_experiment,
@@ -106,6 +106,13 @@ def _cmd_experiment(args) -> int:
         sys.stdout.write(records_to_csv(records))
     else:
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    # run_trial stores every exception as an error string; a bug must not
+    # pass for an errored trial
+    violated = [r for r in records if (r.error or "").startswith(f"{InvariantViolation.__name__}:")]
+    if violated:
+        error = {"type": InvariantViolation.__name__, "trials": len(violated), "first": violated[0].error}
+        print(json.dumps({"error": error}), file=sys.stderr)
+        return 3
     return 0
 
 
@@ -166,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a Monte Carlo campaign from a config file")
     e.add_argument("config")
     e.add_argument("-o", "--output", default=None, help="directory for trials.csv + report.json")
-    e.add_argument("--jobs", type=int, default=default_jobs())
+    e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--format", choices=("json", "csv"), default="json")
     e.add_argument("--budget", type=int, default=None, help="override the exact-search budget")
     e.add_argument("--fluctuation", action="store_true", help="type-count fluctuation mode")

@@ -17,7 +17,6 @@ runtime; every returned object is also re-validated against its definition.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -176,7 +175,7 @@ class HalfCover:
 
 @dataclass(frozen=True)
 class HalfMatching:
-    """A half-integral fractional matching, values aligned with graph.edges."""
+    """A half-integral fractional matching, values aligned with graph.edge_array."""
 
     values: tuple[Fraction, ...]
     weight: Fraction
@@ -243,63 +242,92 @@ class GraphPeninsula:
 # the double-cover matching and its Koenig cover
 
 
-def _double_cover_matching(g: FiniteGraph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _double_cover_matching(g: FiniteGraph) -> tuple[int, np.ndarray, np.ndarray]:
     """Maximum matching in the bipartite double cover of a graph.
 
     The CSR of the graph is the biadjacency of its double cover, so it goes
     straight to scipy's Hopcroft-Karp.  Solved once per graph: the result is
     kept on `g`, so every fold of it (fvcn, the Koenig cover, the half
-    matching) shares one solve.
+    matching) shares one solve.  Returns the size and the left-to-right and
+    right-to-left partner arrays, -1 where unmatched.
     """
     found = g.__dict__.get("_matching")
     if found is not None:
         return found
-    n = g.n
-    m = len(g.edge_array)
-    if m == 0:
-        size, match_l, match_r = 0, [-1] * n, [-1] * n
-    else:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_bipartite_matching
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-        data = np.ones(len(g.indices), dtype=np.int8)
-        bi = csr_matrix((data, g.indices, g.indptr), shape=(n, n))
-        ml = maximum_bipartite_matching(bi, perm_type="column")
-        matched = np.flatnonzero(ml >= 0)
-        mr = np.full(n, -1)
-        mr[ml[matched]] = matched
-        size, match_l, match_r = len(matched), ml.tolist(), mr.tolist()
-    found = (size, tuple(match_l), tuple(match_r))
+    n = g.n
+    data = np.ones(len(g.indices), dtype=np.int8)
+    bi = csr_matrix((data, g.indices, g.indptr), shape=(n, n))
+    match_l = maximum_bipartite_matching(bi, perm_type="column")
+    matched = np.flatnonzero(match_l >= 0)
+    match_r = np.full(n, -1, dtype=match_l.dtype)
+    match_r[match_l[matched]] = matched
+    found = (len(matched), match_l, match_r)
     object.__setattr__(g, "_matching", found)
     return found
 
 
-def _koenig_cover(g: FiniteGraph, match_l: Sequence[int], match_r: Sequence[int]) -> tuple[set[int], set[int]]:
+def _bfs(indptr: np.ndarray, indices: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-source BFS over a CSR: `(depth, parent)`, -1 where unreached.
+
+    Arcs to a negative target are skipped.  The result is that of a FIFO
+    queue seeded with the sources in the order given that scans each row in
+    stored order (ascending, for a `FiniteGraph`).  scipy walks from a
+    virtual root n with an arc to each source; negative targets become arcs
+    back to that root, which is visited first and so never entered again.
+    Arcs are int32 indices with float64 ones, scipy's own types: scipy
+    copies int64 indices down, and other data dtypes make it sort the rows.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = len(indptr) - 1
+    ind = np.concatenate([indices, np.asarray(sources, dtype=np.int32)], dtype=np.int32)
+    ind[ind < 0] = n
+    ptr = np.append(indptr, len(ind)).astype(np.int32)
+    arcs = csr_matrix((np.ones(len(ind)), ind, ptr), shape=(n + 1, n + 1))
+    order, pred = breadth_first_order(arcs, n, directed=True, return_predecessors=True)
+    parent = np.where((pred[:n] >= 0) & (pred[:n] < n), pred[:n], -1)
+    # depth by pointer doubling: dist[v] hops take v to hop[v], a root at the end
+    hop = np.where(parent >= 0, parent, np.arange(n))
+    dist = (parent >= 0).astype(np.int64)
+    while (hop[hop] != hop).any():
+        dist += dist[hop]
+        hop = hop[hop]
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[order[1:]] = dist[order[1:]]
+    return depth, parent
+
+
+def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
+    """Whether each pair (a[k], b[k]) is an edge of g, by binary search of the
+    sorted edge keys u*n + v; a pair off the vertex range is no edge."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = g.edge_array[:, 0].astype(np.int64) * g.n + g.edge_array[:, 1]
+    q = lo * g.n + hi
+    pos = np.searchsorted(key, q)
+    hit = (lo >= 0) & (hi < g.n) & (pos < len(key))
+    hit[hit] = key[pos[hit]] == q[hit]
+    return hit
+
+
+def _koenig_cover(g: FiniteGraph, match_l: np.ndarray, match_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum vertex cover of the double cover from a maximum matching.
 
-    Alternating BFS from unmatched left copies; cover = (L \\ Z) u (R n Z).
+    Alternating BFS from the unmatched left copies: a left copy u steps to
+    the left copy matched to each neighbour of u.  With Z the reached left
+    copies and their neighbours, cover = (L \\ Z) u (R n Z), as two masks.
+    As the matching is maximum, R n Z is the set of partners of the reached
+    matched left copies: each neighbour of a reached copy is matched.
     """
-    adj = g.adjacency()
-    n = g.n
-    visited_l = [False] * n
-    visited_r = [False] * n
-    q = deque()
-    for u in range(n):
-        if match_l[u] == -1:
-            visited_l[u] = True
-            q.append(u)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if not visited_r[v]:
-                visited_r[v] = True
-                w = match_r[v]
-                if w != -1 and not visited_l[w]:
-                    visited_l[w] = True
-                    q.append(w)
-    cover_l = {u for u in range(n) if not visited_l[u]}
-    cover_r = {v for v in range(n) if visited_r[v]}
-    return cover_l, cover_r
+    depth, _ = _bfs(g.indptr, match_r.take(g.indices), np.flatnonzero(match_l < 0))
+    reached = depth >= 0
+    cover_r = np.zeros(g.n, dtype=bool)
+    cover_r[match_l[reached & (match_l >= 0)]] = True
+    return ~reached, cover_r
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +336,7 @@ def _koenig_cover(g: FiniteGraph, match_l: Sequence[int], match_r: Sequence[int]
 
 def fmn_half(g: FiniteGraph) -> HalfMatching:
     """Maximum-weight half-integral fractional matching."""
-    size, match_l, _ = _double_cover_matching(g)
-    ml = np.array(match_l, dtype=np.int64)
+    size, ml, _ = _double_cover_matching(g)
     u, v = g.edge_array.T
     units = (ml[u] == v).astype(np.int64) + (ml[v] == u)
     matching = HalfMatching(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(size, 2))
@@ -325,8 +352,8 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
     """
     size, match_l, match_r = _double_cover_matching(g)
     cover_l, cover_r = _koenig_cover(g, match_l, match_r)
-    values = tuple(_UNIT_VALUES[(v in cover_l) + (v in cover_r)] for v in range(g.n))
-    cover = HalfCover(values, Fraction(len(cover_l) + len(cover_r), 2))
+    units = cover_l.astype(np.int64) + cover_r
+    cover = HalfCover(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(int(units.sum()), 2))
     cover.validate(g)
     # Koenig: |cover| = |matching|, so the folded weights agree exactly.
     if cover.weight != Fraction(size, 2):
@@ -421,37 +448,23 @@ def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:
 
 
 def is_bipartite(g: FiniteGraph) -> bool:
-    adj = g.adjacency()
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    q.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    """Two-colour each component by BFS depth parity from its least vertex.
+
+    The roots come from one component labelling: seeding the BFS one
+    component at a time would cost a full pass per component.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    arcs = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
+    _, label = connected_components(arcs, directed=False)
+    depth, _ = _bfs(g.indptr, g.indices, np.unique(label, return_index=True)[1])
+    u, v = g.edge_array.T
+    return not ((depth[u] - depth[v]) % 2 == 0).any()
 
 
 def is_connected(g: FiniteGraph) -> bool:
     if g.n <= 1:
         return True
-    adj = g.adjacency()
-    seen = [False] * g.n
-    seen[0] = True
-    q = deque([0])
-    count = 1
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                q.append(v)
-    return count == g.n
+    depth, _ = _bfs(g.indptr, g.indices, [0])
+    return bool((depth >= 0).all())

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .fracmatch import FiniteGraph, fvcn_value, graph_peninsula, is_connected
+from .fracmatch import FiniteGraph, _are_edges, fvcn_value, graph_peninsula, is_connected
 
 STATUS_HAMILTONIAN = "hamiltonian"
 STATUS_NOT_HAMILTONIAN = "not_hamiltonian"
@@ -53,8 +53,8 @@ def validate_cycle(g: FiniteGraph, cycle) -> bool:
         return False
     if set(cycle) != set(range(g.n)):
         return False
-    adj = g.adjacency()
-    return all(b in adj[a] for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]))
+    c = np.asarray(cycle)
+    return bool(_are_edges(g, c, np.roll(c, -1)).all())
 
 
 def _checked_cycle(g: FiniteGraph, cycle) -> tuple[int, ...]:

@@ -428,16 +428,6 @@ def _trial_star(args) -> TrialRecord:
     return run_trial(config, n, t)
 
 
-def default_jobs() -> int:
-    env = os.environ.get("GRAPHONHAM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # CSV persistence
 

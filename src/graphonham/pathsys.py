@@ -9,14 +9,15 @@ merges paths that share an unused common neighbor until no pair is mergeable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Optional
 
+import numpy as np
+
 from .errors import BipartiteOrDisconnected, GreedyStuck, InvariantViolation, NotBinaryTree
-from .fracmatch import FiniteGraph, is_connected
+from .fracmatch import FiniteGraph, _are_edges, _bfs, is_connected
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,10 @@ class PathSystem:
         return {v for p in self.paths for v in p}
 
     def validate(self, host: FiniteGraph) -> None:
+        is_edge = iter(_are_edges(
+            host, [a for p in self.paths for a in p[:-1]], [b for p in self.paths for b in p[1:]]
+        ).tolist())
         seen: set[int] = set()
-        eset = set(host.edges)
         for p in self.paths:
             if not p:
                 raise AssertionError("empty path")
@@ -39,7 +42,7 @@ class PathSystem:
                     raise AssertionError(f"vertex {v} appears in two paths")
                 seen.add(v)
             for a, b in zip(p, p[1:]):
-                if ((a, b) if a < b else (b, a)) not in eset:
+                if not next(is_edge):
                     raise AssertionError(f"({a},{b}) is not a host edge")
 
 
@@ -57,29 +60,15 @@ def odd_walk(h: FiniteGraph, i: int, j: int) -> list[int]:
     n = h.n
     if not (0 <= i < n and 0 <= j < n):
         raise BipartiteOrDisconnected("endpoint out of range")
-    adj = h.adjacency()
-    parent = [-1] * n
-    depth = [-1] * n
-    depth[0] = 0
-    order = [0]
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if depth[v] == -1:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                order.append(v)
-                q.append(v)
-    if len(order) != n:
+    depth, parent = _bfs(h.indptr, h.indices, [0])
+    if (depth < 0).any():
         raise BipartiteOrDisconnected("graph is disconnected")
-    odd_edge = None
-    for u, v in h.edges:
-        if depth[u] % 2 == depth[v] % 2:
-            odd_edge = (u, v)
-            break
-    if odd_edge is None:
+    u, v = h.edge_array.T
+    same = np.flatnonzero((depth[u] - depth[v]) % 2 == 0)
+    if not len(same):
         raise BipartiteOrDisconnected("graph is bipartite")
+    odd_edge = h.edge_array[same[0]].tolist()
+    depth, parent = depth.tolist(), parent.tolist()
 
     def tree_path(a: int, b: int) -> list[int]:
         pa, pb = [a], [b]
@@ -112,18 +101,11 @@ def odd_walk(h: FiniteGraph, i: int, j: int) -> list[int]:
 
 
 def _rooted_children(t: FiniteGraph, root: int) -> list[list[int]]:
-    adj = t.adjacency()
+    _, parent = _bfs(t.indptr, t.indices, [root])
     children: list[list[int]] = [[] for _ in range(t.n)]
-    seen = [False] * t.n
-    seen[root] = True
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                children[u].append(v)
-                q.append(v)
+    for v, p in enumerate(parent.tolist()):
+        if p >= 0:
+            children[p].append(v)
     return children
 
 
@@ -168,7 +150,7 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
     number of degree-3 internal vertices, any number of degree-1 leaves.
     """
     n = t.n
-    if n < 3 or len(t.edges) != n - 1:
+    if n < 3 or len(t.edge_array) != n - 1:
         raise NotBinaryTree("not a tree of order at least 3")
     deg = t.degrees()
     roots = [v for v in range(n) if deg[v] == 2]

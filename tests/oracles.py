@@ -6,7 +6,8 @@ stay independent.  `peninsula_kind_via_cover` is a second trap detector
 built on exhaustive half-integral covers of the weighted block graph instead
 of on the block-support enumeration that `find_peninsula` uses.  The
 `validate_*_reference` functions are the plain `Fraction` loops the
-certificate validators were before they became integer array checks.
+certificate validators were before they became integer array checks, and
+`bfs_reference` is the plain queue loop that the CSR traversal replaced.
 """
 
 from fractions import Fraction
@@ -325,6 +326,30 @@ def cut_norm_subset_oracle(f) -> Fraction:
                     total += f.masses[i] * f.masses[j] * f.values[i][j]
             best = max(best, abs(total))
     return best
+
+
+def bfs_reference(indptr, indices, sources) -> tuple[list[int], list[int]]:
+    """FIFO BFS over a CSR: `(depth, parent)`, -1 where unreached.
+
+    The queue is seeded with the sources in the order given, each row is
+    scanned in stored order, and negative targets are skipped.
+    """
+    from collections import deque
+
+    n = len(indptr) - 1
+    depth, parent = [-1] * n, [-1] * n
+    q = deque()
+    for s in sources:
+        if depth[s] == -1:
+            depth[s] = 0
+            q.append(s)
+    while q:
+        u = q.popleft()
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if v >= 0 and depth[v] == -1:
+                depth[v], parent[v] = depth[u] + 1, u
+                q.append(v)
+    return depth, parent
 
 
 def min_odd_walk_length(g, i: int, j: int):

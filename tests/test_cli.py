@@ -71,6 +71,32 @@ def test_experiment_command(tmp_path, capsys):
     assert code == 0 and out.startswith("schema=1\n")
 
 
+def test_experiment_invariant_violation_exit_status(tmp_path, capsys, monkeypatch):
+    """A bug inside a trial is not bad input: the campaign keeps its outputs
+    and exits with status 3, not 0 and not 2."""
+    from graphonham import hamilton
+
+    monkeypatch.setattr(hamilton, "validate_cycle", lambda g, cycle: False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "graphon": "constant-0.3",
+                "n_values": [40],
+                "trials": 3,
+                "seed": 5,
+                "properties": ["connected", "hamiltonian"],
+            }
+        )
+    )
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "experiment", str(cfg), "-o", str(out_dir))
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "InvariantViolation"
+    assert json.loads(out)["per_n"]["40"]["errors"] == 3
+    assert (out_dir / "trials.csv").exists() and (out_dir / "report.json").exists()
+
+
 def test_experiment_fluctuation_mode(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -22,6 +22,7 @@ from graphonham import (
 )
 from conftest import random_graph
 from oracles import (
+    bfs_reference,
     graph_peninsula_oracle,
     max_half_matching_weight,
     min_half_cover_weight,
@@ -213,6 +214,35 @@ def test_adjacency_and_double_cover_solved_once_per_graph(rng, monkeypatch):
     monkeypatch.setattr(csgraph, "maximum_bipartite_matching", counted)
     assert fvcn_value(g) == fvcn_half(g).weight == fmn_half(g).weight
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the CSR traversal against the queue loop it replaced
+
+
+def _bfs_agrees(indptr, indices, sources) -> None:
+    from graphonham.fracmatch import _bfs
+
+    depth, parent = _bfs(indptr, indices, sources)
+    assert (depth.tolist(), parent.tolist()) == bfs_reference(indptr.tolist(), indices.tolist(), sources)
+
+
+def test_bfs_matches_fifo_reference(rng):
+    shapes = set()
+    for k in range(3000):
+        n = rng.randrange(1, 30)
+        g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.1, 0.3, 0.6]))
+        reached, _ = bfs_reference(g.indptr.tolist(), g.indices.tolist(), [0])
+        shapes.add("edgeless" if not len(g.edge_array) else "disconnected" if -1 in reached else "connected")
+        indices = g.indices
+        if k % 3 == 0:  # targets mapped through a partial matching, as in the Koenig search
+            indices = np.array([rng.randrange(-1, n) for _ in range(n)])[indices]
+        _bfs_agrees(g.indptr, indices, [rng.randrange(n) for _ in range(rng.randint(1, 3))])
+    assert shapes == {"edgeless", "connected", "disconnected"}
+    n = 20_000
+    path = FiniteGraph.build(n, [(i, i + 1) for i in range(n - 1)])
+    for g, sources in ((path, [0]), (path, [n // 3, n - 1]), (cycle(n), [0])):
+        _bfs_agrees(g.indptr, g.indices, sources)
 
 
 # ---------------------------------------------------------------------------

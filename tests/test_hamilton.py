@@ -147,17 +147,36 @@ class TestClassify:
                 assert cheap_obstructions(g) is None
 
 
-def test_trap_route_never_builds_edge_tuples():
-    """The narrow-trap route reads the edge and CSR arrays only; the tuple
-    view `edges` is for text I/O, path systems and tests."""
-    from graphonham import fvcn_value, get_preset, is_connected, sample_graph
+def test_trap_route_never_builds_edge_tuples(monkeypatch):
+    """The narrow-trap route reads the edge and CSR arrays only: neither the
+    tuple view `edges` (text I/O and tests) nor the adjacency lists (the
+    search code) are built."""
+    from graphonham import ExperimentConfig, fvcn_value, get_preset, is_connected, run_trial, sample_graph
+    from graphonham.sampler import SampledGraph
 
     g = sample_graph(get_preset("narrow-three-block"), 200, 4, 0).to_finite_graph()
     assert len(g.edge_array) >= 4000  # a graph of trap-campaign size
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
-    assert "_edges" not in vars(g)
+    assert "_edges" not in vars(g) and "_adjacency" not in vars(g)
+
+    built = []
+    to_finite_graph = SampledGraph.to_finite_graph
+
+    def keep_graph(sampled):
+        built.append(to_finite_graph(sampled))
+        return built[-1]
+
+    monkeypatch.setattr(SampledGraph, "to_finite_graph", keep_graph)
+    config = ExperimentConfig.from_dict({
+        "graphon": "narrow-three-block", "n_values": [200], "trials": 1, "seed": 4,
+        "properties": ["connected", "hamiltonian"],
+    })
+    rec = run_trial(config, 200, 0)
+    assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
+    assert len(built) == 1
+    assert "_adjacency" not in vars(built[0]) and "_edges" not in vars(built[0])
 
 
 class TestInvariants:

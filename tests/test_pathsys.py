@@ -149,3 +149,10 @@ class TestLowDegreePathSystem:
         bad = PathSystem(((0, 1, 2), (2, 3, 4)))
         with pytest.raises(AssertionError):
             bad.validate(g)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (0, 8), (-1, 11)])
+    def test_validator_rejects_non_edges(self, pair):
+        """(0, 8) and (-1, 11) have the keys u*6 + v of the edges (1, 2) and
+        (0, 5); a pair off the vertex range must still be no edge."""
+        with pytest.raises(AssertionError, match="is not a host edge"):
+            PathSystem((pair,)).validate(cycle(6))
