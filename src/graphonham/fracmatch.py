@@ -314,20 +314,40 @@ def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
     return hit
 
 
-def _koenig_cover(g: FiniteGraph, match_l: np.ndarray, match_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _koenig_cover(g: FiniteGraph, match_l: np.ndarray, match_r: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
     """Minimum vertex cover of the double cover from a maximum matching.
 
-    Alternating BFS from the unmatched left copies: a left copy u steps to
-    the left copy matched to each neighbour of u.  With Z the reached left
-    copies and their neighbours, cover = (L \\ Z) u (R n Z), as two masks.
-    As the matching is maximum, R n Z is the set of partners of the reached
-    matched left copies: each neighbour of a reached copy is matched.
+    Alternating BFS from the left copies `sources`: a left copy u steps to
+    the left copy matched to each neighbour of u, an arc of the digraph D
+    with CSR `(g.indptr, match_r.take(g.indices))`.  With Z the reached left
+    copies and their neighbours, cover = (L \\ Z) u (R n Z), as two masks;
+    each neighbour of a reached copy is matched, so R n Z is the set of
+    partners of the reached matched left copies.
+
+    Seeded with the unmatched left copies, this is Koenig's cover.  Under a
+    perfect matching every minimum cover takes one end of each matching
+    edge, and the left copies it leaves out form a closed set of D (no arc
+    leaves it); every closed set gives a minimum cover this way.  Seeded
+    with one left copy v, the reach is the least closed set that holds v,
+    so the cover is the minimum one that leaves out v+ and, beside it, only
+    the left copies that every such cover leaves out.
     """
-    depth, _ = _bfs(g.indptr, match_r.take(g.indices), np.flatnonzero(match_l < 0))
+    depth, _ = _bfs(g.indptr, match_r.take(g.indices), sources)
     reached = depth >= 0
     cover_r = np.zeros(g.n, dtype=bool)
     cover_r[match_l[reached & (match_l >= 0)]] = True
     return ~reached, cover_r
+
+
+def _folded_cover(g: FiniteGraph, size: int, cover_l: np.ndarray, cover_r: np.ndarray) -> HalfCover:
+    """Fold a minimum cover of the double cover to a validated half cover."""
+    units = cover_l.astype(np.int64) + cover_r
+    cover = HalfCover(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(int(units.sum()), 2))
+    cover.validate(g)
+    # Koenig: |cover| = |matching|, so the folded weights agree exactly.
+    if cover.weight != Fraction(size, 2):
+        raise InvariantViolation(f"Koenig cover weight {cover.weight} != matching size {size}/2")
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +371,7 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
     it yields does not depend on which maximum matching the solver found.
     """
     size, match_l, match_r = _double_cover_matching(g)
-    cover_l, cover_r = _koenig_cover(g, match_l, match_r)
-    units = cover_l.astype(np.int64) + cover_r
-    cover = HalfCover(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(int(units.sum()), 2))
-    cover.validate(g)
-    # Koenig: |cover| = |matching|, so the folded weights agree exactly.
-    if cover.weight != Fraction(size, 2):
-        raise InvariantViolation(f"Koenig cover weight {cover.weight} != matching size {size}/2")
-    return cover
+    return _folded_cover(g, size, *_koenig_cover(g, match_l, match_r, np.flatnonzero(match_l < 0)))
 
 
 def fvcn_value(g: FiniteGraph) -> Fraction:
@@ -367,76 +380,57 @@ def fvcn_value(g: FiniteGraph) -> Fraction:
     return Fraction(size, 2)
 
 
-def _induced_without(g: FiniteGraph, removed: set[int]) -> FiniteGraph:
-    keep = np.ones(g.n, dtype=bool)
-    keep[list(removed)] = False
-    remap = np.cumsum(keep) - 1
-    u, v = g.edge_array.T
-    return FiniteGraph.build(int(keep.sum()), remap[g.edge_array[keep[u] & keep[v]]])
-
-
 def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
     """Whether the constant-1/2 function is the only half cover of weight <= n/2.
 
     Returns (verdict, witness); the witness is a valid non-constant cover of
-    weight at most n/2 whenever the verdict is False.
+    weight at most n/2 whenever the verdict is False.  Below n/2 it is the
+    minimum cover `fvcn_half`.
+
+    At fvcn = n/2 the double-cover matching is perfect and a half cover of
+    weight n/2 is a minimum cover of the double cover.  One with f(v) = 0
+    leaves out v+ and v-, so (see `_koenig_cover`) it exists exactly when
+    the left copy match_r[v] is not reachable from v in D (Dulmage and
+    Mendelsohn 1958; Lovasz and Plummer, Matching Theory, ch. 4).  A pair
+    inside one strongly connected component of D reaches its partner, so
+    only the pairs that straddle two components are searched, in ascending
+    order.  The witness for the first v found is the cover folded from the
+    least closed set of D that holds v: setting f(v) = 0, f = 1 on N(v) and
+    Koenig's cover on G - N[v] leaves out only the left copies that every
+    minimum cover without v+ leaves out, so the two constructions agree.
     """
     n = g.n
     if n == 0:
         return True, None
-    half_n = Fraction(n, 2)
-    base = fvcn_half(g)
-    if base.weight < half_n:
-        return False, base
-    adj = g.adjacency()
-    for v in range(n):
-        neigh = set(adj[v])
-        removed = neigh | {v}
-        rest = _induced_without(g, removed)
-        # f(v) = 0 forces f on N(v) to be 1; the remainder is covered optimally.
-        if len(neigh) + fvcn_value(rest) <= half_n:
-            keep = [u for u in range(n) if u not in removed]
-            sub = fvcn_half(rest)
-            values = [Fraction(0)] * n
-            for u in neigh:
-                values[u] = Fraction(1)
-            for i, u in enumerate(keep):
-                values[u] = sub.values[i]
-            values[v] = Fraction(0)
-            witness = HalfCover(tuple(values), sum(values, Fraction(0)))
-            witness.validate(g)
-            if witness.weight > half_n:
-                raise InvariantViolation(f"witness weight {witness.weight} exceeds n/2")
-            return False, witness
+    size, match_l, match_r = _double_cover_matching(g)
+    if size < n:
+        return False, fvcn_half(g)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    arcs = csr_matrix((np.ones(len(g.indices)), match_r.take(g.indices), g.indptr), shape=(n, n))
+    _, label = connected_components(arcs, connection="strong")
+    for v in np.flatnonzero(label != label[match_r]).tolist():
+        cover_l, cover_r = _koenig_cover(g, match_l, match_r, [v])
+        if cover_l[match_r[v]]:
+            return False, _folded_cover(g, size, cover_l, cover_r)
     return True, None
 
 
 def graph_peninsula(g: FiniteGraph) -> Optional[GraphPeninsula]:
-    """Extract a density-zero trap certificate from an optimal half cover.
+    """A density-zero trap certificate folded from `uniquely_half_covered`.
 
     narrow  <=> fvcn(G) < n/2,
     peninsula (non-strict) <=> G is not uniquely half-covered.
     """
-    n = g.n
-    if n == 0:
-        return None
-    cover = fvcn_half(g)
-    if cover.weight < Fraction(n, 2):
-        cert = _peninsula_from_cover(cover, "narrow")
-        cert.validate(g)
-        return cert
     uhc, witness = uniquely_half_covered(g)
-    if not uhc:
-        cert = _peninsula_from_cover(witness, "peninsula")
-        cert.validate(g)
-        return cert
-    return None
-
-
-def _peninsula_from_cover(cover: HalfCover, kind: str) -> GraphPeninsula:
-    A = tuple(v for v, f in enumerate(cover.values) if f == 0)
-    B = tuple(v for v, f in enumerate(cover.values) if f == HALF)
-    return GraphPeninsula(A, B, kind)
+    if uhc:
+        return None
+    A = tuple(v for v, f in enumerate(witness.values) if f == 0)
+    B = tuple(v for v, f in enumerate(witness.values) if f == HALF)
+    cert = GraphPeninsula(A, B, "narrow" if witness.weight < Fraction(g.n, 2) else "peninsula")
+    cert.validate(g)
+    return cert
 
 
 def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:
@@ -464,7 +458,10 @@ def is_bipartite(g: FiniteGraph) -> bool:
 
 
 def is_connected(g: FiniteGraph) -> bool:
-    if g.n <= 1:
-        return True
-    depth, _ = _bfs(g.indptr, g.indices, [0])
-    return bool((depth >= 0).all())
+    """Whether a BFS from vertex 0 reaches every vertex; the answer is kept
+    on `g`, as the matching is, so every caller shares one search."""
+    found = g.__dict__.get("_connected")
+    if found is None:
+        found = g.n <= 1 or bool((_bfs(g.indptr, g.indices, [0])[0] >= 0).all())
+        object.__setattr__(g, "_connected", found)
+    return found

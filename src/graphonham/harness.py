@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cutnorm import sample_distance
-from .errors import FormatError, NoCertificate
+from .errors import EnumerationCapExceeded, FormatError, NoCertificate
 from .fracmatch import fvcn_value, is_connected
 from .graphon import (
     Graphon,
@@ -378,7 +378,10 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
                 hits = sum(1 for r in ok if r.outcomes.get(prop) is True)
                 summary[prop] = _freq_summary(hits, done)
         per_n[n] = summary
-    regime = analyze(config.graphon).regime
+    try:
+        regime = analyze(config.graphon).regime
+    except EnumerationCapExceeded:  # too many blocks to analyze; keep the trials
+        regime = "unavailable"
     return ExperimentReport(config.to_dict(), regime, per_n)
 
 

@@ -6,8 +6,10 @@ stay independent.  `peninsula_kind_via_cover` is a second trap detector
 built on exhaustive half-integral covers of the weighted block graph instead
 of on the block-support enumeration that `find_peninsula` uses.  The
 `validate_*_reference` functions are the plain `Fraction` loops the
-certificate validators were before they became integer array checks, and
-`bfs_reference` is the plain queue loop that the CSR traversal replaced.
+certificate validators were before they became integer array checks,
+`bfs_reference` is the plain queue loop that the CSR traversal replaced, and
+`uniquely_half_covered_reference` is the per-vertex loop of matching solves
+that the reachability test on one double-cover matching replaced.
 """
 
 from fractions import Fraction
@@ -108,6 +110,55 @@ def uniquely_half_covered_oracle(g) -> bool:
 
     rec(0, Fraction(0), False)
     return not found[0]
+
+
+def _induced_without(g, removed: set[int]):
+    import numpy as np
+    from graphonham import FiniteGraph
+
+    keep = np.ones(g.n, dtype=bool)
+    keep[list(removed)] = False
+    remap = np.cumsum(keep) - 1
+    u, v = g.edge_array.T
+    return FiniteGraph.build(int(keep.sum()), remap[g.edge_array[keep[u] & keep[v]]])
+
+
+def uniquely_half_covered_reference(g):
+    """`(verdict, witness)` by one matching solve of G - N[v] per vertex v.
+
+    The first v with |N(v)| + fvcn(G - N[v]) <= n/2 gives the witness: 0 at
+    v, 1 on N(v), and the minimum cover of the rest.
+    """
+    from graphonham import HalfCover, InvariantViolation, fvcn_half, fvcn_value
+
+    n = g.n
+    if n == 0:
+        return True, None
+    half_n = Fraction(n, 2)
+    base = fvcn_half(g)
+    if base.weight < half_n:
+        return False, base
+    adj = g.adjacency()
+    for v in range(n):
+        neigh = set(adj[v])
+        removed = neigh | {v}
+        rest = _induced_without(g, removed)
+        # f(v) = 0 forces f on N(v) to be 1; the remainder is covered optimally.
+        if len(neigh) + fvcn_value(rest) <= half_n:
+            keep = [u for u in range(n) if u not in removed]
+            sub = fvcn_half(rest)
+            values = [Fraction(0)] * n
+            for u in neigh:
+                values[u] = Fraction(1)
+            for i, u in enumerate(keep):
+                values[u] = sub.values[i]
+            values[v] = Fraction(0)
+            witness = HalfCover(tuple(values), sum(values, Fraction(0)))
+            witness.validate(g)
+            if witness.weight > half_n:
+                raise InvariantViolation(f"witness weight {witness.weight} exceeds n/2")
+            return False, witness
+    return True, None
 
 
 def graph_peninsula_oracle(g) -> tuple[bool, bool]:

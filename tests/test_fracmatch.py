@@ -15,9 +15,11 @@ from graphonham import (
     fmn_half,
     fvcn_half,
     fvcn_value,
+    get_preset,
     graph_peninsula,
     half_integral_perfect_matching,
     is_bipartite,
+    sample_graph,
     uniquely_half_covered,
 )
 from conftest import random_graph
@@ -27,6 +29,7 @@ from oracles import (
     max_half_matching_weight,
     min_half_cover_weight,
     uniquely_half_covered_oracle,
+    uniquely_half_covered_reference,
     validate_half_cover_reference,
     validate_half_matching_reference,
     validate_peninsula_reference,
@@ -214,6 +217,42 @@ def test_adjacency_and_double_cover_solved_once_per_graph(rng, monkeypatch):
     monkeypatch.setattr(csgraph, "maximum_bipartite_matching", counted)
     assert fvcn_value(g) == fvcn_half(g).weight == fmn_half(g).weight
     assert len(calls) == 1
+    # the peninsula route reads unique half-coverage off that same solve
+    g = sample_graph(get_preset("constant-0.3"), 400, 0).to_finite_graph()
+    assert fvcn_half(g).weight == 200
+    assert uniquely_half_covered(g) == (True, None)
+    assert graph_peninsula(g) is None
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# unique half-coverage read off one matching, against the per-vertex loop
+
+
+def _same_coverage(g) -> bool:
+    """Assert that the reference loop, run on a fresh copy with its own
+    solves, gives the same verdict and witness values; return whether the
+    witness has weight n/2, the branch the reachability test decides."""
+    verdict, witness = uniquely_half_covered(g)
+    want, want_witness = uniquely_half_covered_reference(FiniteGraph.build(g.n, g.edge_array))
+    assert verdict == want, g.edges
+    assert (None if witness is None else witness.values) == (
+        None if want_witness is None else want_witness.values), g.edges
+    return witness is not None and witness.weight == Fraction(g.n, 2)
+
+
+def test_uniquely_half_covered_matches_reference_loop():
+    rng = random.Random(4242)
+    tight = sum(_same_coverage(random_graph(rng, rng.randrange(1, 30),
+                                            rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.8])))
+                for _ in range(3000))
+    assert tight > 100
+    presets = ("constant-0.3", "power-half", "narrow-three-block", "balanced-bipartite",
+               "bipartite-plus-clique")
+    for preset in presets:
+        for n, trials in ((60, 3), (400, 1)):
+            for trial in range(trials):
+                _same_coverage(sample_graph(get_preset(preset), n, 7, trial).to_finite_graph())
 
 
 # ---------------------------------------------------------------------------

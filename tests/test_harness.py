@@ -186,6 +186,24 @@ def test_aggregate_frequencies_exclude_errored_trials():
     assert summary["hamiltonian"]["found_wilson"] == wilson_interval(2, 2)
 
 
+def test_campaign_past_the_analysis_cap_keeps_its_trials(tmp_path):
+    k = 25
+    cfg = ExperimentConfig.from_dict({
+        "graphon": {"kind": "step", "masses": [f"1/{k}"] * k, "densities": [["1/2"] * k] * k},
+        "n_values": [30],
+        "trials": 2,
+        "seed": 3,
+        "properties": ["connected"],
+    })
+    rep, records = run_experiment(cfg, out_dir=str(tmp_path))
+    assert rep.predicted_regime == "unavailable"
+    assert [r.error for r in records] == [None, None]
+    assert len(records_from_csv((tmp_path / "trials.csv").read_text())) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["predicted_regime"] == "unavailable"
+    assert report["per_n"]["30"]["trials"] == 2
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
