@@ -4,7 +4,10 @@ Stage one draws n i.i.d. latent types; stage two flips one coin per vertex
 pair, row-major over i < j, with success probability equal to the kernel at
 the two types.  Each (seed, trial_index) pair keys its own pair of
 counter-based Philox streams (one for types, one for edges), so trials can
-run in any order, in parallel, and still replay bit-exactly.
+run in any order, in parallel, and still replay bit-exactly.  The coins are
+drawn in blocks of consecutive rows: a counter-based stream drawn in
+consecutive slices gives the numbers of one large draw, so replay does not
+depend on the block size and no array holds every pair.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from .graphon import Graphon, PowerFamilyGraphon, StepGraphon
 
 _TYPE_CHANNEL = 0
 _EDGE_CHANNEL = 1
+#: Cells of one padded (rows x row length) block of edge coins; a block
+#: holds at least one row.
+_BLOCK_COINS = 1 << 20
 
 
 def _philox(seed: int, trial_index: int, channel: int) -> np.random.Philox:
@@ -50,9 +56,13 @@ class SampledGraph:
     trial_index: int
 
     def degrees(self) -> np.ndarray:
-        if len(self.edges) == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        """Degree of every vertex, counted on first use and kept read-only."""
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            deg = np.bincount(self.edges.ravel(), minlength=self.n)
+            deg.flags.writeable = False
+            object.__setattr__(self, "_degrees", deg)
+        return deg
 
     def to_finite_graph(self) -> FiniteGraph:
         return FiniteGraph.build(self.n, self.edges)
@@ -99,27 +109,33 @@ def sample_types(
     return block, offset
 
 
-def _edge_probabilities(
-    g: Graphon, block: Optional[np.ndarray], offset: np.ndarray,
-    iu: np.ndarray, ju: np.ndarray,
-) -> np.ndarray:
-    if isinstance(g, StepGraphon):
-        dens = np.array([[float(d) for d in row] for row in g.densities])
-        return dens[block[iu], block[ju]]
-    p = (offset[iu] * offset[ju]) ** float(g.beta)
-    return np.clip(p, 0.0, 1.0)
-
-
 def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> SampledGraph:
-    """Both stages; consumes exactly C(n, 2) edge coins in row-major i < j order."""
+    """Both stages; consumes exactly C(n, 2) edge coins in row-major i < j order.
+
+    Rows i..i+r-1 are drawn together into an (r x w) buffer, w = n-1-i, whose
+    cell (t, c) is the pair (i+t, i+1+c); cells left of the diagonal hold
+    inf and never become edges.
+    """
     block, offset = sample_types(g, n, seed, trial_index)
     gen = _stream(seed, trial_index, _EDGE_CHANNEL)
-    iu, ju = np.triu_indices(n, k=1)
-    coins = gen.random(len(iu))
-    p = _edge_probabilities(g, block, offset, iu, ju)
-    sel = coins < p
-    edges = np.column_stack([iu[sel], ju[sel]]).astype(np.int32)
-    return SampledGraph(g, n, edges, block, offset, seed, trial_index)
+    step = isinstance(g, StepGraphon)
+    if step:
+        dens = np.array([[float(d) for d in row] for row in g.densities])
+    parts = [np.empty((0, 2), dtype=np.int32)]
+    i = 0
+    while i < n - 1:
+        w = n - 1 - i
+        r = min(w, max(1, _BLOCK_COINS // w))
+        coins = np.full((r, w), np.inf)
+        coins[np.arange(w) >= np.arange(r)[:, None]] = gen.random(r * w - r * (r - 1) // 2)
+        if step:
+            p = np.take(dens[block[i:i + r]], block[i + 1:], axis=1)
+        else:
+            p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
+        rows, cols = np.divmod(np.flatnonzero(coins < p), w)
+        parts.append(np.column_stack([rows + i, cols + i + 1]).astype(np.int32))
+        i += r
+    return SampledGraph(g, n, np.concatenate(parts), block, offset, seed, trial_index)
 
 
 def edge_stream_offset(n: int, i: int, j: int) -> int:

@@ -9,7 +9,9 @@ of on the block-support enumeration that `find_peninsula` uses.  The
 certificate validators were before they became integer array checks,
 `bfs_reference` is the plain queue loop that the CSR traversal replaced, and
 `uniquely_half_covered_reference` is the per-vertex loop of matching solves
-that the reachability test on one double-cover matching replaced.
+that the reachability test on one double-cover matching replaced, and
+`sample_graph_reference` is the whole-draw sampler, one array entry per
+vertex pair, that the row-block draw replaced.
 """
 
 from fractions import Fraction
@@ -85,30 +87,33 @@ def max_half_matching_weight(g) -> Fraction:
 
 
 def uniquely_half_covered_oracle(g) -> bool:
-    """Is every half-integral cover of weight <= n/2 the constant half one?"""
+    """Is every half-integral cover of weight <= n/2 the constant half one?
+
+    Cover values are counted in half units (0, 1, 2), so an edge needs a sum
+    of at least 2 and the weight bound is n.
+    """
     n = g.n
-    half_n = Fraction(n, 2)
     adj_lower = [[] for _ in range(n)]
     for u, v in g.edges:
         a, b = (u, v) if u > v else (v, u)
         adj_lower[a].append(b)
-    assignment = [Fraction(0)] * n
+    assignment = [0] * n
     found = [False]
 
-    def rec(i: int, total: Fraction, non_constant: bool) -> None:
-        if found[0] or total > half_n:
+    def rec(i: int, total: int, non_constant: bool) -> None:
+        if found[0] or total > n:
             return
         if i == n:
             if non_constant:
                 found[0] = True
             return
-        for val in VALUES:
-            if all(assignment[u] + val >= 1 for u in adj_lower[i]):
+        for val in (0, 1, 2):
+            if all(assignment[u] + val >= 2 for u in adj_lower[i]):
                 assignment[i] = val
-                rec(i + 1, total + val, non_constant or val != HALF)
-        assignment[i] = Fraction(0)
+                rec(i + 1, total + val, non_constant or val != 1)
+        assignment[i] = 0
 
-    rec(0, Fraction(0), False)
+    rec(0, 0, False)
     return not found[0]
 
 
@@ -159,6 +164,25 @@ def uniquely_half_covered_reference(g):
                 raise InvariantViolation(f"witness weight {witness.weight} exceeds n/2")
             return False, witness
     return True, None
+
+
+def sample_graph_reference(g, n: int, seed: int, trial_index: int = 0):
+    """The edge array of `sample_graph` from one draw of all C(n, 2) coins."""
+    import numpy as np
+    from graphonham import StepGraphon, sample_types
+    from graphonham.sampler import _EDGE_CHANNEL, _stream
+
+    block, offset = sample_types(g, n, seed, trial_index)
+    gen = _stream(seed, trial_index, _EDGE_CHANNEL)
+    iu, ju = np.triu_indices(n, k=1)
+    coins = gen.random(len(iu))
+    if isinstance(g, StepGraphon):
+        dens = np.array([[float(d) for d in row] for row in g.densities])
+        p = dens[block[iu], block[ju]]
+    else:
+        p = np.clip((offset[iu] * offset[ju]) ** float(g.beta), 0.0, 1.0)
+    sel = coins < p
+    return np.column_stack([iu[sel], ju[sel]]).astype(np.int32)
 
 
 def graph_peninsula_oracle(g) -> tuple[bool, bool]:

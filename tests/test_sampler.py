@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from graphonham import (
     degree_concentration_report,
     edge_coin,
     edge_stream_offset,
+    get_preset,
     sample_graph,
     sample_types,
 )
+from graphonham import sampler
 from graphonham.sampler import write_graph, load_graph
+from oracles import sample_graph_reference
 
 HALF_HALF = StepGraphon.build(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 
@@ -93,6 +97,62 @@ def test_pair_offsets_are_distinct_and_contiguous():
     n = 9
     offs = [edge_stream_offset(n, i, j) for i in range(n) for j in range(i + 1, n)]
     assert offs == list(range(n * (n - 1) // 2))
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["constant-0.3", "narrow-three-block", "bipartite-plus-clique", "power-half", "power-two"],
+)
+def test_row_blocks_match_whole_draw(preset, monkeypatch):
+    g = get_preset(preset)
+    for n in (1, 2, 3, 37, 400, 2000):
+        for trial in (0, 3):
+            ref = sample_graph_reference(g, n, 8, trial)
+            # the default block, one row per block, short multi-row tail
+            # blocks, and a first block ending exactly at the end of row 0
+            for coins in (sampler._BLOCK_COINS, 1, 5, n - 1):
+                monkeypatch.setattr(sampler, "_BLOCK_COINS", coins)
+                edges = sample_graph(g, n, 8, trial).edges
+                assert edges.dtype == np.int32
+                assert np.array_equal(edges, ref), (n, trial, coins)
+            monkeypatch.undo()
+
+
+def test_edge_coins_match_stream_across_block_cuts():
+    # blocks are whole rows, so the first and last pair of every row lie on
+    # both sides of each cut, whatever the block size
+    n = 2000
+    assert math.comb(n, 2) > sampler._BLOCK_COINS  # more than one block
+    g = StepGraphon.build(["1/3", "2/3"], [["3/10", "7/10"], ["7/10", "1/5"]])
+    s = sample_graph(g, n, seed=21, trial_index=4)
+    dens = np.array([[0.3, 0.7], [0.7, 0.2]])
+    edges = set(map(tuple, s.edges.tolist()))
+    pairs = [(i, j) for i in range(n - 1) for j in {i + 1, n - 1}]
+    assert len(pairs) == 2 * (n - 1) - 1
+    for i, j in pairs:
+        coin = edge_coin(21, 4, edge_stream_offset(n, i, j))
+        p = dens[s.type_block[i], s.type_block[j]]
+        assert ((i, j) in edges) == (coin < p), (i, j)
+
+
+def test_sample_peak_memory_is_bounded():
+    g = StepGraphon.constant("0.3")
+    tracemalloc.start()
+    try:
+        sample_graph(g, 4000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one array entry per pair would need 366 MB here
+    assert peak <= 100 * 2**20
+
+
+def test_degrees_counted_once():
+    s = sample_graph(HALF_HALF, 40, seed=3)
+    deg = s.degrees()
+    assert s.degrees() is deg
+    assert np.array_equal(deg, np.bincount(s.edges.ravel(), minlength=40))
+    assert not deg.flags.writeable
 
 
 def test_empirical_edge_density_near_p():
