@@ -123,7 +123,7 @@ def evaluate_box(f: StepFunction, S, T) -> Fraction:
     return abs(total)
 
 
-def cut_norm_exact(f: StepFunction, cap: int = ENUMERATION_CAP) -> CutNormResult:
+def cut_norm_exact(f: StepFunction) -> CutNormResult:
     """Exact cut norm by scanning row subsets with greedy sign-split columns.
 
     For a fixed S the optimal T collects the columns whose partial sums share
@@ -131,8 +131,8 @@ def cut_norm_exact(f: StepFunction, cap: int = ENUMERATION_CAP) -> CutNormResult
     the column sums incremental; all arithmetic is integer after scaling.
     """
     k = f.k
-    if k > cap:
-        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
     mat, scale = _scaled_integer_matrix(f)
     cols = [0] * k
     best = (0, 0)  # (value, smask)

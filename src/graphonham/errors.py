@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the self-check that raises one."""
 
 
 class GraphonHamError(Exception):
@@ -56,3 +56,16 @@ class NoCertificate(GraphonHamError):
 
 class InvariantViolation(GraphonHamError):
     """An internal consistency check failed: a bug, never a property of the input."""
+
+
+def _self_checked(obj, *args):
+    """`obj.validate(*args)` for an object the package built itself, then obj.
+
+    `validate` raises AssertionError for a bad object a caller passes in; on
+    the package's own output the same failure is a bug.
+    """
+    try:
+        obj.validate(*args)
+    except AssertionError as exc:
+        raise InvariantViolation(f"self-check of {type(obj).__name__} failed: {exc}") from exc
+    return obj

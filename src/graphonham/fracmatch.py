@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvariantViolation
+from .errors import FormatError, InvariantViolation, _self_checked
 
 HALF = Fraction(1, 2)
 
@@ -343,7 +343,7 @@ def _folded_cover(g: FiniteGraph, size: int, cover_l: np.ndarray, cover_r: np.nd
     """Fold a minimum cover of the double cover to a validated half cover."""
     units = cover_l.astype(np.int64) + cover_r
     cover = HalfCover(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(int(units.sum()), 2))
-    cover.validate(g)
+    _self_checked(cover, g)
     # Koenig: |cover| = |matching|, so the folded weights agree exactly.
     if cover.weight != Fraction(size, 2):
         raise InvariantViolation(f"Koenig cover weight {cover.weight} != matching size {size}/2")
@@ -360,8 +360,7 @@ def fmn_half(g: FiniteGraph) -> HalfMatching:
     u, v = g.edge_array.T
     units = (ml[u] == v).astype(np.int64) + (ml[v] == u)
     matching = HalfMatching(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(size, 2))
-    matching.validate(g)
-    return matching
+    return _self_checked(matching, g)
 
 
 def fvcn_half(g: FiniteGraph) -> HalfCover:
@@ -428,9 +427,8 @@ def graph_peninsula(g: FiniteGraph) -> Optional[GraphPeninsula]:
         return None
     A = tuple(v for v, f in enumerate(witness.values) if f == 0)
     B = tuple(v for v, f in enumerate(witness.values) if f == HALF)
-    cert = GraphPeninsula(A, B, "narrow" if witness.weight < Fraction(g.n, 2) else "peninsula")
-    cert.validate(g)
-    return cert
+    kind = "narrow" if witness.weight < Fraction(g.n, 2) else "peninsula"
+    return _self_checked(GraphPeninsula(A, B, kind), g)
 
 
 def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import EnumerationCapExceeded, FormatError
+from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, _self_checked
 
 HALF = Fraction(1, 2)
 
@@ -357,6 +357,11 @@ class PeninsulaCertificate:
 
     @staticmethod
     def from_dict(d: dict) -> "PeninsulaCertificate":
+        if not isinstance(d, dict):
+            raise FormatError("certificate must be an object", "certificate")
+        for key in ("kind", "a", "A_fractions", "B_fractions"):
+            if key not in d:
+                raise FormatError(f"missing {key!r}", key)
         return PeninsulaCertificate(
             a=_frac(d["a"], "a"),
             A_fractions=tuple(_frac(x, f"A_fractions[{i}]") for i, x in enumerate(d["A_fractions"])),
@@ -365,11 +370,11 @@ class PeninsulaCertificate:
         )
 
 
-def _independent_loopless_sets(g: StepGraphon, cap: int):
+def _independent_loopless_sets(g: StepGraphon):
     """Yield (Zmask, mass(Z), mass(N(Z))) over nonempty candidate supports."""
     k = g.k
-    if k > cap:
-        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
     masks = g.positivity_masks()
     masses = g.block_masses
     for zmask in range(1, 1 << k):
@@ -400,7 +405,7 @@ def _fill_blocks(g: StepGraphon, allowed: list[int], amount: Fraction,
             out[i] = take
             left -= take
     if left != 0:
-        raise AssertionError("internal: not enough room for mass placement")
+        raise InvariantViolation("not enough room for mass placement")
     return out
 
 
@@ -445,12 +450,10 @@ def build_certificate(g: StepGraphon, zmask: int, kind: str) -> PeninsulaCertifi
     a_fr = _fill_blocks(g, zbits, mass_a, {})
     allowed_b = [i for i in range(k) if not (nmask >> i) & 1]
     b_fr = _fill_blocks(g, allowed_b, 1 - 2 * a, {i: a_fr[i] for i in range(k)})
-    cert = PeninsulaCertificate(a, tuple(a_fr), tuple(b_fr), kind)
-    cert.validate(g)
-    return cert
+    return _self_checked(PeninsulaCertificate(a, tuple(a_fr), tuple(b_fr), kind), g)
 
 
-def find_peninsula(g: Graphon, cap: int = ENUMERATION_CAP) -> Optional[PeninsulaCertificate]:
+def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
     """Search all block supports for a trap; prefers a narrow certificate.
 
     A support Z works iff it is independent (diagonal included) in the block
@@ -462,7 +465,7 @@ def find_peninsula(g: Graphon, cap: int = ENUMERATION_CAP) -> Optional[Peninsula
         return None  # kernel positive almost everywhere
     best_narrow = None  # (margin, zmask)
     best_flat = None  # zmask
-    for zmask, _nmask, mz, mn in _independent_loopless_sets(g, cap):
+    for zmask, _nmask, mz, mn in _independent_loopless_sets(g):
         if mz > mn:
             margin = mz - mn
             if best_narrow is None or margin > best_narrow[0]:
@@ -517,7 +520,7 @@ class BipartiteSplitVerdict:
                         raise AssertionError(f"within-side density ({i},{j}) nonzero")
 
 
-def check_exact_bipartite_split(g: Graphon, cap: int = ENUMERATION_CAP) -> BipartiteSplitVerdict:
+def check_exact_bipartite_split(g: Graphon) -> BipartiteSplitVerdict:
     """Can the blocks be 2-sided with mass exactly 1/2 each and zero inside?
 
     Only a fully isolated block (zero density to every block, itself included)
@@ -528,8 +531,8 @@ def check_exact_bipartite_split(g: Graphon, cap: int = ENUMERATION_CAP) -> Bipar
     if isinstance(g, PowerFamilyGraphon):
         return BipartiteSplitVerdict(False)
     k = g.k
-    if k > cap:
-        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
     isolated = [i for i in range(k) if all(g.densities[i][j] == 0 for j in range(k))]
     others = [i for i in range(k) if i not in isolated]
     iso_mass = sum((g.block_masses[i] for i in isolated), Fraction(0))
@@ -558,8 +561,7 @@ def check_exact_bipartite_split(g: Graphon, cap: int = ENUMERATION_CAP) -> Bipar
                 split = (i, need)
                 need = Fraction(0)
         verdict = BipartiteSplitVerdict(True, tuple(sorted(s_full)), tuple(sorted(t_full)), split)
-        verdict.validate(g)
-        return verdict
+        return _self_checked(verdict, g)
     return BipartiteSplitVerdict(False)
 
 
@@ -604,7 +606,7 @@ class ConditionReport:
         return out
 
 
-def analyze(g: Graphon, cap: int = ENUMERATION_CAP) -> ConditionReport:
+def analyze(g: Graphon) -> ConditionReport:
     """Bundle all condition checks and predict the Hamiltonicity regime.
 
     Strongly negative signals (disconnected kernel, infinite low-degree tail
@@ -615,8 +617,8 @@ def analyze(g: Graphon, cap: int = ENUMERATION_CAP) -> ConditionReport:
     """
     conn = check_connected(g)
     tail = check_degree_tail(g)
-    pen = find_peninsula(g, cap=cap)
-    split = check_exact_bipartite_split(g, cap=cap)
+    pen = find_peninsula(g)
+    split = check_exact_bipartite_split(g)
     strongly_negative = (
         not conn.connected
         or tail == TAIL_FAILS_INFINITE

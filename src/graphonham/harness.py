@@ -51,26 +51,30 @@ PROPERTIES = (
     "cut_distance",
 )
 
-_CSV_COLUMNS = (
-    "n",
-    "trial_index",
-    "seed",
-    "error",
-    "connected",
-    "min_degree",
-    "min_degree_ge_2",
-    "ham_status",
-    "ham_obstruction",
-    "fvcn",
-    "fvcn_ge_half",
-    "n_a",
-    "n_b",
-    "n_c",
-    "degree_concentration",
-    "cut_lower",
-    "cut_upper",
-    "runtime_sample",
-    "runtime_properties",
+# trials.csv, column by column: (name, where the value lives, type).  Key
+# columns are TrialRecord fields; runtime_<stage> is `runtime[stage]` to six
+# decimals, 0 for a stage that never ran.  Bools are written 1/0, floats by
+# repr, the rest by str; an empty str or outcome cell is an absent value.
+_COLUMNS = (
+    ("n", "key", int),
+    ("trial_index", "key", int),
+    ("seed", "key", int),
+    ("error", "key", str),
+    ("connected", "outcome", bool),
+    ("min_degree", "outcome", int),
+    ("min_degree_ge_2", "outcome", bool),
+    ("ham_status", "outcome", str),
+    ("ham_obstruction", "outcome", str),
+    ("fvcn", "outcome", Fraction),
+    ("fvcn_ge_half", "outcome", bool),
+    ("n_a", "outcome", int),
+    ("n_b", "outcome", int),
+    ("n_c", "outcome", int),
+    ("degree_concentration", "outcome", float),
+    ("cut_lower", "outcome", float),
+    ("cut_upper", "outcome", float),
+    ("runtime_sample", "runtime", float),
+    ("runtime_properties", "runtime", float),
 )
 
 
@@ -120,6 +124,11 @@ class ExperimentConfig:
                 "property 'peninsula_counts' needs an attached certificate",
                 "properties",
             )
+        if self.certificate is not None and isinstance(self.graphon, StepGraphon):
+            try:
+                self.certificate.validate(self.graphon)
+            except AssertionError as exc:
+                raise FormatError(str(exc), "certificate") from None
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -138,11 +147,7 @@ class ExperimentConfig:
         for key in ("n_values", "trials", "seed", "properties"):
             if key not in d:
                 raise FormatError(f"missing '{key}'", key)
-        cert = None
-        if d.get("certificate") is not None:
-            cert = PeninsulaCertificate.from_dict(d["certificate"])
-            if isinstance(graphon, StepGraphon):
-                cert.validate(graphon)
+        cert = d.get("certificate")
         return ExperimentConfig(
             graphon=graphon,
             n_values=tuple(int(x) for x in d["n_values"]),
@@ -152,7 +157,7 @@ class ExperimentConfig:
             t=int(d.get("t", 0)),
             budget=int(d.get("budget", 0)),
             posa_restarts=int(d.get("posa_restarts", 20)),
-            certificate=cert,
+            certificate=None if cert is None else PeninsulaCertificate.from_dict(cert),
         )
 
     @staticmethod
@@ -191,39 +196,16 @@ class TrialRecord:
     error: Optional[str] = None
 
     def to_csv_row(self) -> list[str]:
-        o = self.outcomes
-        row = {
-            "n": self.n,
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "error": self.error or "",
-            "connected": _fmt(o.get("connected")),
-            "min_degree": _fmt(o.get("min_degree")),
-            "min_degree_ge_2": _fmt(o.get("min_degree_ge_2")),
-            "ham_status": o.get("ham_status", ""),
-            "ham_obstruction": o.get("ham_obstruction") or "",
-            "fvcn": str(o["fvcn"]) if "fvcn" in o else "",
-            "fvcn_ge_half": _fmt(o.get("fvcn_ge_half")),
-            "n_a": _fmt(o.get("n_a")),
-            "n_b": _fmt(o.get("n_b")),
-            "n_c": _fmt(o.get("n_c")),
-            "degree_concentration": _fmt(o.get("degree_concentration")),
-            "cut_lower": _fmt(o.get("cut_lower")),
-            "cut_upper": _fmt(o.get("cut_upper")),
-            "runtime_sample": f"{self.runtime.get('sample', 0.0):.6f}",
-            "runtime_properties": f"{self.runtime.get('properties', 0.0):.6f}",
-        }
-        return [str(row[c]) for c in _CSV_COLUMNS]
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        row = []
+        for name, place, kind in _COLUMNS:
+            if place == "runtime":
+                row.append(f"{self.runtime.get(name.removeprefix('runtime_'), 0.0):.6f}")
+                continue
+            value = getattr(self, name) if place == "key" else self.outcomes.get(name)
+            if kind is bool and value is not None:
+                value = int(value)  # written 1/0
+            row.append("" if value is None else repr(value) if kind is float else str(value))
+        return row
 
 
 def classify_types(cert: PeninsulaCertificate, g: StepGraphon, block, offset) -> tuple[int, int, int]:
@@ -439,59 +421,37 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     buf = io.StringIO()
     buf.write(f"schema={CSV_SCHEMA}\n")
     writer = csv.writer(buf)
-    writer.writerow(_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(r.to_csv_row())
+    writer.writerow(name for name, _, _ in _COLUMNS)
+    writer.writerows(r.to_csv_row() for r in records)
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
+    """Inverse of `records_to_csv`; a bad cell raises FormatError at its line and column."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("schema="):
         raise FormatError("missing schema header", "line 1")
     if lines[0] != f"schema={CSV_SCHEMA}":
         raise FormatError(f"unsupported schema {lines[0]!r}", "line 1")
     reader = csv.reader(io.StringIO("\n".join(lines[1:])))
-    header = next(reader)
-    if tuple(header) != _CSV_COLUMNS:
+    if next(reader, None) != [name for name, _, _ in _COLUMNS]:
         raise FormatError("unexpected column set", "line 2")
     records = []
     for row in reader:
-        d = dict(zip(_CSV_COLUMNS, row))
-        rec = TrialRecord(
-            n=int(d["n"]),
-            trial_index=int(d["trial_index"]),
-            seed=int(d["seed"]),
-            error=d["error"] or None,
-        )
-        o = rec.outcomes
-        if d["connected"]:
-            o["connected"] = d["connected"] == "1"
-        if d["min_degree"]:
-            o["min_degree"] = int(d["min_degree"])
-        if d["min_degree_ge_2"]:
-            o["min_degree_ge_2"] = d["min_degree_ge_2"] == "1"
-        if d["ham_status"]:
-            o["ham_status"] = d["ham_status"]
-            o["ham_obstruction"] = d["ham_obstruction"] or None
-        if d["fvcn"]:
-            o["fvcn"] = Fraction(d["fvcn"])
-        if d["fvcn_ge_half"]:
-            o["fvcn_ge_half"] = d["fvcn_ge_half"] == "1"
-        for key, col in (("n_a", "n_a"), ("n_b", "n_b"), ("n_c", "n_c")):
-            if d[col]:
-                o[key] = int(d[col])
-        if d["degree_concentration"]:
-            o["degree_concentration"] = float(d["degree_concentration"])
-        if d["cut_lower"]:
-            o["cut_lower"] = float(d["cut_lower"])
-        if d["cut_upper"]:
-            o["cut_upper"] = float(d["cut_upper"])
-        rec.runtime = {
-            "sample": float(d["runtime_sample"]),
-            "properties": float(d["runtime_properties"]),
-        }
-        records.append(rec)
+        line = f"line {reader.line_num + 1}"
+        if len(row) > len(_COLUMNS):
+            raise FormatError(f"{len(row)} cells for {len(_COLUMNS)} columns", line)
+        values = {"key": {}, "outcome": {}, "runtime": {}}
+        for k, (name, place, kind) in enumerate(_COLUMNS):
+            try:
+                if row[k] or (place != "outcome" and kind is not str):
+                    value = {"0": False, "1": True}[row[k]] if kind is bool else kind(row[k])
+                    values[place][name.removeprefix("runtime_")] = value
+            except (IndexError, KeyError, ValueError, ZeroDivisionError):
+                raise FormatError(f"missing or malformed {kind.__name__}", f"{line}, column {name}") from None
+        if "ham_status" in values["outcome"]:  # a verdict without an obstruction keeps the key
+            values["outcome"].setdefault("ham_obstruction", None)
+        records.append(TrialRecord(**values["key"], outcomes=values["outcome"], runtime=values["runtime"]))
     return records
 
 
@@ -534,7 +494,6 @@ def multinomial_fluctuation_report(config: ExperimentConfig) -> FluctuationRepor
         raise FormatError("fluctuation experiment expects a single n", "n_values")
     n = config.n_values[0]
     cert = config.certificate
-    cert.validate(config.graphon)
     counts = []
     hits = 0
     for trial in range(config.trials):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BipartiteOrDisconnected, GreedyStuck, InvariantViolation, NotBinaryTree
+from .errors import BipartiteOrDisconnected, GreedyStuck, InvariantViolation, NotBinaryTree, _self_checked
 from .fracmatch import FiniteGraph, _are_edges, _bfs, is_connected
 
 
@@ -160,8 +160,7 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
         raise NotBinaryTree("tree must be connected")
     children = _rooted_children(t, roots[0])
     paths = _decompose_rooted(roots[0], children)
-    system = PathSystem(tuple(tuple(p) for p in paths))
-    system.validate(t)
+    system = _self_checked(PathSystem(tuple(tuple(p) for p in paths)), t)
     if system.vertices() != set(range(n)):
         raise InvariantViolation("tree decomposition misses a vertex")
     leaves = {v for v in range(n) if deg[v] == 1}
@@ -226,9 +225,7 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     # single-leaf paths carry no low-degree vertex; they are not needed
     paths = [p for p in paths if len(p) > 1]
     merged = _merge_paths(g, paths, theta)
-    system = PathSystem(tuple(tuple(p) for p in merged))
-    system.validate(g)
-    return system
+    return _self_checked(PathSystem(tuple(tuple(p) for p in merged)), g)
 
 
 def _merge_paths(g: FiniteGraph, paths: list[list[int]], theta: int) -> list[list[int]]:

@@ -97,6 +97,62 @@ def test_experiment_invariant_violation_exit_status(tmp_path, capsys, monkeypatc
     assert (out_dir / "trials.csv").exists() and (out_dir / "report.json").exists()
 
 
+def test_experiment_failed_self_check_exit_status(tmp_path, capsys, monkeypatch):
+    """A trap certificate the library built that fails its own validation is
+    a bug: status 3, not an error averaged into the frequencies."""
+    from graphonham import GraphPeninsula
+
+    def forced(self, g):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(GraphPeninsula, "validate", forced)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "graphon": "narrow-three-block",
+        "n_values": [60],
+        "trials": 2,
+        "seed": 3,
+        "properties": ["hamiltonian"],
+    }))
+    code, _, err = run(capsys, "experiment", str(cfg))
+    assert code == 3
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvariantViolation" and "forced" in error["first"]
+
+
+def certificate_config(tmp_path, certificate):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "graphon": "balanced-bipartite",
+        "n_values": [31],
+        "trials": 3,
+        "seed": 2,
+        "properties": [],
+        "certificate": certificate,
+    }))
+    return str(cfg)
+
+
+def test_experiment_invalid_certificate_is_bad_input(tmp_path, capsys):
+    cfg = certificate_config(tmp_path, {
+        "kind": "peninsula", "a": "1/2", "A_fractions": ["1", "0"], "B_fractions": ["0", "0"],
+    })
+    code, _, err = run(capsys, "experiment", cfg)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["position"] == "certificate" and "over-allocated" in error["message"]
+
+
+def test_experiment_incomplete_certificate_is_bad_input(tmp_path, capsys):
+    cfg = certificate_config(tmp_path, {"kind": "peninsula", "a": "1/2", "B_fractions": ["0", "0"]})
+    code, _, err = run(capsys, "experiment", cfg, "--fluctuation")
+    assert code == 2
+    assert json.loads(err)["error"]["position"] == "A_fractions"
+    code, _, err = run(capsys, "experiment", certificate_config(tmp_path, ["1/2"]))
+    assert code == 2
+    assert json.loads(err)["error"]["position"] == "certificate"
+
+
 def test_experiment_fluctuation_mode(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

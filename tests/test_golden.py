@@ -19,6 +19,7 @@ import pytest
 from graphonham import (
     ExperimentConfig,
     PRESET_NAMES,
+    analyze,
     fmn_half,
     fvcn_half,
     get_preset,
@@ -52,6 +53,15 @@ GRAPH_HASHES = {
 
 CERTIFICATE_HASH = "a66dc48359fa07ff96cd9a50efd7fa664d560cf83a1e858de89d58ee948719e0"
 
+# Campaigns that fill the columns the preset campaigns leave empty: every
+# property, with the analyzer's certificate for the type counts, and a
+# campaign in which every trial errors (the power family carries no block
+# types, which cut_distance needs).  Taken before the CSV columns were
+# written from a single table.
+ALL_COLUMNS_HASH = "8c17c959568e524bc53220b7992c13ecb0502e4263ee43d2f92a0e0a8cfaa5e1"
+ALL_ERRORS_HASH = "bbbca2785f2820368ffe378c1a4d71c351e6d23c2a1691f306ad6faaf9ab6697"
+
+
 def test_every_preset_is_pinned():
     assert set(CAMPAIGN_HASHES) == set(PRESET_NAMES)
 
@@ -69,6 +79,38 @@ def test_campaign_bytes_unchanged(preset, tmp_path):
     _, records = run_experiment(config, out_dir=str(tmp_path))
     assert all(r.error is None for r in records)
     assert campaign_digest(str(tmp_path)) == CAMPAIGN_HASHES[preset]
+
+
+def test_every_column_bytes_unchanged(tmp_path):
+    preset = "narrow-three-block"
+    config = ExperimentConfig.from_dict({
+        "graphon": preset,
+        "n_values": [20, 60],
+        "trials": 4,
+        "seed": 2024,
+        "properties": [
+            "connected", "min_degree_ge_2", "hamiltonian", "fvcn_ge_half",
+            "peninsula_counts", "degree_concentration", "cut_distance",
+        ],
+        "budget": 5000,
+        "certificate": analyze(get_preset(preset)).peninsula.to_dict(),
+    })
+    _, records = run_experiment(config, out_dir=str(tmp_path))
+    assert all(r.error is None for r in records)
+    assert campaign_digest(str(tmp_path)) == ALL_COLUMNS_HASH
+
+
+def test_errored_campaign_bytes_unchanged(tmp_path):
+    config = ExperimentConfig.from_dict({
+        "graphon": "power-half",
+        "n_values": [20, 60],
+        "trials": 4,
+        "seed": 2024,
+        "properties": ["cut_distance"],
+    })
+    _, records = run_experiment(config, out_dir=str(tmp_path))
+    assert all(r.error is not None for r in records)
+    assert campaign_digest(str(tmp_path)) == ALL_ERRORS_HASH
 
 
 @pytest.mark.parametrize("key", sorted(GRAPH_HASHES))

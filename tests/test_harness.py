@@ -204,6 +204,78 @@ def test_campaign_past_the_analysis_cap_keeps_its_trials(tmp_path):
     assert report["per_n"]["30"]["trials"] == 2
 
 
+FILLED = {
+    "connected": True,
+    "min_degree": 19,
+    "min_degree_ge_2": True,
+    "ham_status": "not_hamiltonian",
+    "ham_obstruction": "narrow_graph_peninsula",
+    "fvcn": Fraction(51, 2),
+    "fvcn_ge_half": False,
+    "n_a": 25,
+    "n_b": 15,
+    "n_c": 20,
+    "degree_concentration": 0.08333333333333326,
+    "cut_lower": 0.03333333333333333,
+    "cut_upper": 0.1,
+}
+
+
+def csv_records():
+    """Every column filled, a verdict without an obstruction, and errored
+    trials, one with CSV metacharacters in its message; runtimes have six
+    exact decimals, as the CSV keeps them."""
+    runtime = {"sample": 0.5, "properties": 0.25}
+    return [
+        TrialRecord(60, 1, 2024, outcomes=dict(FILLED), runtime=dict(runtime)),
+        TrialRecord(60, 2, 2024, outcomes={"ham_status": "hamiltonian", "ham_obstruction": None},
+                    runtime=dict(runtime)),
+        TrialRecord(20, 0, 7, error="TypesMissing: no types", runtime={"sample": 0.125, "properties": 0.0}),
+        TrialRecord(20, 3, 7, error='ValueError: bad "cell", line\nbreak', runtime=dict(runtime)),
+    ]
+
+
+def test_csv_roundtrip_every_column():
+    text = records_to_csv(csv_records())
+    back = records_from_csv(text)
+    assert back == csv_records()
+    assert records_to_csv(back) == text
+
+
+@pytest.mark.parametrize("column, value, position", [
+    (None, None, "line 3, column cut_upper"),  # a row three cells short
+    ("n", "sixty", "line 3, column n"),
+    ("n", "", "line 3, column n"),
+    ("fvcn", "51/0", "line 3, column fvcn"),
+    ("fvcn", "half", "line 3, column fvcn"),
+    ("connected", "2", "line 3, column connected"),
+    ("min_degree_ge_2", "true", "line 3, column min_degree_ge_2"),
+    ("runtime_sample", "", "line 3, column runtime_sample"),
+    ("runtime_properties", "0.250000,9", "line 3"),  # a cell past the last column
+])
+def test_malformed_csv_names_line_and_column(column, value, position):
+    lines = records_to_csv(csv_records()).splitlines()
+    header, row = lines[1].split(","), lines[2].split(",")
+    if column is None:
+        row = row[:-3]
+    else:
+        row[header.index(column)] = value
+    lines[2] = ",".join(row)
+    with pytest.raises(FormatError) as info:
+        records_from_csv("\n".join(lines))
+    assert info.value.position == position
+
+
+def test_csv_header_checks():
+    text = records_to_csv(csv_records())
+    with pytest.raises(FormatError, match="line 1"):
+        records_from_csv(text.replace("schema=1", "schema=9"))
+    with pytest.raises(FormatError, match="line 2"):
+        records_from_csv(text.replace("cut_upper", "cut_top"))
+    with pytest.raises(FormatError, match="line 2"):
+        records_from_csv("schema=1\n")
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi

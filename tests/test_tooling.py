@@ -54,3 +54,32 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _assertion_raises(node, func=None):
+    """(enclosing function name, line) of each `raise AssertionError` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _assertion_raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield func, child.lineno
+        yield from _assertion_raises(child, func)
+
+
+def test_assertion_errors_only_check_caller_objects():
+    """AssertionError means "the object you passed in is invalid": only the
+    public `validate` methods, `_half_units` under them and the argument
+    checks of `build_certificate` raise it.  A failed check on the package's
+    own output is a bug and raises InvariantViolation instead."""
+    allowed = {"validate", "_half_units", "build_certificate"}
+    package = Path(__file__).resolve().parents[1] / "src" / "graphonham"
+    found = [
+        f"{path.name}:{line} in {func}"
+        for path in sorted(package.glob("*.py"))
+        for func, line in _assertion_raises(ast.parse(path.read_text(encoding="utf-8")))
+        if func not in allowed
+    ]
+    assert found == []
