@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .errors import GraphonHamError, InvariantViolation
 from .fracmatch import (
-    FiniteGraph,
+    _edge_list_text,
     fmn_half,
     fvcn_half,
     graph_peninsula,
@@ -54,7 +54,7 @@ def _cmd_sample(args) -> int:
         meta = write_graph(graph, args.output)
         print(json.dumps({"edges": len(graph.edges), "output": args.output, "sidecar": meta}))
     else:
-        sys.stdout.write(graph.to_finite_graph().to_edge_list_text())
+        sys.stdout.write(_edge_list_text(graph.n, graph.edges))
     return 0
 
 
@@ -121,21 +121,7 @@ def _cmd_pathsys(args) -> int:
     alpha = Fraction(args.alpha)
     system = low_degree_path_system(g, alpha)
     chk = check_path_system(g, system, alpha)
-    print(
-        json.dumps(
-            {
-                "paths": [list(p) for p in system.paths],
-                "checks": {
-                    "min_three_vertices": chk.min_three_vertices,
-                    "low_degree_covered": chk.low_degree_covered,
-                    "endpoint_degrees": chk.endpoint_degrees,
-                    "covered_vertex_count": chk.covered_vertex_count,
-                    "few_paths": chk.few_paths,
-                },
-            },
-            indent=1,
-        )
-    )
+    print(json.dumps({"paths": [list(p) for p in system.paths], "checks": asdict(chk)}, indent=1))
     return 0
 
 

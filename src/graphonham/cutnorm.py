@@ -253,9 +253,7 @@ def empirical_step_function(graph: SampledGraph) -> StepFunction:
     return StepFunction(masses, tuple(dens))
 
 
-def sample_distance(
-    graph: SampledGraph, g: StepGraphon, restarts: int = 50, seed: int = 0
-) -> DistanceEstimate:
+def sample_distance(graph: SampledGraph, g: StepGraphon) -> DistanceEstimate:
     """Lower/upper estimate of the cut distance between a sample and its model.
 
     Types are retained by the sampler, so the alignment between type classes
@@ -265,7 +263,7 @@ def sample_distance(
     """
     emp = empirical_step_function(graph)
     diff = step_difference(emp, g)
-    witness = cut_norm_heuristic(diff, restarts=restarts, seed=seed)
+    witness = cut_norm_heuristic(diff, restarts=50, seed=0)
     upper = sum(
         (
             diff.masses[i] * diff.masses[j] * abs(diff.values[i][j])

@@ -60,24 +60,25 @@ class FiniteGraph:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise FormatError("edges must be pairs (u, v)", "edges")
-        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-        bad = (lo < 0) | (hi >= n)
+        bad = (e < 0) | (e >= n)
         if bad.any():
-            u, v = e[bad.argmax()].tolist()
+            u, v = e[bad.any(axis=1).argmax()].tolist()
             raise FormatError(f"edge ({u},{v}) out of range", "edges")
-        if (lo == hi).any():
-            raise FormatError(f"self-loop at {lo[(lo == hi).argmax()]} not allowed in edge list", "edges")
-        # sort and drop repeats by hand: np.unique hashes before it sorts,
-        # which is far slower on these nearly sorted keys
-        key = np.sort(lo * n + hi)
-        key = key[np.diff(key, prepend=-1) != 0]
-        lo, hi = key // n, key % n
-        # both directions of every edge, sorted by (row, column)
-        both = np.sort(np.concatenate([key, hi * n + lo]))
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
-        edge_array = np.column_stack([lo, hi]).astype(np.int32)
-        return FiniteGraph(n, edge_array, indptr, (both % n).astype(np.int32))
+        loop = e[:, 0] == e[:, 1]
+        if loop.any():
+            raise FormatError(f"self-loop at {e[loop.argmax(), 0]} not allowed in edge list", "edges")
+        from scipy.sparse import coo_array
+
+        # every pair in both directions, the reversed pairs first: on a sorted
+        # edge array without repeats (the sampler's) each row is then already
+        # in order, so tocsr() has nothing to sort or merge
+        rows = np.concatenate([e[:, 1], e[:, 0]], dtype=np.int32)
+        cols = np.concatenate([e[:, 0], e[:, 1]], dtype=np.int32)
+        adj = coo_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(adj.indptr))
+        upper = adj.indices > row
+        edge_array = np.column_stack([row[upper], adj.indices[upper]])
+        return FiniteGraph(n, edge_array, adj.indptr, adj.indices)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -105,9 +106,7 @@ class FiniteGraph:
         return np.diff(self.indptr).tolist()
 
     def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {len(self.edge_array)}"]
-        lines.extend(f"{u} {v}" for u, v in self.edge_array.tolist())
-        return "\n".join(lines) + "\n"
+        return _edge_list_text(self.n, self.edge_array)
 
     @staticmethod
     def from_edge_list_text(text: str) -> "FiniteGraph":
@@ -134,6 +133,13 @@ class FiniteGraph:
                 raise FormatError("edge endpoints must be integers", f"line {k}") from None
             edges.append((u, v))
         return FiniteGraph.build(n, edges)
+
+
+def _edge_list_text(n: int, edge_array: np.ndarray) -> str:
+    """The 'n m' header line, then one 'u v' line per row of edge_array."""
+    lines = [f"{n} {len(edge_array)}"]
+    lines.extend(f"{u} {v}" for u, v in edge_array.tolist())
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,25 @@ def _frac(value, position: str) -> Fraction:
         raise FormatError(f"cannot parse {value!r} as a rational", position) from None
 
 
+def _int(value, position: str) -> int:
+    """A JSON integer, or a string holding one; never a bool or a float."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FormatError(f"expected an integer, got {value!r}", position)
+
+
+def _list(value, position: str) -> list:
+    """A JSON list."""
+    if not isinstance(value, list):
+        raise FormatError(f"expected a list, got {value!r}", position)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -130,7 +149,8 @@ class PowerFamilyGraphon:
     def build(beta) -> "PowerFamilyGraphon":
         return PowerFamilyGraphon(_frac(beta, "beta"))
 
-    def degree_at(self, x: float) -> float:
+    def degree_at(self, x):
+        """Kernel degree at position x, a float or an array of them."""
         return x ** float(self.beta) / (float(self.beta) + 1.0)
 
     def to_dict(self) -> dict:
@@ -153,7 +173,11 @@ def load_graphon(payload: Union[dict, str]) -> Graphon:
     if kind == "step":
         if "masses" not in payload or "densities" not in payload:
             raise FormatError("step graphon needs 'masses' and 'densities'", "$")
-        return StepGraphon.build(payload["masses"], payload["densities"])
+        densities = _list(payload["densities"], "densities")
+        return StepGraphon.build(
+            _list(payload["masses"], "masses"),
+            [_list(row, f"densities[{i}]") for i, row in enumerate(densities)],
+        )
     if kind == "power":
         if "beta" not in payload:
             raise FormatError("power graphon needs 'beta'", "$")
@@ -362,12 +386,11 @@ class PeninsulaCertificate:
         for key in ("kind", "a", "A_fractions", "B_fractions"):
             if key not in d:
                 raise FormatError(f"missing {key!r}", key)
-        return PeninsulaCertificate(
-            a=_frac(d["a"], "a"),
-            A_fractions=tuple(_frac(x, f"A_fractions[{i}]") for i, x in enumerate(d["A_fractions"])),
-            B_fractions=tuple(_frac(x, f"B_fractions[{i}]") for i, x in enumerate(d["B_fractions"])),
-            kind=d["kind"],
-        )
+        fractions = {
+            key: tuple(_frac(x, f"{key}[{i}]") for i, x in enumerate(_list(d[key], key)))
+            for key in ("A_fractions", "B_fractions")
+        }
+        return PeninsulaCertificate(a=_frac(d["a"], "a"), kind=d["kind"], **fractions)
 
 
 def _independent_loopless_sets(g: StepGraphon):

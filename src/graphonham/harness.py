@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .cutnorm import sample_distance
 from .errors import EnumerationCapExceeded, FormatError, NoCertificate
 from .fracmatch import fvcn_value, is_connected
@@ -27,6 +29,8 @@ from .graphon import (
     Graphon,
     PeninsulaCertificate,
     StepGraphon,
+    _int,
+    _list,
     analyze,
     load_graphon,
 )
@@ -150,13 +154,13 @@ class ExperimentConfig:
         cert = d.get("certificate")
         return ExperimentConfig(
             graphon=graphon,
-            n_values=tuple(int(x) for x in d["n_values"]),
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
-            properties=tuple(d["properties"]),
-            t=int(d.get("t", 0)),
-            budget=int(d.get("budget", 0)),
-            posa_restarts=int(d.get("posa_restarts", 20)),
+            n_values=tuple(_int(x, f"n_values[{i}]") for i, x in enumerate(_list(d["n_values"], "n_values"))),
+            trials=_int(d["trials"], "trials"),
+            seed=_int(d["seed"], "seed"),
+            properties=tuple(_list(d["properties"], "properties")),
+            t=_int(d.get("t", 0), "t"),
+            budget=_int(d.get("budget", 0), "budget"),
+            posa_restarts=_int(d.get("posa_restarts", 20), "posa_restarts"),
             certificate=None if cert is None else PeninsulaCertificate.from_dict(cert),
         )
 
@@ -215,17 +219,11 @@ def classify_types(cert: PeninsulaCertificate, g: StepGraphon, block, offset) ->
     [A_b/m_b, (A_b+B_b)/m_b) to B; offsets are compared against those
     deterministic thresholds.
     """
-    n_a = n_b = n_c = 0
-    fa = [float(cert.A_fractions[i] / g.block_masses[i]) for i in range(g.k)]
-    fb = [float((cert.A_fractions[i] + cert.B_fractions[i]) / g.block_masses[i]) for i in range(g.k)]
-    for b, off in zip(block, offset):
-        if off < fa[b]:
-            n_a += 1
-        elif off < fb[b]:
-            n_b += 1
-        else:
-            n_c += 1
-    return n_a, n_b, n_c
+    fa = np.array([float(a / m) for a, m in zip(cert.A_fractions, g.block_masses)])
+    fb = np.array([float((a + b) / m) for a, b, m in zip(cert.A_fractions, cert.B_fractions, g.block_masses)])
+    in_a = offset < fa[block]
+    n_a, n_b = int(in_a.sum()), int((~in_a & (offset < fb[block])).sum())
+    return n_a, n_b, len(offset) - n_a - n_b
 
 
 def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord:

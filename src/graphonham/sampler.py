@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError
-from .fracmatch import FiniteGraph
+from .fracmatch import FiniteGraph, _edge_list_text
 from .graphon import Graphon, PowerFamilyGraphon, StepGraphon
 
 _TYPE_CHANNEL = 0
@@ -165,7 +165,7 @@ def degree_concentration_report(graph: SampledGraph) -> float:
         block_deg = np.array([float(d) for d in g.block_degrees()])
         expected = block_deg[graph.type_block]
     else:
-        expected = graph.type_offset ** float(g.beta) / (float(g.beta) + 1.0)
+        expected = g.degree_at(graph.type_offset)
     return float(np.max(np.abs(deg - expected)))
 
 
@@ -178,7 +178,7 @@ def write_graph(graph: SampledGraph, path: str) -> str:
     import json
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph.to_finite_graph().to_edge_list_text())
+        fh.write(_edge_list_text(graph.n, graph.edges))
     meta = path + ".meta.json"
     with open(meta, "w", encoding="utf-8") as fh:
         json.dump(graph.sidecar_dict(), fh, indent=1)

@@ -11,7 +11,10 @@ certificate validators were before they became integer array checks,
 `uniquely_half_covered_reference` is the per-vertex loop of matching solves
 that the reachability test on one double-cover matching replaced, and
 `sample_graph_reference` is the whole-draw sampler, one array entry per
-vertex pair, that the row-block draw replaced.
+vertex pair, that the row-block draw replaced.  `build_reference` derives
+the arrays of `FiniteGraph.build` from a sorted set of oriented pairs, and
+`classify_types_reference` is the per-vertex loop that `classify_types`
+replaced with array comparisons.
 """
 
 from fractions import Fraction
@@ -164,6 +167,39 @@ def uniquely_half_covered_reference(g):
                 raise InvariantViolation(f"witness weight {witness.weight} exceeds n/2")
             return False, witness
     return True, None
+
+
+def build_reference(n: int, pairs) -> tuple[list, list[int], list[int]]:
+    """`(edges, indptr, indices)` of the simple graph on n vertices with these pairs.
+
+    The edges are the sorted set of pairs oriented u < v; row u of the CSR
+    lists u's neighbours ascending.
+    """
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return [list(e) for e in edges], indptr, [v for row in rows for v in sorted(row)]
+
+
+def classify_types_reference(cert, g, block, offset) -> tuple[int, int, int]:
+    """(n_a, n_b, n_c): vertex by vertex, offset below A_b/m_b is A, below
+    (A_b+B_b)/m_b is B, and the rest is C."""
+    n_a = n_b = n_c = 0
+    fa = [float(cert.A_fractions[i] / g.block_masses[i]) for i in range(g.k)]
+    fb = [float((cert.A_fractions[i] + cert.B_fractions[i]) / g.block_masses[i]) for i in range(g.k)]
+    for b, off in zip(block, offset):
+        if off < fa[b]:
+            n_a += 1
+        elif off < fb[b]:
+            n_b += 1
+        else:
+            n_c += 1
+    return n_a, n_b, n_c
 
 
 def sample_graph_reference(g, n: int, seed: int, trial_index: int = 0):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from graphonham.cli import main
 
 
@@ -26,6 +28,19 @@ def test_analyze_malformed_densities(tmp_path, capsys):
     assert code == 2
     payload = json.loads(err)
     assert payload["error"]["position"] == "densities[0][1]"
+
+
+@pytest.mark.parametrize("masses, densities, position", [
+    (5, [["1"]], "masses"),
+    (["1"], "1", "densities"),
+    (["1"], ["1"], "densities[0]"),
+])
+def test_analyze_malformed_shape_is_bad_input(tmp_path, capsys, masses, densities, position):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "step", "masses": masses, "densities": densities}))
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert json.loads(err)["error"]["position"] == position
 
 
 def test_sample_then_test_and_certify(tmp_path, capsys):
@@ -151,6 +166,25 @@ def test_experiment_incomplete_certificate_is_bad_input(tmp_path, capsys):
     code, _, err = run(capsys, "experiment", certificate_config(tmp_path, ["1/2"]))
     assert code == 2
     assert json.loads(err)["error"]["position"] == "certificate"
+    cfg = certificate_config(tmp_path, {"kind": "peninsula", "a": "1/2", "A_fractions": 5, "B_fractions": ["0", "0"]})
+    code, _, err = run(capsys, "experiment", cfg)
+    assert code == 2
+    assert json.loads(err)["error"]["position"] == "A_fractions"
+
+
+@pytest.mark.parametrize("key, value, position", [
+    ("n_values", ["twenty"], "n_values[0]"),
+    ("trials", 2.9, "trials"),
+    ("trials", True, "trials"),
+    ("n_values", 20, "n_values"),
+])
+def test_experiment_malformed_field_is_bad_input(tmp_path, capsys, key, value, position):
+    cfg = tmp_path / "cfg.json"
+    config = {"graphon": "constant-0.3", "n_values": [20], "trials": 2, "seed": 0, "properties": []}
+    cfg.write_text(json.dumps({**config, key: value}))
+    code, _, err = run(capsys, "experiment", str(cfg))
+    assert code == 2
+    assert json.loads(err)["error"]["position"] == position
 
 
 def test_experiment_fluctuation_mode(tmp_path, capsys):

@@ -25,6 +25,7 @@ from graphonham import (
 from conftest import random_graph
 from oracles import (
     bfs_reference,
+    build_reference,
     graph_peninsula_oracle,
     max_half_matching_weight,
     min_half_cover_weight,
@@ -420,3 +421,29 @@ def test_build_empty_graphs():
         assert g.degrees() == [0] * n
         assert g.indptr.tolist() == [0] * (n + 1)
         assert fvcn_value(g) == 0
+
+
+def _random_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Pairs of a random graph on n vertices: sometimes sorted and oriented
+    u < v without repeats (the sampler's form), otherwise with repeats, both
+    orientations and shuffled order."""
+    p = rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    if pairs and rng.random() < 0.75:
+        pairs += rng.choices(pairs, k=rng.randrange(len(pairs) + 1))
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(pairs)
+    return pairs
+
+
+def test_build_matches_reference():
+    rng = random.Random(31)
+    for _ in range(2000):
+        n = rng.randrange(41)
+        pairs = _random_pairs(rng, n)
+        edges, indptr, indices = build_reference(n, pairs)
+        for form in (pairs, np.array(pairs, dtype=np.int32), np.array(pairs, dtype=np.int64)):
+            g = FiniteGraph.build(n, form)
+            assert g.edge_array.dtype == g.indptr.dtype == g.indices.dtype == np.int32
+            assert g.edge_array.shape == (len(edges), 2) and g.edge_array.tolist() == edges
+            assert g.indptr.tolist() == indptr and g.indices.tolist() == indices

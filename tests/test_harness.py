@@ -16,8 +16,11 @@ from graphonham import (
     records_to_csv,
     run_experiment,
     run_trial,
+    sample_types,
     wilson_interval,
 )
+from graphonham.harness import classify_types
+from oracles import classify_types_reference
 
 U = get_preset("balanced-bipartite")
 
@@ -156,6 +159,13 @@ class TestFluctuation:
         )
         rep = multinomial_fluctuation_report(cfg)
         assert all(nb == 0 for _, nb, _ in rep.counts)
+
+    def test_classify_types_matches_reference(self):
+        g = get_preset("narrow-three-block")
+        cert = find_peninsula(g)
+        for trial in range(300):
+            block, offset = sample_types(g, 500, 7, trial)
+            assert classify_types(cert, g, block, offset) == classify_types_reference(cert, g, block, offset)
 
     def test_slack_event_matches_exact_binomial_law(self):
         # a = 1/2 with empty B: N_A > N_C + 4 means Bin(400, 1/2) >= 203

@@ -99,10 +99,10 @@ def test_pair_offsets_are_distinct_and_contiguous():
     assert offs == list(range(n * (n - 1) // 2))
 
 
-@pytest.mark.parametrize(
-    "preset",
-    ["constant-0.3", "narrow-three-block", "bipartite-plus-clique", "power-half", "power-two"],
-)
+FIVE_PRESETS = ["constant-0.3", "narrow-three-block", "bipartite-plus-clique", "power-half", "power-two"]
+
+
+@pytest.mark.parametrize("preset", FIVE_PRESETS)
 def test_row_blocks_match_whole_draw(preset, monkeypatch):
     g = get_preset(preset)
     for n in (1, 2, 3, 37, 400, 2000):
@@ -116,6 +116,18 @@ def test_row_blocks_match_whole_draw(preset, monkeypatch):
                 assert edges.dtype == np.int32
                 assert np.array_equal(edges, ref), (n, trial, coins)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("preset", FIVE_PRESETS)
+def test_finite_graph_keeps_sampled_edges(preset, tmp_path):
+    """The sampler's edges are already in `FiniteGraph` form, so building
+    the graph keeps them as they are and `write_graph` can print them."""
+    for n in (1, 2, 3, 60, 400):
+        s = sample_graph(get_preset(preset), n, 5, 1)
+        g = s.to_finite_graph()
+        assert g.edge_array.dtype == np.int32 and np.array_equal(g.edge_array, s.edges)
+        write_graph(s, str(tmp_path / "g.txt"))
+        assert (tmp_path / "g.txt").read_text() == g.to_edge_list_text()
 
 
 def test_edge_coins_match_stream_across_block_cuts():

@@ -27,20 +27,45 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert all(vars(ns)[a] is old for (ns, a), old in zip(targets, originals))
 
 
-def test_import_leaves_scipy_unloaded():
-    """scipy loads on the first nonempty double-cover matching, not on import,
-    so runs that never build a FiniteGraph pay nothing for it."""
+def _python_output(code: str, *args: str) -> str:
+    """Standard output of `python -c code *args` in a fresh interpreter."""
     import os
     import subprocess
     import sys
 
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, graphonham; print('scipy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
         timeout=60, check=True,
     ).stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads on the first `FiniteGraph.build`, not on import, so runs
+    that never build a FiniteGraph pay nothing for it."""
+    out = _python_output("import sys, graphonham; print('scipy' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_sampling_leaves_scipy_unloaded(tmp_path):
+    """Sampling, degree properties, `write_graph` and `graphonham sample`
+    build no FiniteGraph, so none of them loads scipy."""
+    code = (
+        "import sys\n"
+        "from graphonham import ExperimentConfig, degree_concentration_report, get_preset, run_trial, sample_graph\n"
+        "from graphonham.cli import main\n"
+        "from graphonham.sampler import write_graph\n"
+        "g = sample_graph(get_preset('constant-0.3'), 200, 0)\n"
+        "g.degrees(); degree_concentration_report(g)\n"
+        "write_graph(g, sys.argv[1])\n"
+        "main(['sample', 'power-half', '-n', '50', '-o', sys.argv[1]])\n"
+        "config = ExperimentConfig.from_dict({'graphon': 'constant-0.3', 'n_values': [200], 'trials': 1,\n"
+        "    'seed': 0, 'properties': ['min_degree_ge_2', 'degree_concentration']})\n"
+        "run_trial(config, 200, 0)\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert _python_output(code, str(tmp_path / "g.txt")).splitlines()[-1] == "False"
 
 
 def test_no_bare_asserts_in_package():
