@@ -92,8 +92,9 @@ class FiniteGraph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour lists, ascending, sliced from the CSR.
 
-        Built on first use and kept on the instance, so every caller shares
-        one copy per graph.
+        Built on first use and kept on the instance.  In the package only the
+        budgeted backtracking search (`hamilton._backtrack`) reads them; every
+        other search reads `indptr`/`indices` directly.
         """
         adj = self.__dict__.get("_adjacency")
         if adj is None:
@@ -122,16 +123,24 @@ class FiniteGraph:
             raise FormatError("header must be two integers", "line 1") from None
         if len(lines) - 1 != m:
             raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}", "header")
-        edges = []
-        for k, ln in enumerate(lines[1:], start=2):
-            parts = ln.split()
-            if len(parts) != 2:
-                raise FormatError("edge line must be 'u v'", f"line {k}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError("edge endpoints must be integers", f"line {k}") from None
-            edges.append((u, v))
+        # one split for every edge line: a ";" after each line makes a line
+        # of other than two tokens show as a ";" out of place
+        tokens = " ; ".join(lines[1:] + [""]).split()
+        try:
+            if len(tokens) != 3 * m or tokens[2::3] != [";"] * m:
+                raise ValueError
+            del tokens[2::3]
+            edges = np.array(tokens, dtype=np.int64).reshape(m, 2)
+        except (ValueError, OverflowError):
+            for k, ln in enumerate(lines[1:], start=2):
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise FormatError("edge line must be 'u v'", f"line {k}") from None
+                try:
+                    int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise FormatError("edge endpoints must be integers", f"line {k}") from None
+            raise FormatError("edge endpoint out of range", "edges") from None
         return FiniteGraph.build(n, edges)
 
 

@@ -393,24 +393,30 @@ class PeninsulaCertificate:
         return PeninsulaCertificate(a=_frac(d["a"], "a"), kind=d["kind"], **fractions)
 
 
+def _support(g: StepGraphon, masks: list[int], zmask: int) -> tuple[list[int], int, Fraction, Fraction]:
+    """(blocks of Z, N(Z) \\ Z as a mask, mass(Z), mass(N(Z) \\ Z)) for the
+    block set Z = zmask, with N read off the positivity masks."""
+    bits = [i for i in range(g.k) if (zmask >> i) & 1]
+    nmask = 0
+    for i in bits:
+        nmask |= masks[i]
+    nmask &= ~zmask
+    mz = sum((g.block_masses[i] for i in bits), Fraction(0))
+    mn = sum((g.block_masses[j] for j in range(g.k) if (nmask >> j) & 1), Fraction(0))
+    return bits, nmask, mz, mn
+
+
 def _independent_loopless_sets(g: StepGraphon):
-    """Yield (Zmask, mass(Z), mass(N(Z))) over nonempty candidate supports."""
+    """Yield (Zmask, N(Z) mask, mass(Z), mass(N(Z))) over nonempty candidate supports."""
     k = g.k
     if k > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
     masks = g.positivity_masks()
-    masses = g.block_masses
     for zmask in range(1, 1 << k):
-        bits = [i for i in range(k) if (zmask >> i) & 1]
         # Z must be independent in the positivity graph, diagonal included.
-        if any(masks[i] & zmask for i in bits):
+        if any(masks[i] & zmask for i in range(k) if (zmask >> i) & 1):
             continue
-        nmask = 0
-        for i in bits:
-            nmask |= masks[i]
-        nmask &= ~zmask
-        mz = sum((masses[i] for i in bits), Fraction(0))
-        mn = sum((masses[j] for j in range(k) if (nmask >> j) & 1), Fraction(0))
+        _, nmask, mz, mn = _support(g, masks, zmask)
         yield zmask, nmask, mz, mn
 
 
@@ -440,14 +446,7 @@ def build_certificate(g: StepGraphon, zmask: int, kind: str) -> PeninsulaCertifi
     N(Z) that A did not use.
     """
     k = g.k
-    masks = g.positivity_masks()
-    zbits = [i for i in range(k) if (zmask >> i) & 1]
-    nmask = 0
-    for i in zbits:
-        nmask |= masks[i]
-    nmask &= ~zmask
-    mz = sum((g.block_masses[i] for i in zbits), Fraction(0))
-    mn = sum((g.block_masses[j] for j in range(k) if (nmask >> j) & 1), Fraction(0))
+    zbits, nmask, mz, mn = _support(g, g.positivity_masks(), zmask)
 
     if kind == "narrow":
         if not mz > mn:

@@ -88,7 +88,10 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
 
 
 def _adjacency_bits(g: FiniteGraph) -> list[int]:
-    return [sum(1 << w for w in a) for a in g.adjacency()]
+    """Neighbour bitmask per vertex; int64 suffices, as the DP needs n <= DP_VERTEX_CAP."""
+    bits = np.zeros(g.n, dtype=np.int64)
+    np.add.at(bits, np.repeat(np.arange(g.n), np.diff(g.indptr)), np.left_shift(1, g.indices, dtype=np.int64))
+    return bits.tolist()
 
 
 def _dp_layers(adj: list[int], n: int):
@@ -174,7 +177,6 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
     path = [0]
     in_path[0] = True
     nodes = 0
-    adj_bits = _adjacency_bits(g)
     # recursion tracks the path, one frame per vertex
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
 
@@ -186,7 +188,7 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
             return None
         v = path[-1]
         if len(path) == n:
-            return True if (adj_bits[0] >> v) & 1 else False
+            return 0 in adj[v]
         for w in adj[v]:
             if in_path[w]:
                 continue
@@ -237,54 +239,55 @@ def posa_heuristic(
     Sound but incomplete: any returned cycle is verified spanning; returning
     None proves nothing.  When the working path closes into a non-spanning
     cycle, the cycle is reopened at a vertex with an outside neighbor and
-    growth continues.
+    growth continues.  Candidates are read off the CSR rows in ascending
+    order, so a seed replays the same cycle on every interpreter.
     """
     n = g.n
     if n < 3:
         return None
-    adj = [set(a) for a in g.adjacency()]
+    ptr, nbr = g.indptr.tolist(), g.indices
     if max_rotations is None:
         max_rotations = 50 * n
     rng = random.Random(seed)
     for _ in range(restarts):
         start = rng.randrange(n)
-        path = [start]
-        in_path = [False] * n
-        in_path[start] = True
+        # the working path is path[:k]; pos[v] is v's place on it, -1 off it
+        path = np.empty(n, dtype=nbr.dtype)
+        pos = np.full(n, -1, dtype=np.int64)
+        path[0], pos[start], k = start, 0, 1
         rotations = 0
         while rotations <= max_rotations:
-            tail = path[-1]
-            fresh = [w for w in adj[tail] if not in_path[w]]
-            if fresh:
+            tail = path[k - 1]
+            row = nbr[ptr[tail]:ptr[tail + 1]]
+            at = pos[row]
+            fresh = row[at < 0]
+            if len(fresh):
                 w = rng.choice(fresh)
-                path.append(w)
-                in_path[w] = True
+                path[k], pos[w] = w, k
+                k += 1
                 continue
-            closes = path[0] in adj[tail]
-            if closes and len(path) == n:
-                return _checked_cycle(g, path)
+            closes = (at == 0).any()
+            if closes and k == n:
+                return _checked_cycle(g, path.tolist())
             if closes:
-                # non-spanning cycle: reopen at a vertex that sees outside
-                reopened = False
-                for idx, c in enumerate(path):
-                    out = [w for w in adj[c] if not in_path[w]]
-                    if out:
-                        path = path[idx + 1:] + path[: idx + 1]
-                        w = rng.choice(out)
-                        path.append(w)
-                        in_path[w] = True
-                        reopened = True
+                # non-spanning cycle: reopen it after its first vertex that
+                # sees outside, which becomes the tail and grows next step
+                for idx in range(k):
+                    c = path[idx]
+                    if (pos[nbr[ptr[c]:ptr[c + 1]]] < 0).any():
                         break
-                if reopened:
-                    continue
-                break  # component exhausted, restart
-            # rotation: tail's neighbors are all internal
-            pivots = [w for w in adj[tail] if w != path[-2]]
-            if not pivots:
+                else:
+                    break  # component exhausted, restart
+                path[:k] = np.roll(path[:k], -(idx + 1))
+                pos[path[:k]] = np.arange(k)
+                continue
+            # rotation: the tail's neighbours are all on the path
+            pivots = row[at != k - 2]
+            if not len(pivots):
                 break
-            v = rng.choice(pivots)
-            i = path.index(v)
-            path[i + 1:] = reversed(path[i + 1:])
+            i = pos[rng.choice(pivots)] + 1
+            path[i:k] = path[i:k][::-1]
+            pos[path[i:k]] = np.arange(i, k)
             rotations += 1
     return None
 

@@ -197,28 +197,23 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     if n < 3:
         raise ValueError("need at least 3 vertices")
     theta = ceil(alpha * n)  # integer degree threshold for "low"
-    deg = g.degrees()
-    adj = g.adjacency()
-    low = sorted(
-        (v for v in range(n) if deg[v] < 2 * theta), key=lambda v: (deg[v], v)
-    )
+    deg = np.diff(g.indptr)
+    low = np.flatnonzero(deg < 2 * theta)
+    low = low[np.argsort(deg[low], kind="stable")].tolist()  # by (degree, index)
     if not low:
         return PathSystem(())
-    low_rank = {v: r for r, v in enumerate(low)}
-    used: set[int] = set()  # earlier chosen fresh neighbors
+    taken = np.zeros(n, dtype=bool)  # chosen neighbors and low vertices swept so far
+    used = np.zeros(n, dtype=bool)  # chosen neighbors
     children: list[list[int]] = [[] for _ in range(n)]
-    for r, v in enumerate(low):
-        fresh = [
-            w
-            for w in adj[v]
-            if w not in used and not (w in low_rank and low_rank[w] < r)
-        ]
-        if len(fresh) < 2:
+    for v in low:
+        row = g.indices[g.indptr[v]:g.indptr[v + 1]]
+        pick = row[~taken[row]][:2]  # lowest index, deterministic
+        if len(pick) < 2:
             raise GreedyStuck(v)
-        pick = fresh[:2]  # lowest index, deterministic
-        children[v] = pick
-        used.update(pick)
-    roots = [v for v in low if v not in used]
+        children[v] = pick.tolist()
+        taken[pick] = used[pick] = True
+        taken[v] = True
+    roots = [v for v in low if not used[v]]
     paths: list[list[int]] = []
     for root in roots:
         paths.extend(_decompose_rooted(root, children))
@@ -230,15 +225,14 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
 
 def _merge_paths(g: FiniteGraph, paths: list[list[int]], theta: int) -> list[list[int]]:
     """First-fit merging through an unused degree->=theta common neighbor."""
-    adj = [set(a) for a in g.adjacency()]
-    deg = g.degrees()
     while True:
-        in_system = {v for p in paths for v in p}
+        free = np.diff(g.indptr) >= theta  # may join a merge: high degree, outside the system
+        free[[v for p in paths for v in p]] = False
         paths.sort(key=len)
         done = True
         for ai in range(len(paths)):
             for bi in range(ai + 1, len(paths)):
-                hit = _mergeable(paths[ai], paths[bi], adj, deg, theta, in_system)
+                hit = _mergeable(g, paths[ai], paths[bi], free)
                 if hit is None:
                     continue
                 pa, pb, w = hit
@@ -252,14 +246,15 @@ def _merge_paths(g: FiniteGraph, paths: list[list[int]], theta: int) -> list[lis
             return paths
 
 
-def _mergeable(pa, pb, adj, deg, theta, in_system):
+def _mergeable(g: FiniteGraph, pa, pb, free):
+    ptr, nbr = g.indptr, g.indices
     for a_end in (pa[::-1], pa[:]):  # orient pa to end at the probed endpoint
         for b_end in (pb[:], pb[::-1]):
             x, y = a_end[-1], b_end[0]
-            common = (adj[x] & adj[y]) - in_system
-            for w in sorted(common):
-                if deg[w] >= theta:
-                    return a_end, b_end, w
+            common = np.intersect1d(nbr[ptr[x]:ptr[x + 1]], nbr[ptr[y]:ptr[y + 1]], assume_unique=True)
+            common = common[free[common]]
+            if len(common):
+                return a_end, b_end, int(common[0])
     return None
 
 

@@ -14,7 +14,8 @@ that the reachability test on one double-cover matching replaced, and
 vertex pair, that the row-block draw replaced.  `build_reference` derives
 the arrays of `FiniteGraph.build` from a sorted set of oriented pairs, and
 `classify_types_reference` is the per-vertex loop that `classify_types`
-replaced with array comparisons.
+replaced with array comparisons.  `posa_heuristic_reference` is the rotation
+heuristic as it ran on Python neighbour sets, before it read the CSR.
 """
 
 from fractions import Fraction
@@ -461,6 +462,66 @@ def bfs_reference(indptr, indices, sources) -> tuple[list[int], list[int]]:
                 depth[v], parent[v] = depth[u] + 1, u
                 q.append(v)
     return depth, parent
+
+
+def posa_heuristic_reference(g, seed: int = 0, max_rotations=None, restarts: int = 20):
+    """Rotation-extension search over one Python set per vertex.
+
+    Same restarts, rotation cap and `random.Random` calls as
+    `posa_heuristic`, but candidates come in set-iteration order and a
+    rotation finds its pivot with `list.index`.  Returns the path as a tuple
+    when it closes into a spanning cycle (unvalidated), else None.
+    """
+    import random
+
+    n = g.n
+    if n < 3:
+        return None
+    adj = [set(a) for a in g.adjacency()]
+    if max_rotations is None:
+        max_rotations = 50 * n
+    rng = random.Random(seed)
+    for _ in range(restarts):
+        start = rng.randrange(n)
+        path = [start]
+        in_path = [False] * n
+        in_path[start] = True
+        rotations = 0
+        while rotations <= max_rotations:
+            tail = path[-1]
+            fresh = [w for w in adj[tail] if not in_path[w]]
+            if fresh:
+                w = rng.choice(fresh)
+                path.append(w)
+                in_path[w] = True
+                continue
+            closes = path[0] in adj[tail]
+            if closes and len(path) == n:
+                return tuple(path)
+            if closes:
+                # non-spanning cycle: reopen at a vertex that sees outside
+                reopened = False
+                for idx, c in enumerate(path):
+                    out = [w for w in adj[c] if not in_path[w]]
+                    if out:
+                        path = path[idx + 1:] + path[: idx + 1]
+                        w = rng.choice(out)
+                        path.append(w)
+                        in_path[w] = True
+                        reopened = True
+                        break
+                if reopened:
+                    continue
+                break  # component exhausted, restart
+            # rotation: tail's neighbors are all internal
+            pivots = [w for w in adj[tail] if w != path[-2]]
+            if not pivots:
+                break
+            v = rng.choice(pivots)
+            i = path.index(v)
+            path[i + 1:] = reversed(path[i + 1:])
+            rotations += 1
+    return None
 
 
 def min_odd_walk_length(g, i: int, j: int):

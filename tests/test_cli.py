@@ -224,6 +224,18 @@ def test_pathsys_command(tmp_path, capsys):
     assert any(8 in p for p in payload["paths"])
 
 
+def test_sampled_hamiltonian_witness(tmp_path, capsys):
+    from graphonham import FiniteGraph, validate_cycle
+
+    gpath = tmp_path / "g.txt"
+    assert run(capsys, "sample", "constant-0.3", "-n", "200", "--seed", "3", "-o", str(gpath))[0] == 0
+    code, out, _ = run(capsys, "test", str(gpath))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["status"] == "hamiltonian"
+    assert validate_cycle(FiniteGraph.from_edge_list_text(gpath.read_text()), verdict["witness"])
+
+
 def test_petersen_certified_not_hamiltonian(tmp_path, capsys):
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
              (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),

@@ -7,23 +7,29 @@ so a change to the graph core, the matching or the certificate checks that
 moves any verdict, fvcn value, edge or certificate shows up here.  The
 campaign and graph hashes were taken before the graph core became
 array-backed, the certificate hash while graphs under 4000 edges still went
-through a second matching engine; none may be regenerated to make a change
-pass: a mismatch means behaviour changed.
+through a second matching engine, and the search hash (the exact DP's
+witness cycles and the low-degree path systems) while both still read
+Python adjacency lists; none may be regenerated to make a change pass: a
+mismatch means behaviour changed.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from graphonham import (
     ExperimentConfig,
+    GreedyStuck,
     PRESET_NAMES,
     analyze,
+    exact_hamilton,
     fmn_half,
     fvcn_half,
     get_preset,
     graph_peninsula,
+    low_degree_path_system,
     run_experiment,
     sample_graph,
     uniquely_half_covered,
@@ -52,6 +58,8 @@ GRAPH_HASHES = {
 }
 
 CERTIFICATE_HASH = "a66dc48359fa07ff96cd9a50efd7fa664d560cf83a1e858de89d58ee948719e0"
+
+SEARCH_HASH = "d3dfd5775f8053d7424c6aaabef6bb4e25998629f02c3b05ef85f8b5ff773e9a"
 
 # Campaigns that fill the columns the preset campaigns leave empty: every
 # property, with the analyzer's certificate for the type counts, and a
@@ -144,3 +152,36 @@ def test_certificates_unchanged():
             None if cert is None else (cert.kind, cert.A, cert.B),
         )).encode() + b"\n")
     assert h.hexdigest() == CERTIFICATE_HASH
+
+
+def _search_results():
+    """Exact verdicts with their DP witness cycles, then low-degree path
+    systems (or the vertex the greedy got stuck at), on seeded graphs."""
+    rng = random.Random(1111)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 17), rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        yield exact_hamilton(g).to_dict()
+    for _ in range(12):  # up to the DP cap, sparse enough to stay quick
+        g = random_graph(rng, rng.randrange(19, 25), rng.choice([0.1, 0.15, 0.2]))
+        yield exact_hamilton(g).to_dict()
+    graphs = [
+        (random_graph(rng, rng.randrange(3, 80), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7])),
+         Fraction(rng.randrange(1, 10), 20))
+        for _ in range(300)
+    ]
+    graphs += [
+        (sample_graph(get_preset("power-half"), 500, 1212, trial).to_finite_graph(), Fraction(1, 20))
+        for trial in range(20)
+    ]
+    for g, alpha in graphs:
+        try:
+            yield low_degree_path_system(g, alpha).paths
+        except GreedyStuck as exc:
+            yield ("stuck", exc.vertex)
+
+
+def test_search_results_unchanged():
+    h = hashlib.sha256()
+    for result in _search_results():
+        h.update(repr(result).encode() + b"\n")
+    assert h.hexdigest() == SEARCH_HASH

@@ -114,6 +114,32 @@ class TestPosa:
         assert posa_heuristic(g, seed=1, restarts=5) is None
 
 
+def test_heuristic_succeeds_where_reference_did():
+    """Reading the CSR changes the order candidates are drawn in, not what the
+    search can find: on sampled Hamiltonian-regime graphs that pass the cheap
+    checks, every cycle found validates and no fewer graphs are solved than
+    by the set-based reference."""
+    from graphonham import get_preset, sample_graph
+    from oracles import posa_heuristic_reference
+
+    graphs = [
+        (sample_graph(get_preset(preset), n, 1111, trial).to_finite_graph(), trial)
+        for preset in ("constant-0.3", "power-half", "bipartite-plus-clique")
+        for n in (60, 200)
+        for trial in range(50)
+    ]
+    graphs = [(g, seed) for g, seed in graphs if cheap_obstructions(g) is None]
+    assert len(graphs) >= 200
+    found = reference = 0
+    for g, seed in graphs:
+        c = posa_heuristic(g, seed=seed)
+        if c is not None:
+            assert validate_cycle(g, c)
+            found += 1
+        reference += posa_heuristic_reference(g, seed=seed) is not None
+    assert found >= reference
+
+
 class TestClassify:
     def test_cycle_hamiltonian(self):
         assert classify(cycle(7)).status == "hamiltonian"
@@ -149,8 +175,8 @@ class TestClassify:
 
 def test_trap_route_never_builds_edge_tuples(monkeypatch):
     """The narrow-trap route reads the edge and CSR arrays only: neither the
-    tuple view `edges` (text I/O and tests) nor the adjacency lists (the
-    search code) are built."""
+    tuple view `edges` (text I/O and tests) nor the adjacency lists (budgeted
+    backtracking) are built."""
     from graphonham import ExperimentConfig, fvcn_value, get_preset, is_connected, run_trial, sample_graph
     from graphonham.sampler import SampledGraph
 
@@ -177,6 +203,19 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
     assert len(built) == 1
     assert "_adjacency" not in vars(built[0]) and "_edges" not in vars(built[0])
+
+
+def test_heuristic_route_reads_the_csr():
+    """A Hamiltonian verdict from the rotation heuristic carries a witness of
+    plain ints (what `to_dict` and the CLI serialise) and builds no
+    adjacency lists."""
+    from graphonham import get_preset, sample_graph
+
+    g = sample_graph(get_preset("constant-0.3"), 200, 7, 0).to_finite_graph()
+    v = classify(g)
+    assert v.status == "hamiltonian" and validate_cycle(g, v.witness)
+    assert all(type(x) is int for x in v.witness)
+    assert "_adjacency" not in vars(g)
 
 
 class TestInvariants:

@@ -156,3 +156,12 @@ class TestLowDegreePathSystem:
         (0, 5); a pair off the vertex range must still be no edge."""
         with pytest.raises(AssertionError, match="is not a host edge"):
             PathSystem((pair,)).validate(cycle(6))
+
+
+def test_path_system_reads_the_csr():
+    from graphonham import get_preset, sample_graph
+
+    g = sample_graph(get_preset("power-half"), 500, 1010, 0).to_finite_graph()
+    system = low_degree_path_system(g, Fraction(1, 20))
+    assert check_path_system(g, system, Fraction(1, 20)).all_asserted()
+    assert "_adjacency" not in vars(g)

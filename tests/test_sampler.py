@@ -202,6 +202,11 @@ def test_graph_file_roundtrip(tmp_path):
     assert len(side["type_block"]) == 30
 
 
+def test_edge_list_reads_python_integer_forms():
+    g = FiniteGraph.from_edge_list_text("11 2\n+0 007\n1_0 \t 3\n")
+    assert g.edge_array.tolist() == [[0, 7], [3, 10]]
+
+
 def test_edge_list_parse_errors():
     with pytest.raises(FormatError, match="line 1"):
         FiniteGraph.from_edge_list_text("")
@@ -209,3 +214,11 @@ def test_edge_list_parse_errors():
         FiniteGraph.from_edge_list_text("3 1\nx y\n")
     with pytest.raises(FormatError, match="header"):
         FiniteGraph.from_edge_list_text("3 2\n0 1\n")
+    with pytest.raises(FormatError, match="line 3"):
+        FiniteGraph.from_edge_list_text("3 2\n0 1\n1 2 0\n")
+    with pytest.raises(FormatError, match="line 2"):  # token count evens out over the file
+        FiniteGraph.from_edge_list_text("3 2\n0 1 2\n1\n")
+    with pytest.raises(FormatError, match="line 3"):
+        FiniteGraph.from_edge_list_text("3 3\n0 1\n1 two\n0 2\n")
+    with pytest.raises(FormatError, match="edges"):
+        FiniteGraph.from_edge_list_text("3 1\n0 99999999999999999999\n")
