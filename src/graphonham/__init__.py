@@ -18,7 +18,6 @@ from .errors import (
     GraphonHamError,
     GreedyStuck,
     InvariantViolation,
-    NoCertificate,
     NotBinaryTree,
     TypesMissing,
 )
@@ -63,10 +62,8 @@ from .hamilton import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    FluctuationReport,
     TrialRecord,
     aggregate,
-    multinomial_fluctuation_report,
     records_from_csv,
     records_to_csv,
     run_experiment,

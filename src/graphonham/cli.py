@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import GraphonHamError, InvariantViolation
@@ -23,13 +23,8 @@ from .fracmatch import (
     uniquely_half_covered,
 )
 from .graphon import analyze, load_graphon_file
-from .harness import (
-    ExperimentConfig,
-    multinomial_fluctuation_report,
-    records_to_csv,
-    run_experiment,
-)
-from .hamilton import classify
+from .harness import ExperimentConfig, records_to_csv, run_experiment
+from .hamilton import DEFAULT_BACKTRACK_BUDGET, classify
 from .pathsys import check_path_system, low_degree_path_system
 from .presets import PRESET_NAMES, get_preset
 from .sampler import load_graph, sample_graph, write_graph
@@ -95,12 +90,6 @@ def _cmd_certify(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ExperimentConfig.from_json(fh.read())
-    if args.budget is not None:
-        config = replace(config, budget=args.budget)
-    if args.fluctuation:
-        report = multinomial_fluctuation_report(config)
-        print(json.dumps(report.to_dict(), indent=1))
-        return 0
     report, records = run_experiment(config, out_dir=args.output, jobs=args.jobs)
     if args.format == "csv":
         sys.stdout.write(records_to_csv(records))
@@ -146,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("test", help="Hamiltonicity verdict for an edge-list file")
     t.add_argument("graph")
-    t.add_argument("--budget", type=int, default=200_000)
+    t.add_argument("--budget", type=int, default=DEFAULT_BACKTRACK_BUDGET)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--restarts", type=int, default=20)
     t.add_argument("--max-rotations", type=int, default=None)
@@ -161,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("-o", "--output", default=None, help="directory for trials.csv + report.json")
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--format", choices=("json", "csv"), default="json")
-    e.add_argument("--budget", type=int, default=None, help="override the exact-search budget")
-    e.add_argument("--fluctuation", action="store_true", help="type-count fluctuation mode")
     e.set_defaults(func=_cmd_experiment)
 
     ps = sub.add_parser("pathsys", help="low-degree covering path system")

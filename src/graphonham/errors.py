@@ -50,10 +50,6 @@ class TypesMissing(GraphonHamError):
     """Operation needs the latent vertex types, which this graph does not carry."""
 
 
-class NoCertificate(GraphonHamError):
-    """Operation needs a peninsula certificate attached to the configuration."""
-
-
 class InvariantViolation(GraphonHamError):
     """An internal consistency check failed: a bug, never a property of the input."""
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .cutnorm import sample_distance
-from .errors import EnumerationCapExceeded, FormatError, NoCertificate
+from .errors import EnumerationCapExceeded, FormatError
 from .fracmatch import fvcn_value, is_connected
 from .graphon import (
     Graphon,
@@ -54,6 +54,8 @@ PROPERTIES = (
     "degree_concentration",
     "cut_distance",
 )
+#: Properties read off the latent types alone.
+_TYPE_PROPERTIES = frozenset({"peninsula_counts"})
 
 # trials.csv, column by column: (name, where the value lives, type).  Key
 # columns are TrialRecord fields; runtime_<stage> is `runtime[stage]` to six
@@ -128,7 +130,9 @@ class ExperimentConfig:
                 "property 'peninsula_counts' needs an attached certificate",
                 "properties",
             )
-        if self.certificate is not None and isinstance(self.graphon, StepGraphon):
+        if self.certificate is not None:
+            if not isinstance(self.graphon, StepGraphon):
+                raise FormatError("a peninsula certificate needs a step graphon", "certificate")
             try:
                 self.certificate.validate(self.graphon)
             except AssertionError as exc:
@@ -227,21 +231,31 @@ def classify_types(cert: PeninsulaCertificate, g: StepGraphon, block, offset) ->
 
 
 def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord:
-    """One pure trial: sample, then evaluate each requested property."""
+    """One pure trial: sample, then evaluate each requested property.
+
+    When no requested property reads an edge, only the type stage is drawn;
+    it has its own stream, so the types equal those `sample_graph` draws.
+    """
     rec = TrialRecord(n=n, trial_index=trial_index, seed=config.seed)
     try:
         t0 = time.perf_counter()
-        graph = sample_graph(config.graphon, n, config.seed, trial_index)
+        if _TYPE_PROPERTIES.issuperset(config.properties):
+            graph, types = None, sample_types(config.graphon, n, config.seed, trial_index)
+        else:
+            graph = sample_graph(config.graphon, n, config.seed, trial_index)
+            types = graph.type_block, graph.type_offset
         rec.runtime["sample"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        _evaluate_properties(config, graph, rec)
+        _evaluate_properties(config, graph, types, rec)
         rec.runtime["properties"] = time.perf_counter() - t0
     except Exception as exc:  # captured, never aborts the campaign
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def _evaluate_properties(config: ExperimentConfig, graph: SampledGraph, rec: TrialRecord) -> None:
+def _evaluate_properties(
+    config: ExperimentConfig, graph: Optional[SampledGraph], types: tuple, rec: TrialRecord
+) -> None:
     o = rec.outcomes
     props = config.properties
     fg = None
@@ -272,10 +286,7 @@ def _evaluate_properties(config: ExperimentConfig, graph: SampledGraph, rec: Tri
         o["fvcn"] = value
         o["fvcn_ge_half"] = value >= Fraction(graph.n - config.t, 2)
     if "peninsula_counts" in props:
-        n_a, n_b, n_c = classify_types(
-            config.certificate, config.graphon, graph.type_block, graph.type_offset
-        )
-        o["n_a"], o["n_b"], o["n_c"] = n_a, n_b, n_c
+        o["n_a"], o["n_b"], o["n_c"] = classify_types(config.certificate, config.graphon, *types)
     if "degree_concentration" in props:
         o["degree_concentration"] = degree_concentration_report(graph)
     if "cut_distance" in props:
@@ -451,61 +462,3 @@ def records_from_csv(text: str) -> list[TrialRecord]:
             values["outcome"].setdefault("ham_obstruction", None)
         records.append(TrialRecord(**values["key"], outcomes=values["outcome"], runtime=values["runtime"]))
     return records
-
-
-# ---------------------------------------------------------------------------
-# type-count fluctuation experiment
-
-
-@dataclass(frozen=True)
-class FluctuationReport:
-    n: int
-    trials: int
-    t: int
-    event_count: int  # trials with N_A > N_C + t
-    frequency: float
-    wilson: tuple[float, float]
-    counts: list[tuple[int, int, int]]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "t": self.t,
-            "event_count": self.event_count,
-            "frequency": self.frequency,
-            "wilson": list(self.wilson),
-        }
-
-
-def multinomial_fluctuation_report(config: ExperimentConfig) -> FluctuationReport:
-    """Empirical frequency of N_A > N_C + t over the type stage alone.
-
-    Only stage one runs (no edges are needed to classify types), so large
-    trial counts stay cheap.  Requires an attached certificate.
-    """
-    if config.certificate is None:
-        raise NoCertificate("attach a peninsula certificate to the config")
-    if not isinstance(config.graphon, StepGraphon):
-        raise NoCertificate("type classification needs a step graphon")
-    if len(config.n_values) != 1:
-        raise FormatError("fluctuation experiment expects a single n", "n_values")
-    n = config.n_values[0]
-    cert = config.certificate
-    counts = []
-    hits = 0
-    for trial in range(config.trials):
-        block, offset = sample_types(config.graphon, n, config.seed, trial)
-        n_a, n_b, n_c = classify_types(cert, config.graphon, block, offset)
-        counts.append((n_a, n_b, n_c))
-        if n_a > n_c + config.t:
-            hits += 1
-    return FluctuationReport(
-        n=n,
-        trials=config.trials,
-        t=config.t,
-        event_count=hits,
-        frequency=hits / config.trials,
-        wilson=wilson_interval(hits, config.trials),
-        counts=counts,
-    )

@@ -33,7 +33,6 @@ from graphonham import (
     half_integral_perfect_matching,
     is_bipartite,
     low_degree_path_system,
-    multinomial_fluctuation_report,
     odd_walk,
     posa_heuristic,
     run_experiment,
@@ -319,18 +318,20 @@ def test_criterion_06_type_count_fluctuation():
         n_values=(1001,),
         trials=2000,
         seed=606,
-        properties=(),
+        properties=("peninsula_counts",),
         t=0,
         certificate=cert,
     )
-    rep = multinomial_fluctuation_report(cfg)
+    rep, _ = run_experiment(cfg)
+    summary = rep.per_n[1001]
+    freq = summary["peninsula_counts"]["frequency"]
     # exact law: N_A > N_C  <=>  Bin(1001, 1/2) >= 501, an exact half
     oracle = float(exact_binomial_upper_tail(1001, 501))
-    ok = abs(rep.frequency - oracle) <= 0.03
+    ok = summary["errors"] == 0 and abs(freq - oracle) <= 0.03
     report(
         "6 type-count fluctuation",
         ok,
-        f"frequency {rep.frequency:.4f} vs exact {oracle:.4f} (band 0.03)",
+        f"frequency {freq:.4f} vs exact {oracle:.4f} (band 0.03)",
     )
 
 

@@ -135,14 +135,14 @@ def test_experiment_failed_self_check_exit_status(tmp_path, capsys, monkeypatch)
     assert error["type"] == "InvariantViolation" and "forced" in error["first"]
 
 
-def certificate_config(tmp_path, certificate):
+def certificate_config(tmp_path, certificate, properties=(), graphon="balanced-bipartite"):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "graphon": "balanced-bipartite",
+        "graphon": graphon,
         "n_values": [31],
         "trials": 3,
         "seed": 2,
-        "properties": [],
+        "properties": list(properties),
         "certificate": certificate,
     }))
     return str(cfg)
@@ -159,8 +159,10 @@ def test_experiment_invalid_certificate_is_bad_input(tmp_path, capsys):
 
 
 def test_experiment_incomplete_certificate_is_bad_input(tmp_path, capsys):
-    cfg = certificate_config(tmp_path, {"kind": "peninsula", "a": "1/2", "B_fractions": ["0", "0"]})
-    code, _, err = run(capsys, "experiment", cfg, "--fluctuation")
+    cfg = certificate_config(
+        tmp_path, {"kind": "peninsula", "a": "1/2", "B_fractions": ["0", "0"]}, ["peninsula_counts"]
+    )
+    code, _, err = run(capsys, "experiment", cfg)
     assert code == 2
     assert json.loads(err)["error"]["position"] == "A_fractions"
     code, _, err = run(capsys, "experiment", certificate_config(tmp_path, ["1/2"]))
@@ -187,7 +189,7 @@ def test_experiment_malformed_field_is_bad_input(tmp_path, capsys, key, value, p
     assert json.loads(err)["error"]["position"] == position
 
 
-def test_experiment_fluctuation_mode(tmp_path, capsys):
+def test_experiment_type_count_fluctuation(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(
@@ -197,7 +199,7 @@ def test_experiment_fluctuation_mode(tmp_path, capsys):
                 "trials": 30,
                 "seed": 2,
                 "t": 0,
-                "properties": [],
+                "properties": ["peninsula_counts"],
                 "certificate": {
                     "kind": "peninsula",
                     "a": "1/2",
@@ -207,10 +209,20 @@ def test_experiment_fluctuation_mode(tmp_path, capsys):
             }
         )
     )
-    code, out, _ = run(capsys, "experiment", str(cfg), "--fluctuation")
+    code, out, _ = run(capsys, "experiment", str(cfg))
     assert code == 0
-    rep = json.loads(out)
-    assert rep["trials"] == 30 and 0.0 <= rep["frequency"] <= 1.0
+    summary = json.loads(out)["per_n"]["31"]
+    assert summary["trials"] == 30 and summary["errors"] == 0
+    assert 0.0 <= summary["peninsula_counts"]["frequency"] <= 1.0
+
+
+def test_experiment_certificate_on_power_graphon_is_bad_input(tmp_path, capsys):
+    cert = {"kind": "peninsula", "a": "1/2", "A_fractions": ["1/2", "0"], "B_fractions": ["0", "0"]}
+    cfg = certificate_config(tmp_path, cert, ["peninsula_counts"], graphon="power-half")
+    code, out, err = run(capsys, "experiment", cfg)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "FormatError" and error["position"] == "certificate"
 
 
 def test_pathsys_command(tmp_path, capsys):
@@ -251,3 +263,4 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "test", "/nonexistent/graph.txt")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "FileNotFound"
+

@@ -25,6 +25,7 @@ from graphonham import (
     PRESET_NAMES,
     analyze,
     exact_hamilton,
+    find_peninsula,
     fmn_half,
     fvcn_half,
     get_preset,
@@ -68,6 +69,12 @@ SEARCH_HASH = "d3dfd5775f8053d7424c6aaabef6bb4e25998629f02c3b05ef85f8b5ff773e9a"
 # written from a single table.
 ALL_COLUMNS_HASH = "8c17c959568e524bc53220b7992c13ecb0502e4263ee43d2f92a0e0a8cfaa5e1"
 ALL_ERRORS_HASH = "bbbca2785f2820368ffe378c1a4d71c351e6d23c2a1691f306ad6faaf9ab6697"
+
+# The type counts of criterion 6's config (balanced-bipartite, n = 1001,
+# 2,000 trials, seed 606) and its event count, then the bytes of two
+# peninsula_counts-only campaigns.  Taken while the counts came from a
+# separate type-stage driver and such campaigns still drew every edge coin.
+PENINSULA_COUNTS_HASH = "22745176d8c19b6b61e8feeabf28510f49c98cb50066965ee10e4af39d8a83eb"
 
 
 def test_every_preset_is_pinned():
@@ -119,6 +126,30 @@ def test_errored_campaign_bytes_unchanged(tmp_path):
     _, records = run_experiment(config, out_dir=str(tmp_path))
     assert all(r.error is not None for r in records)
     assert campaign_digest(str(tmp_path)) == ALL_ERRORS_HASH
+
+
+def test_peninsula_counts_unchanged(tmp_path):
+    u = get_preset("balanced-bipartite")
+    config = ExperimentConfig(
+        graphon=u, n_values=(1001,), trials=2000, seed=606,
+        properties=("peninsula_counts",), certificate=find_peninsula(u),
+    )
+    report, records = run_experiment(config)
+    counts = [(r.outcomes["n_a"], r.outcomes["n_b"], r.outcomes["n_c"]) for r in records]
+    h = hashlib.sha256(repr((counts, report.per_n[1001]["peninsula_counts"]["count"])).encode())
+    for preset in ("balanced-bipartite", "narrow-three-block"):
+        config = ExperimentConfig.from_dict({
+            "graphon": preset,
+            "n_values": [31, 400],
+            "trials": 3,
+            "seed": 2024,
+            "properties": ["peninsula_counts"],
+            "certificate": find_peninsula(get_preset(preset)).to_dict(),
+        })
+        _, records = run_experiment(config, out_dir=str(tmp_path / preset))
+        assert all(r.error is None for r in records)
+        h.update(campaign_digest(str(tmp_path / preset)).encode())
+    assert h.hexdigest() == PENINSULA_COUNTS_HASH
 
 
 @pytest.mark.parametrize("key", sorted(GRAPH_HASHES))

@@ -6,16 +6,15 @@ import pytest
 from graphonham import (
     ExperimentConfig,
     FormatError,
-    NoCertificate,
     TrialRecord,
     aggregate,
     find_peninsula,
     get_preset,
-    multinomial_fluctuation_report,
     records_from_csv,
     records_to_csv,
     run_experiment,
     run_trial,
+    sample_graph,
     sample_types,
     wilson_interval,
 )
@@ -53,6 +52,12 @@ class TestConfig:
     def test_counts_need_certificate(self):
         with pytest.raises(FormatError, match="certificate"):
             small_config(properties=["peninsula_counts"])
+
+    def test_certificate_needs_step_graphon(self):
+        cert = find_peninsula(U).to_dict()
+        with pytest.raises(FormatError, match="step graphon") as exc:
+            small_config(graphon="power-half", properties=["peninsula_counts"], certificate=cert)
+        assert exc.value.position == "certificate"
 
     def test_unknown_preset(self):
         with pytest.raises(FormatError, match="graphon"):
@@ -127,38 +132,32 @@ class TestCampaign:
         assert all(r.outcomes["fvcn_ge_half"] for r in records)
 
 
-class TestFluctuation:
-    def test_requires_certificate(self):
-        cfg = small_config()
-        with pytest.raises(NoCertificate):
-            multinomial_fluctuation_report(cfg)
+def counts_campaign(n, trials, seed, t):
+    """A peninsula_counts campaign on U with its analyzer certificate."""
+    cfg = ExperimentConfig(
+        graphon=U, n_values=(n,), trials=trials, seed=seed,
+        properties=("peninsula_counts",), t=t, certificate=find_peninsula(U),
+    )
+    report, records = run_experiment(cfg)
+    assert report.per_n[n]["errors"] == 0
+    return report.per_n[n]["peninsula_counts"], [
+        (r.outcomes["n_a"], r.outcomes["n_b"], r.outcomes["n_c"]) for r in records
+    ]
 
+
+class TestFluctuation:
     def test_impossible_event_at_t_equals_n(self):
-        cert = find_peninsula(U)
-        cfg = ExperimentConfig(
-            graphon=U, n_values=(51,), trials=40, seed=3,
-            properties=(), t=51, certificate=cert,
-        )
-        assert multinomial_fluctuation_report(cfg).frequency == 0.0
+        summary, _ = counts_campaign(51, trials=40, seed=3, t=51)
+        assert summary["frequency"] == 0.0
 
     def test_balanced_trap_near_half(self):
-        cert = find_peninsula(U)
-        cfg = ExperimentConfig(
-            graphon=U, n_values=(101,), trials=600, seed=12,
-            properties=(), t=0, certificate=cert,
-        )
-        rep = multinomial_fluctuation_report(cfg)
-        assert abs(rep.frequency - 0.5) < 0.07
-        assert rep.counts[0][0] + rep.counts[0][1] + rep.counts[0][2] == 101
+        summary, counts = counts_campaign(101, trials=600, seed=12, t=0)
+        assert abs(summary["frequency"] - 0.5) < 0.07
+        assert counts[0][0] + counts[0][1] + counts[0][2] == 101
 
     def test_counts_go_to_a_and_c_only_for_this_certificate(self):
-        cert = find_peninsula(U)  # B has mass zero
-        cfg = ExperimentConfig(
-            graphon=U, n_values=(40,), trials=5, seed=2,
-            properties=(), t=0, certificate=cert,
-        )
-        rep = multinomial_fluctuation_report(cfg)
-        assert all(nb == 0 for _, nb, _ in rep.counts)
+        _, counts = counts_campaign(40, trials=5, seed=2, t=0)  # B has mass zero
+        assert all(nb == 0 for _, nb, _ in counts)
 
     def test_classify_types_matches_reference(self):
         g = get_preset("narrow-three-block")
@@ -171,15 +170,28 @@ class TestFluctuation:
         # a = 1/2 with empty B: N_A > N_C + 4 means Bin(400, 1/2) >= 203
         from oracles import exact_binomial_upper_tail
 
-        cert = find_peninsula(U)
-        cfg = ExperimentConfig(
-            graphon=U, n_values=(400,), trials=2000, seed=17,
-            properties=(), t=4, certificate=cert,
-        )
-        rep = multinomial_fluctuation_report(cfg)
+        summary, _ = counts_campaign(400, trials=2000, seed=17, t=4)
         oracle = float(exact_binomial_upper_tail(400, 203))
-        assert abs(rep.frequency - oracle) <= 0.03
-        assert 0.40 <= rep.frequency <= 0.50
+        assert abs(summary["frequency"] - oracle) <= 0.03
+        assert 0.40 <= summary["frequency"] <= 0.50
+
+    def test_types_only_campaign_draws_no_edges(self, monkeypatch):
+        from graphonham import harness
+
+        def refuse(*args):
+            raise AssertionError("edge stage drawn")
+
+        monkeypatch.setattr(harness, "sample_graph", refuse)
+        _, types_only = counts_campaign(31, trials=4, seed=5, t=0)
+        calls = []
+        monkeypatch.setattr(harness, "sample_graph", lambda *args: calls.append(args) or sample_graph(*args))
+        cfg = ExperimentConfig(
+            graphon=U, n_values=(31,), trials=4, seed=5,
+            properties=("peninsula_counts", "connected"), certificate=find_peninsula(U),
+        )
+        report, records = run_experiment(cfg)
+        assert report.per_n[31]["errors"] == 0 and len(calls) == 4
+        assert [(r.outcomes["n_a"], r.outcomes["n_b"], r.outcomes["n_c"]) for r in records] == types_only
 
 
 def test_aggregate_frequencies_exclude_errored_trials():

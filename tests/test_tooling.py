@@ -6,6 +6,7 @@ fail in the unit suite instead of in a traced benchmark run.
 """
 
 import ast
+import shlex
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,6 +26,18 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(vars(ns)[a] is old for (ns, a), old in zip(targets, originals))
+
+
+def test_readme_command_lines_parse():
+    from graphonham.cli import build_parser
+
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("graphonham ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def _python_output(code: str, *args: str) -> str:
