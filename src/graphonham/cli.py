@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
-from .errors import GraphonHamError, InvariantViolation
+from .errors import FormatError, GraphonHamError, InvariantViolation
 from .fracmatch import (
     _edge_list_text,
     fmn_half,
@@ -22,7 +21,7 @@ from .fracmatch import (
     graph_peninsula,
     uniquely_half_covered,
 )
-from .graphon import analyze, load_graphon_file
+from .graphon import _frac, analyze, load_graphon_file
 from .harness import ExperimentConfig, records_to_csv, run_experiment
 from .hamilton import DEFAULT_BACKTRACK_BUDGET, classify
 from .pathsys import check_path_system, low_degree_path_system
@@ -54,6 +53,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    for flag in ("budget", "restarts"):
+        if getattr(args, flag) < 0:
+            raise FormatError("must be nonnegative", f"--{flag}")
     g = load_graph(args.graph)
     verdict = classify(
         g,
@@ -107,7 +109,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_pathsys(args) -> int:
     g = load_graph(args.graph)
-    alpha = Fraction(args.alpha)
+    alpha = _frac(args.alpha, "alpha")
     system = low_degree_path_system(g, alpha)
     chk = check_path_system(g, system, alpha)
     print(json.dumps({"paths": [list(p) for p in system.paths], "checks": asdict(chk)}, indent=1))

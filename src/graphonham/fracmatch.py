@@ -1,12 +1,13 @@
 """Exact half-integral fractional matchings and vertex covers on finite graphs.
 
-Everything here is computed over exact rationals.  The optimization engine is
-the bipartite double cover: each vertex v becomes a left copy v+ and a right
-copy v-, each edge uv becomes the two copies u+v- and v+u-.  A maximum
-matching there (scipy's Hopcroft-Karp on the graph's CSR) folds back to an
-optimal half-integral fractional matching of the original graph, and the
-minimum vertex cover that Koenig's theorem builds from it folds back to an
-optimal half-integral fractional vertex cover.  The sandwich
+Certificates are exact: integer half-units with a `Fraction` weight.  The
+optimization engine is the bipartite double cover: each vertex v becomes a
+left copy v+ and a right copy v-, each edge uv becomes the two copies u+v-
+and v+u-.  A maximum matching there (scipy's Hopcroft-Karp on the graph's
+CSR) folds back to an optimal half-integral fractional matching of the
+original graph, and the minimum vertex cover that Koenig's theorem builds
+from it folds back to an optimal half-integral fractional vertex cover.  The
+sandwich
 
     fmn(G) >= matching(D)/2  and  fvcn(G) <= cover(D)/2,
     fmn(G) <= fvcn(G),       and  matching(D) = cover(D)
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import FormatError, InvariantViolation, _self_checked
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,50 +154,57 @@ def _edge_list_text(n: int, edge_array: np.ndarray) -> str:
 # certificates
 
 
-_UNIT_VALUES = (Fraction(0), HALF, Fraction(1))
-_HALF_UNITS = {x: k for k, x in enumerate(_UNIT_VALUES)}
+def _uncovered_edge(g: FiniteGraph, h: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first edge (u, v) with h[u] + h[v] < 2 half-units, or None."""
+    u, v = g.edge_array.T
+    low = np.flatnonzero(h[u] + h[v] < 2)
+    return (int(u[low[0]]), int(v[low[0]])) if len(low) else None
 
 
-def _half_units(values: Sequence[Fraction], what: str) -> np.ndarray:
-    """Exact values in {0, 1/2, 1} as integer half-units 0, 1, 2."""
-    units = [_HALF_UNITS.get(x) for x in values]
-    if None in units:
-        bad = values[units.index(None)]
-        raise AssertionError(f"{what} value {bad} not in {{0, 1/2, 1}}")
-    return np.array(units, dtype=np.int64)
+@dataclass(frozen=True, eq=False)
+class _HalfUnits:
+    """Half-integral values f as the integers `units = 2 f`, with their claimed total `weight`."""
 
-
-@dataclass(frozen=True)
-class HalfCover:
-    """A half-integral fractional vertex cover with its exact total weight."""
-
-    values: tuple[Fraction, ...]
+    units: np.ndarray
     weight: Fraction
 
+    def __post_init__(self):
+        if not isinstance(self.units, np.ndarray) or self.units.dtype.kind not in "iu":
+            raise TypeError("units must be an integer numpy array")
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as exact `Fraction`s, built from `units` on each use."""
+        return tuple(Fraction(x, 2) for x in self.units.tolist())
+
+
+class HalfCover(_HalfUnits):
+    """A half-integral fractional vertex cover, one unit per vertex."""
+
     def validate(self, g: FiniteGraph) -> None:
-        if len(self.values) != g.n:
+        h = self.units
+        if len(h) != g.n:
             raise AssertionError("cover has wrong length")
-        h = _half_units(self.values, "cover")
-        u, v = g.edge_array.T
-        uncovered = h[u] + h[v] < 2
-        if uncovered.any():
-            k = uncovered.argmax()
-            raise AssertionError(f"edge ({u[k]},{v[k]}) uncovered")
+        bad = ~np.isin(h, (0, 1, 2))
+        if bad.any():
+            raise AssertionError(f"cover unit {h[bad.argmax()]} not in {{0, 1, 2}}")
+        edge = _uncovered_edge(g, h)
+        if edge is not None:
+            raise AssertionError(f"edge ({edge[0]},{edge[1]}) uncovered")
         if Fraction(int(h.sum()), 2) != self.weight:
             raise AssertionError("stored weight disagrees with recomputed sum")
 
 
-@dataclass(frozen=True)
-class HalfMatching:
-    """A half-integral fractional matching, values aligned with graph.edge_array."""
-
-    values: tuple[Fraction, ...]
-    weight: Fraction
+class HalfMatching(_HalfUnits):
+    """A half-integral fractional matching, units aligned with `graph.edge_array`."""
 
     def validate(self, g: FiniteGraph) -> None:
-        if len(self.values) != len(g.edge_array):
+        h = self.units
+        if len(h) != len(g.edge_array):
             raise AssertionError("matching has wrong length")
-        h = _half_units(self.values, "matching")
+        bad = ~np.isin(h, (0, 1, 2))
+        if bad.any():
+            raise AssertionError(f"matching unit {h[bad.argmax()]} not in {{0, 1, 2}}")
         # each endpoint of an edge repeated once per half-unit on the edge
         load = np.bincount(np.repeat(g.edge_array.ravel(), np.repeat(h, 2)), minlength=g.n)
         if (load > 2).any():
@@ -206,9 +212,6 @@ class HalfMatching:
             raise AssertionError(f"vertex {v} overloaded: {Fraction(int(load[v]), 2)}")
         if Fraction(int(h.sum()), 2) != self.weight:
             raise AssertionError("stored weight disagrees with recomputed sum")
-
-    def is_perfect(self, g: FiniteGraph) -> bool:
-        return self.weight == Fraction(g.n, 2)
 
 
 @dataclass(frozen=True)
@@ -233,15 +236,13 @@ class GraphPeninsula:
             raise AssertionError("A and B must not repeat a vertex")
         if not all(0 <= x < g.n for x in sa | sb):
             raise AssertionError("A and B must be vertices of the graph")
-        in_a = np.zeros(g.n, dtype=bool)
-        in_a[list(sa)] = True
-        in_ab = in_a.copy()
-        in_ab[list(sb)] = True
-        u, v = g.edge_array.T
-        meets = (in_a[u] & in_ab[v]) | (in_a[v] & in_ab[u])
-        if meets.any():
-            k = meets.argmax()
-            raise AssertionError(f"edge ({u[k]},{v[k]}) meets A x (A u B)")
+        # 0 on A, 1/2 on B and 1 elsewhere fails on the edges in A x (A u B)
+        h = np.full(g.n, 2)
+        h[list(sa)] = 0
+        h[list(sb)] = 1
+        edge = _uncovered_edge(g, h)
+        if edge is not None:
+            raise AssertionError(f"edge ({edge[0]},{edge[1]}) meets A x (A u B)")
         excess = 2 * len(self.A) - (g.n - len(self.B))
         if self.kind == "narrow":
             if not excess > 0:
@@ -357,7 +358,7 @@ def _koenig_cover(g: FiniteGraph, match_l: np.ndarray, match_r: np.ndarray, sour
 def _folded_cover(g: FiniteGraph, size: int, cover_l: np.ndarray, cover_r: np.ndarray) -> HalfCover:
     """Fold a minimum cover of the double cover to a validated half cover."""
     units = cover_l.astype(np.int64) + cover_r
-    cover = HalfCover(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(int(units.sum()), 2))
+    cover = HalfCover(units, Fraction(int(units.sum()), 2))
     _self_checked(cover, g)
     # Koenig: |cover| = |matching|, so the folded weights agree exactly.
     if cover.weight != Fraction(size, 2):
@@ -374,7 +375,7 @@ def fmn_half(g: FiniteGraph) -> HalfMatching:
     size, ml, _ = _double_cover_matching(g)
     u, v = g.edge_array.T
     units = (ml[u] == v).astype(np.int64) + (ml[v] == u)
-    matching = HalfMatching(tuple(_UNIT_VALUES[x] for x in units.tolist()), Fraction(size, 2))
+    matching = HalfMatching(units, Fraction(size, 2))
     return _self_checked(matching, g)
 
 
@@ -440,8 +441,9 @@ def graph_peninsula(g: FiniteGraph) -> Optional[GraphPeninsula]:
     uhc, witness = uniquely_half_covered(g)
     if uhc:
         return None
-    A = tuple(v for v, f in enumerate(witness.values) if f == 0)
-    B = tuple(v for v, f in enumerate(witness.values) if f == HALF)
+    # Python ints, as the certificate's tuples are printed and hashed
+    A = tuple(np.flatnonzero(witness.units == 0).tolist())
+    B = tuple(np.flatnonzero(witness.units == 1).tolist())
     kind = "narrow" if witness.weight < Fraction(g.n, 2) else "peninsula"
     return _self_checked(GraphPeninsula(A, B, kind), g)
 

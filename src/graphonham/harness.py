@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -117,8 +118,11 @@ class ExperimentConfig:
         for idx, n in enumerate(self.n_values):
             if n < 3:
                 raise FormatError("n must be at least 3", f"n_values[{idx}]")
-        if self.t < 0:
-            raise FormatError("t must be nonnegative", "t")
+            if n in self.n_values[:idx]:
+                raise FormatError(f"n = {n} repeats an earlier entry", f"n_values[{idx}]")
+        for key in ("t", "budget", "posa_restarts"):
+            if getattr(self, key) < 0:
+                raise FormatError(f"{key} must be nonnegative", key)
         for idx, p in enumerate(self.properties):
             if p not in PROPERTIES:
                 raise FormatError(
@@ -324,22 +328,17 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
     per_n: dict[int, dict] = {}
     for n in config.n_values:
         group = [r for r in records if r.n == n]
-        trials = len(group)
-        errors = sum(1 for r in group if r.error is not None)
         ok = [r for r in group if r.error is None]
         done = len(ok)
-        summary: dict = {"trials": trials, "errors": errors}
+        summary: dict = {"trials": len(group), "errors": len(group) - done}
         for prop in config.properties:
             if prop == "hamiltonian":
-                found = sum(1 for r in ok if r.outcomes.get("ham_status") == "hamiltonian")
-                not_ham = sum(
-                    1 for r in ok if r.outcomes.get("ham_status") == "not_hamiltonian"
-                )
-                unknown = sum(1 for r in ok if r.outcomes.get("ham_status") == "unknown")
+                status = Counter(r.outcomes.get("ham_status") for r in ok)
+                found, not_ham = status["hamiltonian"], status["not_hamiltonian"]
                 summary["hamiltonian"] = {
                     "found": found,
                     "not_certified": not_ham,
-                    "unknown": unknown,
+                    "unknown": status["unknown"],
                     "frequency_band": [
                         found / done if done else 0.0,
                         1 - not_ham / done if done else 1.0,
@@ -347,11 +346,7 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
                     "found_wilson": wilson_interval(found, done),
                 }
             elif prop == "peninsula_counts":
-                hits = sum(
-                    1
-                    for r in ok
-                    if r.outcomes.get("n_a", 0) > r.outcomes.get("n_c", 0) + config.t
-                )
+                hits = sum(1 for r in ok if r.outcomes.get("n_a", 0) > r.outcomes.get("n_c", 0) + config.t)
                 summary["peninsula_counts"] = _freq_summary(hits, done)
             elif prop == "degree_concentration":
                 vals = [r.outcomes["degree_concentration"] for r in ok]

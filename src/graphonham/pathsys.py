@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BipartiteOrDisconnected, GreedyStuck, InvariantViolation, NotBinaryTree, _self_checked
+from .errors import BipartiteOrDisconnected, FormatError, GreedyStuck, InvariantViolation, NotBinaryTree, _self_checked
 from .fracmatch import FiniteGraph, _are_edges, _bfs, is_connected
 
 
@@ -193,9 +193,9 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     n = g.n
     alpha = Fraction(alpha)
     if not 0 < alpha < Fraction(1, 2):
-        raise ValueError("alpha must lie in (0, 1/2)")
+        raise FormatError("alpha must lie in (0, 1/2)", "alpha")
     if n < 3:
-        raise ValueError("need at least 3 vertices")
+        raise FormatError("need at least 3 vertices", "n")
     theta = ceil(alpha * n)  # integer degree threshold for "low"
     deg = np.diff(g.indptr)
     low = np.flatnonzero(deg < 2 * theta)

@@ -138,6 +138,7 @@ def uniquely_half_covered_reference(g):
     The first v with |N(v)| + fvcn(G - N[v]) <= n/2 gives the witness: 0 at
     v, 1 on N(v), and the minimum cover of the rest.
     """
+    import numpy as np
     from graphonham import HalfCover, InvariantViolation, fvcn_half, fvcn_value
 
     n = g.n
@@ -162,7 +163,7 @@ def uniquely_half_covered_reference(g):
             for i, u in enumerate(keep):
                 values[u] = sub.values[i]
             values[v] = Fraction(0)
-            witness = HalfCover(tuple(values), sum(values, Fraction(0)))
+            witness = HalfCover(np.array([int(2 * x) for x in values]), sum(values, Fraction(0)))
             witness.validate(g)
             if witness.weight > half_n:
                 raise InvariantViolation(f"witness weight {witness.weight} exceeds n/2")

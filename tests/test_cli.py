@@ -179,6 +179,9 @@ def test_experiment_incomplete_certificate_is_bad_input(tmp_path, capsys):
     ("trials", 2.9, "trials"),
     ("trials", True, "trials"),
     ("n_values", 20, "n_values"),
+    ("n_values", [20, 20], "n_values[1]"),
+    ("budget", -1, "budget"),
+    ("posa_restarts", -2, "posa_restarts"),
 ])
 def test_experiment_malformed_field_is_bad_input(tmp_path, capsys, key, value, position):
     cfg = tmp_path / "cfg.json"
@@ -234,6 +237,25 @@ def test_pathsys_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["checks"]["low_degree_covered"]
     assert any(8 in p for p in payload["paths"])
+
+
+@pytest.mark.parametrize("alpha", ["abc", "1/0", "0.7"])
+def test_pathsys_bad_alpha_is_bad_input(tmp_path, capsys, alpha):
+    (tmp_path / "g.txt").write_text("3 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, "pathsys", str(tmp_path / "g.txt"), "--alpha", alpha)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "FormatError" and error["position"] == "alpha"
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--restarts"])
+def test_test_negative_count_is_bad_input(tmp_path, capsys, flag):
+    (tmp_path / "g.txt").write_text("3 3\n0 1\n1 2\n0 2\n")
+    code, out, err = run(capsys, "test", str(tmp_path / "g.txt"), flag, "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["position"] == flag
+    code, out, _ = run(capsys, "test", str(tmp_path / "g.txt"), flag, "0")
+    assert code == 0 and json.loads(out)["status"] == "hamiltonian"
 
 
 def test_sampled_hamiltonian_witness(tmp_path, capsys):

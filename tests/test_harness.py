@@ -45,6 +45,20 @@ class TestConfig:
         with pytest.raises(FormatError, match=r"n_values\[0\]"):
             small_config(n_values=[2])
 
+    def test_repeated_n_rejected(self):
+        """A repeated n would run the same (n, trial_index) keys twice and
+        count each trial twice in its frequencies."""
+        with pytest.raises(FormatError, match=r"n_values\[2\]") as exc:
+            small_config(n_values=[20, 24, 20], trials=2)
+        assert exc.value.position == "n_values[2]"
+
+    @pytest.mark.parametrize("key", ["t", "budget", "posa_restarts"])
+    def test_negative_counts_rejected(self, key):
+        with pytest.raises(FormatError) as exc:
+            small_config(**{key: -2})
+        assert exc.value.position == key
+        assert getattr(small_config(**{key: 0}), key) == 0
+
     def test_unknown_property_rejected(self):
         with pytest.raises(FormatError, match=r"properties\[0\]"):
             small_config(properties=["sparkles"])

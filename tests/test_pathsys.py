@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from graphonham import (
     BipartiteOrDisconnected,
     FiniteGraph,
+    FormatError,
     GreedyStuck,
     NotBinaryTree,
     PathSystem,
@@ -141,8 +142,12 @@ class TestLowDegreePathSystem:
         assert len(system.paths) < 2 / alpha
 
     def test_alpha_range_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError) as exc:
             low_degree_path_system(cycle(5), Fraction(3, 4))
+        assert exc.value.position == "alpha"
+        with pytest.raises(FormatError) as exc:
+            low_degree_path_system(FiniteGraph.build(2, [(0, 1)]), Fraction(1, 4))
+        assert exc.value.position == "n"
 
     def test_validator_rejects_overlapping_paths(self):
         g = cycle(6)

@@ -133,10 +133,10 @@ def _assertion_raises(node, func=None):
 
 def test_assertion_errors_only_check_caller_objects():
     """AssertionError means "the object you passed in is invalid": only the
-    public `validate` methods, `_half_units` under them and the argument
-    checks of `build_certificate` raise it.  A failed check on the package's
-    own output is a bug and raises InvariantViolation instead."""
-    allowed = {"validate", "_half_units", "build_certificate"}
+    public `validate` methods and the argument checks of `build_certificate`
+    raise it.  A failed check on the package's own output is a bug and
+    raises InvariantViolation instead."""
+    allowed = {"validate", "build_certificate"}
     package = Path(__file__).resolve().parents[1] / "src" / "graphonham"
     found = [
         f"{path.name}:{line} in {func}"
