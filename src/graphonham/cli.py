@@ -14,13 +14,7 @@ import sys
 from dataclasses import asdict
 
 from .errors import FormatError, GraphonHamError, InvariantViolation
-from .fracmatch import (
-    _edge_list_text,
-    fmn_half,
-    fvcn_half,
-    graph_peninsula,
-    uniquely_half_covered,
-)
+from .fracmatch import _edge_list_text, fmn_half, fvcn_half, graph_peninsula
 from .graphon import _frac, analyze, load_graphon_file
 from .harness import ExperimentConfig, records_to_csv, run_experiment
 from .hamilton import DEFAULT_BACKTRACK_BUDGET, classify
@@ -57,13 +51,7 @@ def _cmd_test(args) -> int:
         if getattr(args, flag) < 0:
             raise FormatError("must be nonnegative", f"--{flag}")
     g = load_graph(args.graph)
-    verdict = classify(
-        g,
-        budget=args.budget,
-        seed=args.seed,
-        posa_restarts=args.restarts,
-        max_rotations=args.max_rotations,
-    )
+    verdict = classify(g, budget=args.budget, seed=args.seed, posa_restarts=args.restarts)
     print(json.dumps(verdict.to_dict(), indent=1))
     return 0
 
@@ -72,18 +60,16 @@ def _cmd_certify(args) -> int:
     g = load_graph(args.graph)
     cover = fvcn_half(g)
     matching = fmn_half(g)
-    uhc, witness = uniquely_half_covered(g)
     pen = graph_peninsula(g)
     out = {
         "n": g.n,
         "fvcn": str(cover.weight),
         "fmn": str(matching.weight),
         "cover_values": [str(v) for v in cover.values],
-        "uniquely_half_covered": uhc,
-        "uhc_witness": [str(v) for v in witness.values] if witness else None,
-        "peninsula": (
-            {"kind": pen.kind, "A": list(pen.A), "B": list(pen.B)} if pen else None
-        ),
+        # the trap is the uniquely-half-covered witness, so one call gives both
+        "uniquely_half_covered": pen is None,
+        "uhc_witness": [str(v) for v in pen.values] if pen else None,
+        "peninsula": {"kind": pen.kind, "A": list(pen.A), "B": list(pen.B)} if pen else None,
     }
     print(json.dumps(out, indent=1))
     return 0
@@ -140,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--budget", type=int, default=DEFAULT_BACKTRACK_BUDGET)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--restarts", type=int, default=20)
-    t.add_argument("--max-rotations", type=int, default=None)
     t.set_defaults(func=_cmd_test)
 
     c = sub.add_parser("certify", help="matching / cover / trap certificates")

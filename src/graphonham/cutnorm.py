@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, TypesMissing
+from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, TypesMissing, _self_checked
 from .graphon import ENUMERATION_CAP, StepGraphon
 from .sampler import SampledGraph
 
@@ -218,7 +218,7 @@ class DistanceEstimate:
 
     def validate(self) -> None:
         if not 0 <= self.lower <= self.upper:
-            raise InvariantViolation(f"distance bounds out of order: {self.lower} > {self.upper}")
+            raise AssertionError(f"distance bounds out of order: {self.lower} > {self.upper}")
 
 
 def empirical_step_function(graph: SampledGraph) -> StepFunction:
@@ -272,6 +272,4 @@ def sample_distance(graph: SampledGraph, g: StepGraphon) -> DistanceEstimate:
         ),
         Fraction(0),
     )
-    est = DistanceEstimate(witness.value, upper, witness)
-    est.validate()
-    return est
+    return _self_checked(DistanceEstimate(witness.value, upper, witness))

@@ -228,13 +228,9 @@ def exact_hamilton(g: FiniteGraph, budget: int = DEFAULT_BACKTRACK_BUDGET) -> Ha
 # rotation heuristic
 
 
-def posa_heuristic(
-    g: FiniteGraph,
-    seed: int = 0,
-    max_rotations: Optional[int] = None,
-    restarts: int = 20,
-) -> Optional[tuple[int, ...]]:
-    """Randomized longest-path growth with endpoint rotations.
+def posa_heuristic(g: FiniteGraph, seed: int = 0, restarts: int = 20) -> Optional[tuple[int, ...]]:
+    """Randomized longest-path growth with endpoint rotations, at most 50 n
+    rotations per restart.
 
     Sound but incomplete: any returned cycle is verified spanning; returning
     None proves nothing.  When the working path closes into a non-spanning
@@ -246,8 +242,6 @@ def posa_heuristic(
     if n < 3:
         return None
     ptr, nbr = g.indptr.tolist(), g.indices
-    if max_rotations is None:
-        max_rotations = 50 * n
     rng = random.Random(seed)
     for _ in range(restarts):
         start = rng.randrange(n)
@@ -256,7 +250,7 @@ def posa_heuristic(
         pos = np.full(n, -1, dtype=np.int64)
         path[0], pos[start], k = start, 0, 1
         rotations = 0
-        while rotations <= max_rotations:
+        while rotations <= 50 * n:
             tail = path[k - 1]
             row = nbr[ptr[tail]:ptr[tail + 1]]
             at = pos[row]
@@ -301,7 +295,6 @@ def classify(
     budget: int = DEFAULT_BACKTRACK_BUDGET,
     seed: int = 0,
     posa_restarts: int = 20,
-    max_rotations: Optional[int] = None,
 ) -> HamiltonVerdict:
     """cheap obstructions -> rotation heuristic -> exact search -> unknown."""
     if g.n < 3:
@@ -309,7 +302,7 @@ def classify(
     obs = cheap_obstructions(g)
     if obs is not None:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=obs)
-    cycle = posa_heuristic(g, seed=seed, restarts=posa_restarts, max_rotations=max_rotations)
+    cycle = posa_heuristic(g, seed=seed, restarts=posa_restarts)
     if cycle is not None:
         return HamiltonVerdict(STATUS_HAMILTONIAN, cycle)
     return exact_hamilton(g, budget)

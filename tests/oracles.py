@@ -465,7 +465,7 @@ def bfs_reference(indptr, indices, sources) -> tuple[list[int], list[int]]:
     return depth, parent
 
 
-def posa_heuristic_reference(g, seed: int = 0, max_rotations=None, restarts: int = 20):
+def posa_heuristic_reference(g, seed: int = 0, restarts: int = 20):
     """Rotation-extension search over one Python set per vertex.
 
     Same restarts, rotation cap and `random.Random` calls as
@@ -479,8 +479,6 @@ def posa_heuristic_reference(g, seed: int = 0, max_rotations=None, restarts: int
     if n < 3:
         return None
     adj = [set(a) for a in g.adjacency()]
-    if max_rotations is None:
-        max_rotations = 50 * n
     rng = random.Random(seed)
     for _ in range(restarts):
         start = rng.randrange(n)
@@ -488,7 +486,7 @@ def posa_heuristic_reference(g, seed: int = 0, max_rotations=None, restarts: int
         in_path = [False] * n
         in_path[start] = True
         rotations = 0
-        while rotations <= max_rotations:
+        while rotations <= 50 * n:
             tail = path[-1]
             fresh = [w for w in adj[tail] if not in_path[w]]
             if fresh:

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from graphonham import (
+    CutNormResult,
+    DistanceEstimate,
     EnumerationCapExceeded,
     FormatError,
+    InvariantViolation,
     StepFunction,
     StepGraphon,
     TypesMissing,
@@ -121,6 +124,21 @@ class TestSampleDistance:
         g = sample_graph(one, 50, seed=4)
         est = sample_distance(g, zero)
         assert est.lower >= F(9, 10)
+
+    def test_bad_estimate_passed_in_fails_validate(self):
+        est = DistanceEstimate(F(1, 2), F(1, 4), CutNormResult(F(1, 2), (0,), (0,)))
+        with pytest.raises(AssertionError, match="out of order"):
+            est.validate()
+
+    def test_bad_estimate_built_here_is_an_invariant_violation(self, monkeypatch):
+        from graphonham import cutnorm
+
+        one = StepGraphon.constant("1")
+        g = sample_graph(one, 20, seed=3)
+        # a lower bound of 2 exceeds any L1 distance between kernels in [0, 1]
+        monkeypatch.setattr(cutnorm, "cut_norm_heuristic", lambda diff, **kw: CutNormResult(F(2), (0,), (0,)))
+        with pytest.raises(InvariantViolation, match="DistanceEstimate"):
+            sample_distance(g, one)
 
     def test_self_distance_zero(self):
         u = StepGraphon.build(["1/2", "1/2"], [["0", "1"], ["1", "0"]])

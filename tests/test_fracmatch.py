@@ -324,10 +324,9 @@ def test_array_validators_accept_what_the_loops_accept(rng):
         verdicts += [_agree(m, g, validate_half_matching_reference) for m in matchings]
         certs = [c for c in [graph_peninsula(g)] if c is not None]
         for _ in range(4):
-            labels = [rng.choice("AABC") for _ in range(n)]
-            A = tuple(v for v in range(n) if labels[v] == "A")
-            B = tuple(v for v in range(n) if labels[v] == "B")
-            certs.append(GraphPeninsula(A, B, rng.choice(["narrow", "peninsula", "other"])))
+            # A twice as likely as B or the rest, as the units 0, 0, 1, 2
+            units = np.array([rng.choice((0, 0, 1, 2)) for _ in range(n)])
+            certs.append(GraphPeninsula(units, Fraction(int(units.sum()), 2)))
         verdicts += [_agree(c, g, validate_peninsula_reference) for c in certs]
     assert 300 < sum(verdicts) < len(verdicts) - 300
 
@@ -337,9 +336,11 @@ def _corrupted_certificates():
     yield "uncovered edge", c5, HalfCover(np.array([0, 1, 1, 1, 1]), Fraction(2))
     yield "value 3/2", c5, HalfCover(np.array([1, 1, 3, 1, 1]), Fraction(7, 2))
     yield "wrong weight", c5, HalfCover(np.ones(5, dtype=np.int64), Fraction(3))
+    yield "A empty", c5, GraphPeninsula(np.ones(5, dtype=np.int64), Fraction(5, 2))
     path = FiniteGraph.build(4, [(0, 1), (1, 2), (2, 3)])
-    yield "edge in A x A", path, GraphPeninsula((0, 1, 3), (), "narrow")
-    yield "edge in A x B", path, GraphPeninsula((0, 3), (1,), "narrow")
+    yield "edge in A x A", path, GraphPeninsula(np.array([0, 0, 2, 0]), Fraction(1))
+    yield "edge in A x B", path, GraphPeninsula(np.array([0, 1, 2, 0]), Fraction(3, 2))
+    yield "weight above n/2", path, GraphPeninsula(np.array([0, 2, 2, 2]), Fraction(3))
     star = FiniteGraph.build(4, [(0, 1), (0, 2), (0, 3)])
     yield "overloaded vertex", star, HalfMatching(np.ones(3, dtype=np.int64), Fraction(3, 2))
 
@@ -361,18 +362,18 @@ def test_corrupted_certificates_rejected_by_both(what, g, cert):
 def test_half_units_must_be_an_integer_array(units):
     """Units of 0.5 would pass the edge and weight checks as the values
     1/4 and 3/4; a cover or matching holds integers only."""
-    for kind in (HalfCover, HalfMatching):
+    for kind in (HalfCover, HalfMatching, GraphPeninsula):
         with pytest.raises(TypeError):
             kind(units, Fraction(1))
 
 
 def test_peninsula_rejects_repeated_or_foreign_vertices():
+    """Units hold one value per vertex, so a repeated or negative vertex has no
+    form; a vertex beyond the graph is a unit too many."""
     g = FiniteGraph.build(4, [(2, 3)])
-    GraphPeninsula((0, 1), (), "peninsula").validate(g)
-    for cert in [GraphPeninsula((0, 0, 0), (), "narrow"), GraphPeninsula((0, 4), (), "peninsula"),
-                 GraphPeninsula((0, -1), (), "peninsula")]:
-        with pytest.raises(AssertionError):
-            cert.validate(g)
+    GraphPeninsula(np.array([0, 0, 2, 2]), Fraction(2)).validate(g)
+    with pytest.raises(AssertionError):
+        GraphPeninsula(np.array([0, 2, 2, 2, 0]), Fraction(3)).validate(g)
 
 
 # ---------------------------------------------------------------------------
