@@ -76,6 +76,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise FormatError("must be at least 1", "--jobs")
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ExperimentConfig.from_json(fh.read())
     report, records = run_experiment(config, out_dir=args.output, jobs=args.jobs)

@@ -349,10 +349,12 @@ def _koenig_cover(g: FiniteGraph, match_l: np.ndarray, match_r: np.ndarray, sour
     return ~reached, cover_r
 
 
-def _folded_cover(g: FiniteGraph, size: int, cover_l: np.ndarray, cover_r: np.ndarray) -> HalfCover:
-    """Fold a minimum cover of the double cover to a validated half cover."""
+def _folded_cover(
+    g: FiniteGraph, size: int, cover_l: np.ndarray, cover_r: np.ndarray, cls: type = HalfCover
+) -> HalfCover:
+    """Fold a minimum cover of the double cover to a validated half cover of class `cls`."""
     units = cover_l.astype(np.int64) + cover_r
-    cover = HalfCover(units, Fraction(int(units.sum()), 2))
+    cover = cls(units, Fraction(int(units.sum()), 2))
     _self_checked(cover, g)
     # Koenig: |cover| = |matching|, so the folded weights agree exactly.
     if cover.weight != Fraction(size, 2):
@@ -389,12 +391,13 @@ def fvcn_value(g: FiniteGraph) -> Fraction:
     return Fraction(size, 2)
 
 
-def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
+def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[GraphPeninsula]]:
     """Whether the constant-1/2 function is the only half cover of weight <= n/2.
 
-    Returns (verdict, witness); the witness is a valid non-constant cover of
-    weight at most n/2 whenever the verdict is False.  Below n/2 it is the
-    minimum cover `fvcn_half`.
+    Returns (verdict, witness); the witness is a valid trap, a cover of
+    weight at most n/2 that is 0 somewhere, whenever the verdict is False.
+    Below n/2 it is the minimum cover of `fvcn_half`, which is 0 somewhere
+    as its units sum to less than n.
 
     At fvcn = n/2 the double-cover matching is perfect and a half cover of
     weight n/2 is a minimum cover of the double cover.  One with f(v) = 0
@@ -413,7 +416,8 @@ def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
         return True, None
     size, match_l, match_r = _double_cover_matching(g)
     if size < n:
-        return False, fvcn_half(g)
+        cover_l, cover_r = _koenig_cover(g, match_l, match_r, np.flatnonzero(match_l < 0))
+        return False, _folded_cover(g, size, cover_l, cover_r, GraphPeninsula)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -422,20 +426,17 @@ def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[HalfCover]]:
     for v in np.flatnonzero(label != label[match_r]).tolist():
         cover_l, cover_r = _koenig_cover(g, match_l, match_r, [v])
         if cover_l[match_r[v]]:
-            return False, _folded_cover(g, size, cover_l, cover_r)
+            return False, _folded_cover(g, size, cover_l, cover_r, GraphPeninsula)
     return True, None
 
 
 def graph_peninsula(g: FiniteGraph) -> Optional[GraphPeninsula]:
-    """The witness of `uniquely_half_covered` as a trap certificate, or None.
+    """The witness of `uniquely_half_covered`, a trap certificate checked as it was built, or None.
 
     narrow  <=> fvcn(G) < n/2,
     peninsula (non-strict) <=> G is not uniquely half-covered.
     """
-    witness = uniquely_half_covered(g)[1]
-    if witness is None:
-        return None
-    return _self_checked(GraphPeninsula(witness.units, witness.weight), g)
+    return uniquely_half_covered(g)[1]
 
 
 def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:

@@ -5,9 +5,10 @@ pair, row-major over i < j, with success probability equal to the kernel at
 the two types.  Each (seed, trial_index) pair keys its own pair of
 counter-based Philox streams (one for types, one for edges), so trials can
 run in any order, in parallel, and still replay bit-exactly.  The coins are
-drawn in blocks of consecutive rows: a counter-based stream drawn in
-consecutive slices gives the numbers of one large draw, so replay does not
-depend on the block size and no array holds every pair.
+drawn in blocks of consecutive rows, each block's upper-triangle run into
+one reused flat buffer: a counter-based stream drawn in consecutive slices
+gives the numbers of one large draw, so replay does not depend on the block
+size and no array holds every pair.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .graphon import Graphon, PowerFamilyGraphon, StepGraphon
 
 _TYPE_CHANNEL = 0
 _EDGE_CHANNEL = 1
-#: Cells of one padded (rows x row length) block of edge coins; a block
-#: holds at least one row.
+#: Cells of the (rows x row length) rectangle a block of edge coins spans;
+#: a block holds at least one row.
 _BLOCK_COINS = 1 << 20
 
 
@@ -59,7 +60,9 @@ class SampledGraph:
         """Degree of every vertex, counted on first use and kept read-only."""
         deg = self.__dict__.get("_degrees")
         if deg is None:
-            deg = np.bincount(self.edges.ravel(), minlength=self.n)
+            # column by column, so bincount's int64 cast copies half the edges
+            u, v = self.edges.T
+            deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
             deg.flags.writeable = False
             object.__setattr__(self, "_degrees", deg)
         return deg
@@ -112,28 +115,42 @@ def sample_types(
 def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> SampledGraph:
     """Both stages; consumes exactly C(n, 2) edge coins in row-major i < j order.
 
-    Rows i..i+r-1 are drawn together into an (r x w) buffer, w = n-1-i, whose
-    cell (t, c) is the pair (i+t, i+1+c); cells left of the diagonal hold
-    inf and never become edges.
+    Rows i..i+r-1, w = n-1-i cells long, are drawn together as one flat run
+    of their r*w - r(r-1)/2 upper cells, row t starting at position
+    t*w - t(t-1)/2 with the pair (i+t, i+t+1).  A kernel of one density is
+    compared with that scalar; any other meets the run with the upper cells
+    of its (r x w) probability block, read in row-major order.
     """
     block, offset = sample_types(g, n, seed, trial_index)
     gen = _stream(seed, trial_index, _EDGE_CHANNEL)
     step = isinstance(g, StepGraphon)
     if step:
         dens = np.array([[float(d) for d in row] for row in g.densities])
+    scalar = step and (dens == dens[0, 0]).all()
+    # r*w <= max(_BLOCK_COINS, w), so one buffer serves every block
+    buf = np.empty(min(n * (n - 1) // 2, _BLOCK_COINS + n))
     parts = [np.empty((0, 2), dtype=np.int32)]
     i = 0
     while i < n - 1:
         w = n - 1 - i
         r = min(w, max(1, _BLOCK_COINS // w))
-        coins = np.full((r, w), np.inf)
-        coins[np.arange(w) >= np.arange(r)[:, None]] = gen.random(r * w - r * (r - 1) // 2)
-        if step:
-            p = np.take(dens[block[i:i + r]], block[i + 1:], axis=1)
+        t = np.arange(r)
+        start = t * w - t * (t - 1) // 2
+        coins = gen.random(out=buf[:r * w - r * (r - 1) // 2])
+        if scalar:
+            p = dens[0, 0]
         else:
-            p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
-        rows, cols = np.divmod(np.flatnonzero(coins < p), w)
-        parts.append(np.column_stack([rows + i, cols + i + 1]).astype(np.int32))
+            if step:
+                p = np.take(dens[block[i:i + r]], block[i + 1:], axis=1)
+            else:
+                p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
+            p = p[np.arange(w) >= t[:, None]]
+        hits = np.flatnonzero(coins < p)
+        count = np.diff(np.searchsorted(hits, start), append=len(hits))
+        e = np.empty((len(hits), 2), dtype=np.int32)
+        e[:, 0] = np.repeat(t + i, count)
+        np.add(hits, np.repeat(i + 1 + t - start, count), out=e[:, 1])
+        parts.append(e)
         i += r
     return SampledGraph(g, n, np.concatenate(parts), block, offset, seed, trial_index)
 
@@ -151,6 +168,8 @@ def edge_coin(seed: int, trial_index: int, offset: int) -> float:
     counter by offset // 4 and discarding offset % 4 draws lands exactly on
     the requested position; this is what makes per-pair accounting testable.
     """
+    if offset < 0:
+        raise FormatError("must be nonnegative", "offset")
     bg = _philox(seed, trial_index, _EDGE_CHANNEL)
     bg.advance(offset // 4)
     return float(np.random.Generator(bg).random(offset % 4 + 1)[-1])

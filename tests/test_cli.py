@@ -258,6 +258,18 @@ def test_test_negative_count_is_bad_input(tmp_path, capsys, flag):
     assert code == 0 and json.loads(out)["status"] == "hamiltonian"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_jobs_below_one_is_bad_input(tmp_path, capsys, jobs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graphon": "constant-0.3", "n_values": [20], "trials": 2, "seed": 0, "properties": []}))
+    code, out, err = run(capsys, "experiment", str(cfg), "--jobs", jobs)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "FormatError" and error["position"] == "--jobs"
+    code, out, _ = run(capsys, "experiment", str(cfg), "--jobs", "1")
+    assert code == 0 and json.loads(out)["per_n"]["20"]["trials"] == 2
+
+
 def test_sampled_hamiltonian_witness(tmp_path, capsys):
     from graphonham import FiniteGraph, validate_cycle
 

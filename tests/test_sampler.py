@@ -17,6 +17,7 @@ from graphonham import (
     sample_types,
 )
 from graphonham import sampler
+from graphonham.presets import PRESET_NAMES
 from graphonham.sampler import write_graph, load_graph
 from oracles import sample_graph_reference
 
@@ -53,6 +54,15 @@ def test_trial_index_out_of_range_rejected():
         sample_graph(HALF_HALF, 5, seed=1, trial_index=1 << 62)
     with pytest.raises(FormatError, match="trial_index"):
         edge_coin(1, 1 << 62, 0)
+
+
+def test_negative_coin_offset_rejected():
+    # advancing the Philox counter by a negative amount would wrap it round
+    with pytest.raises(FormatError, match="offset") as exc:
+        edge_coin(0, 0, -1)
+    assert exc.value.position == "offset"
+    stream = np.random.Generator(np.random.Philox(key=np.array([0, 1], dtype=np.uint64)))
+    assert edge_coin(0, 0, 0) == stream.random()
 
 
 def test_replay_determinism():
@@ -100,11 +110,17 @@ def test_pair_offsets_are_distinct_and_contiguous():
 
 
 FIVE_PRESETS = ["constant-0.3", "narrow-three-block", "bipartite-plus-clique", "power-half", "power-two"]
+# a step kernel of distinct fractional densities, and one of several blocks
+# sharing one density, which the sampler compares as a scalar
+EXTRA_KERNELS = {
+    "fractional-step": StepGraphon.build(["1/3", "2/3"], [["3/10", "7/10"], ["7/10", "1/5"]]),
+    "equal-density-blocks": StepGraphon.build(["1/3", "1/6", "1/2"], [["2/5"] * 3] * 3),
+}
 
 
-@pytest.mark.parametrize("preset", FIVE_PRESETS)
+@pytest.mark.parametrize("preset", FIVE_PRESETS + list(EXTRA_KERNELS))
 def test_row_blocks_match_whole_draw(preset, monkeypatch):
-    g = get_preset(preset)
+    g = EXTRA_KERNELS[preset] if preset in EXTRA_KERNELS else get_preset(preset)
     for n in (1, 2, 3, 37, 400, 2000):
         for trial in (0, 3):
             ref = sample_graph_reference(g, n, 8, trial)
@@ -157,6 +173,27 @@ def test_sample_peak_memory_is_bounded():
         tracemalloc.stop()
     # one array entry per pair would need 366 MB here
     assert peak <= 100 * 2**20
+
+
+def test_degrees_allocate_less_than_a_copy_of_both_columns():
+    s = sample_graph(StepGraphon.constant("0.3"), 4000, 0)
+    tracemalloc.start()
+    try:
+        s.degrees()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an int64 copy of both endpoint columns would be 2 * edges.nbytes
+    assert peak <= 1.25 * s.edges.nbytes
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_degrees_count_every_endpoint(preset):
+    for n in (1, 2, 3, 60, 400):
+        s = sample_graph(get_preset(preset), n, 6, 2)
+        deg = s.degrees()
+        assert deg.dtype == np.int64
+        assert np.array_equal(deg, np.bincount(s.edges.ravel(), minlength=n)), n
 
 
 def test_degrees_counted_once():
