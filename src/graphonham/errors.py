@@ -22,7 +22,7 @@ class FormatError(GraphonHamError):
 
 
 class EnumerationCapExceeded(GraphonHamError):
-    """Exact subset enumeration was requested beyond the supported block count."""
+    """An exact scan past `ENUMERATION_CAP`: split components to flip, or cut-norm blocks."""
 
 
 class NotBinaryTree(GraphonHamError):

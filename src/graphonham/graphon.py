@@ -13,6 +13,7 @@ mass equal exactly 1/2?), hence exact rational arithmetic everywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -21,7 +22,9 @@ from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, _se
 
 HALF = Fraction(1, 2)
 
-#: Cap on exact 2^k subset enumeration; beyond this the operation errors out.
+#: Cap on the exponent of the two exact scans left: the 2^c flips of the c
+#: components `check_exact_bipartite_split` orients, and the 2^k row subsets
+#: of `cutnorm.cut_norm_exact`.  Beyond it they raise `EnumerationCapExceeded`.
 ENUMERATION_CAP = 24
 
 
@@ -111,17 +114,6 @@ class StepGraphon:
             for i in range(self.k)
         )
 
-    def positivity_masks(self) -> list[int]:
-        """Bitmask per block of blocks with strictly positive shared density."""
-        masks = []
-        for i in range(self.k):
-            m = 0
-            for j in range(self.k):
-                if self.densities[i][j] > 0:
-                    m |= 1 << j
-            masks.append(m)
-        return masks
-
     def to_dict(self) -> dict:
         return {
             "kind": "step",
@@ -203,6 +195,31 @@ class ConnectivityVerdict:
     split_block: Optional[int] = None
 
 
+def _components(g: StepGraphon) -> tuple[list[int], list[tuple[list[int], bool]]]:
+    """Components of the block positivity graph, each 2-coloured by BFS from its highest block.
+
+    Returns the colour (0 or 1, the root 0) of every block and the components
+    as (blocks, bipartite), in descending order of their highest block.  A
+    positive diagonal is an edge from a block to itself, an odd cycle.
+    """
+    colour: list = [None] * g.k
+    comps = []
+    for root in reversed(range(g.k)):
+        if colour[root] is not None:
+            continue
+        colour[root] = 0
+        blocks, bipartite = [root], True
+        for i in blocks:
+            for j, d in enumerate(g.densities[i]):
+                if d > 0 and colour[j] is None:
+                    colour[j] = 1 - colour[i]
+                    blocks.append(j)
+                elif d > 0 and colour[j] == colour[i]:
+                    bipartite = False
+        comps.append((blocks, bipartite))
+    return colour, comps
+
+
 def check_connected(g: Graphon) -> ConnectivityVerdict:
     """Connectivity of the block positivity graph (self-loops ignored).
 
@@ -211,26 +228,14 @@ def check_connected(g: Graphon) -> ConnectivityVerdict:
     """
     if isinstance(g, PowerFamilyGraphon):
         return ConnectivityVerdict(True)
-    k = g.k
-    if k == 1:
-        if g.densities[0][0] == 0:
-            return ConnectivityVerdict(False, witness=((0,), (0,)), split_block=0)
+    if g.k == 1 and g.densities[0][0] == 0:
+        return ConnectivityVerdict(False, witness=((0,), (0,)), split_block=0)
+    _, comps = _components(g)
+    if len(comps) == 1:
         return ConnectivityVerdict(True)
-    masks = g.positivity_masks()
-    seen = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        # self-loop bit is irrelevant for cross-block reachability
-        for j in range(k):
-            if j != i and (masks[i] >> j) & 1 and not (seen >> j) & 1:
-                seen |= 1 << j
-                stack.append(j)
-    if seen == (1 << k) - 1:
-        return ConnectivityVerdict(True)
-    s = tuple(i for i in range(k) if (seen >> i) & 1)
-    t = tuple(i for i in range(k) if not (seen >> i) & 1)
-    return ConnectivityVerdict(False, witness=(s, t))
+    s = next(sorted(blocks) for blocks, _ in comps if 0 in blocks)
+    t = tuple(i for i in range(g.k) if i not in s)
+    return ConnectivityVerdict(False, witness=(tuple(s), t))
 
 
 # ---------------------------------------------------------------------------
@@ -393,33 +398,6 @@ class PeninsulaCertificate:
         return PeninsulaCertificate(a=_frac(d["a"], "a"), kind=d["kind"], **fractions)
 
 
-def _support(g: StepGraphon, masks: list[int], zmask: int) -> tuple[list[int], int, Fraction, Fraction]:
-    """(blocks of Z, N(Z) \\ Z as a mask, mass(Z), mass(N(Z) \\ Z)) for the
-    block set Z = zmask, with N read off the positivity masks."""
-    bits = [i for i in range(g.k) if (zmask >> i) & 1]
-    nmask = 0
-    for i in bits:
-        nmask |= masks[i]
-    nmask &= ~zmask
-    mz = sum((g.block_masses[i] for i in bits), Fraction(0))
-    mn = sum((g.block_masses[j] for j in range(g.k) if (nmask >> j) & 1), Fraction(0))
-    return bits, nmask, mz, mn
-
-
-def _independent_loopless_sets(g: StepGraphon):
-    """Yield (Zmask, N(Z) mask, mass(Z), mass(N(Z))) over nonempty candidate supports."""
-    k = g.k
-    if k > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
-    masks = g.positivity_masks()
-    for zmask in range(1, 1 << k):
-        # Z must be independent in the positivity graph, diagonal included.
-        if any(masks[i] & zmask for i in range(k) if (zmask >> i) & 1):
-            continue
-        _, nmask, mz, mn = _support(g, masks, zmask)
-        yield zmask, nmask, mz, mn
-
-
 def _fill_blocks(g: StepGraphon, allowed: list[int], amount: Fraction,
                  reserved: dict[int, Fraction]) -> list[Fraction]:
     """Greedy deterministic mass placement into `allowed` blocks, index order."""
@@ -446,7 +424,10 @@ def build_certificate(g: StepGraphon, zmask: int, kind: str) -> PeninsulaCertifi
     N(Z) that A did not use.
     """
     k = g.k
-    zbits, nmask, mz, mn = _support(g, g.positivity_masks(), zmask)
+    zbits = [i for i in range(k) if (zmask >> i) & 1]
+    nbits = {j for i in zbits for j in range(k) if g.densities[i][j] > 0} - set(zbits)
+    mz = sum((g.block_masses[i] for i in zbits), Fraction(0))
+    mn = sum((g.block_masses[j] for j in nbits), Fraction(0))
 
     if kind == "narrow":
         if not mz > mn:
@@ -470,34 +451,74 @@ def build_certificate(g: StepGraphon, zmask: int, kind: str) -> PeninsulaCertifi
         raise AssertionError(f"unknown kind {kind!r}")
 
     a_fr = _fill_blocks(g, zbits, mass_a, {})
-    allowed_b = [i for i in range(k) if not (nmask >> i) & 1]
+    allowed_b = [i for i in range(k) if i not in nbits]
     b_fr = _fill_blocks(g, allowed_b, 1 - 2 * a, {i: a_fr[i] for i in range(k)})
     return _self_checked(PeninsulaCertificate(a, tuple(a_fr), tuple(b_fr), kind), g)
 
 
+def _residual_reach(r: list[list[int]], source: int) -> dict[int, int]:
+    """BFS over the arcs of positive residual capacity `r`: parent per reached node."""
+    parent = {source: source}
+    queue = [source]
+    for u in queue:
+        for w, cap in enumerate(r[u]):
+            if cap > 0 and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def _zero_set(closed, k: int) -> int:
+    """Mask of the blocks whose left copy is in `closed` and right copy is not."""
+    return sum(1 << v for v in range(k) if v in closed and k + v not in closed)
+
+
 def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
-    """Search all block supports for a trap; prefers a narrow certificate.
+    """A trap certificate read off one exact max flow; prefers the narrow kind.
 
     A support Z works iff it is independent (diagonal included) in the block
-    positivity graph and mass(Z) >= mass(N(Z)); strict inequality gives the
-    narrow kind.  Deterministic: the narrow support maximizes the mass margin
-    (ties to the smallest bitmask), the non-strict one is the smallest mask.
+    positivity graph and mass(Z) >= mass(N(Z)), strictly for the narrow kind.
+    Z is the zero set of the half cover 0 on Z, 1 on N(Z), 1/2 elsewhere, so
+    the best margin mass(Z) - mass(N(Z)) is 1 - 2c for c the least weight of
+    a fractional vertex cover of the block graph, loops at positive diagonals.
+    2c is the min cut of its double cover: left copy v fed from the source and
+    right copy k + v drained to the sink, both of capacity mass(v), with an
+    uncuttable arc v -> k + w per positive density (Nemhauser and Trotter
+    1975).  A min cut folds to an optimal cover, 0 where only the left copy is
+    on the source side.  A flow below 1 is narrow, and the least min cut then
+    reaches the best margin.  At flow 1 the min cuts are the residual graph's
+    closed sets (Picard and Queyranne 1980): a trap exists iff the least one
+    holding some block v, tried in ascending order, leaves out k + v, the
+    test `fracmatch.uniquely_half_covered` runs on graphs.
     """
     if isinstance(g, PowerFamilyGraphon):
         return None  # kernel positive almost everywhere
-    best_narrow = None  # (margin, zmask)
-    best_flat = None  # zmask
-    for zmask, _nmask, mz, mn in _independent_loopless_sets(g):
-        if mz > mn:
-            margin = mz - mn
-            if best_narrow is None or margin > best_narrow[0]:
-                best_narrow = (margin, zmask)
-        elif mz == mn and best_flat is None:
-            best_flat = zmask
-    if best_narrow is not None:
-        return build_certificate(g, best_narrow[1], "narrow")
-    if best_flat is not None:
-        return build_certificate(g, best_flat, "peninsula")
+    k = g.k
+    # integer capacities in units of the masses' common denominator; scale + 1 exceeds every min cut
+    scale = math.lcm(*(m.denominator for m in g.block_masses))
+    source, sink = 2 * k, 2 * k + 1
+    r = [[0] * (2 * k + 2) for _ in range(2 * k + 2)]
+    for v, m in enumerate(g.block_masses):
+        r[source][v] = r[k + v][sink] = m.numerator * (scale // m.denominator)
+        for w in range(k):
+            if g.densities[v][w] > 0:
+                r[v][k + w] = scale + 1
+    flow = 0
+    while sink in (parent := _residual_reach(r, source)):
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        push = min(r[u][w] for w, u in zip(path, path[1:]))
+        for w, u in zip(path, path[1:]):
+            r[u][w] -= push
+            r[w][u] += push
+        flow += push
+    if flow < scale:
+        return build_certificate(g, _zero_set(parent, k), "narrow")
+    for v in range(k):
+        closed = _residual_reach(r, v)
+        if k + v not in closed:
+            return build_certificate(g, _zero_set(closed, k), "peninsula")
     return None
 
 
@@ -548,31 +569,30 @@ def check_exact_bipartite_split(g: Graphon) -> BipartiteSplitVerdict:
     Only a fully isolated block (zero density to every block, itself included)
     can be divided between the sides, since both of its parts would carry
     positive mass on each side.  Isolated mass is therefore freely packable
-    and a single boundary block suffices.
+    and a single boundary block suffices.  Every other component must be
+    bipartite, with sides fixed up to a flip: only the 2^c flips of the c
+    components of two or more blocks are scanned, the highest block's as the
+    top bit, so the first fit is the least assignment in block bitmask order.
     """
     if isinstance(g, PowerFamilyGraphon):
         return BipartiteSplitVerdict(False)
-    k = g.k
-    if k > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
-    isolated = [i for i in range(k) if all(g.densities[i][j] == 0 for j in range(k))]
-    others = [i for i in range(k) if i not in isolated]
+    colour, comps = _components(g)
+    if not all(bipartite for _, bipartite in comps):
+        return BipartiteSplitVerdict(False)
+    flips = [blocks for blocks, _ in reversed(comps) if len(blocks) > 1]
+    isolated = sorted(blocks[0] for blocks, _ in comps if len(blocks) == 1)
+    if len(flips) > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{len(flips)} components exceed enumeration cap {ENUMERATION_CAP}")
     iso_mass = sum((g.block_masses[i] for i in isolated), Fraction(0))
-    dens = g.densities
-    for assign in range(1 << len(others)):
-        s_blocks = [others[p] for p in range(len(others)) if (assign >> p) & 1]
-        t_blocks = [others[p] for p in range(len(others)) if not (assign >> p) & 1]
-        if any(dens[i][j] != 0 for i in s_blocks for j in s_blocks):
-            continue
-        if any(dens[i][j] != 0 for i in t_blocks for j in t_blocks):
-            continue
-        m_s = sum((g.block_masses[i] for i in s_blocks), Fraction(0))
+    for flip in range(1 << len(flips)):
+        s_full = [i for p, blocks in enumerate(flips) for i in blocks if colour[i] != (flip >> p) & 1]
+        m_s = sum((g.block_masses[i] for i in s_full), Fraction(0))
         if not (m_s <= HALF <= m_s + iso_mass):
             continue
+        t_full = [i for blocks in flips for i in blocks if i not in s_full]
         # pack isolated blocks into S in index order until mass 1/2
         need = HALF - m_s
-        s_full, split = list(s_blocks), None
-        t_full = list(t_blocks)
+        split = None
         for i in isolated:
             if need == 0:
                 t_full.append(i)

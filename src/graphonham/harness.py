@@ -366,7 +366,7 @@ def aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> Experimen
         per_n[n] = summary
     try:
         regime = analyze(config.graphon).regime
-    except EnumerationCapExceeded:  # too many blocks to analyze; keep the trials
+    except EnumerationCapExceeded:  # too many split components to scan; keep the trials
         regime = "unavailable"
     return ExperimentReport(config.to_dict(), regime, per_n)
 

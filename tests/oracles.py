@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: exhaustive enumeration over tiny
 domains, kept free of the library's optimization machinery so the two routes
-stay independent.  `peninsula_kind_via_cover` is a second trap detector
-built on exhaustive half-integral covers of the weighted block graph instead
-of on the block-support enumeration that `find_peninsula` uses.  The
+stay independent.  `best_trap_margin` is the block-support enumeration
+that `find_peninsula` ran before it read traps off one max flow, and
+`peninsula_kind_via_cover` is a further trap detector built on exhaustive
+half-integral covers of the weighted block graph.
+`bipartite_split_reference` is the scan over every block assignment that
+`check_exact_bipartite_split` ran before it flipped whole components.  The
 `validate_*_reference` functions are the plain `Fraction` loops the
 certificate validators were before they became integer array checks,
 `bfs_reference` is the plain queue loop that the CSR traversal replaced, and
@@ -255,35 +258,37 @@ def graph_peninsula_oracle(g) -> tuple[bool, bool]:
     return has, narrow
 
 
+def trap_margin(g, zmask: int) -> Fraction:
+    """mass(Z) - mass(N(Z) \\ Z) for the block set Z = zmask."""
+    bits = [i for i in range(g.k) if (zmask >> i) & 1]
+    neigh = {j for i in bits for j in range(g.k) if g.densities[i][j] > 0} - set(bits)
+    return sum((g.block_masses[i] for i in bits), Fraction(0)) - sum(
+        (g.block_masses[j] for j in neigh), Fraction(0)
+    )
+
+
+def best_trap_margin(g):
+    """The largest `trap_margin` over the nonempty block sets that are
+    loop-free and pairwise zero-density, or None when there is none."""
+    best = None
+    for zmask in range(1, 1 << g.k):
+        bits = [i for i in range(g.k) if (zmask >> i) & 1]
+        if any(g.densities[i][j] != 0 for i in bits for j in bits):
+            continue
+        margin = trap_margin(g, zmask)
+        if best is None or margin > best:
+            best = margin
+    return best
+
+
 def step_peninsula_oracle_sets(g) -> tuple[bool, bool]:
     """(exists, narrow) via independent block-set enumeration.
 
     A support Z must be loop-free and pairwise zero-density; it works iff
     mass(Z) >= mass(N(Z)), strictly for the narrow kind.
     """
-    k = g.k
-    dens = g.densities
-    masses = g.block_masses
-    has = narrow = False
-    for zmask in range(1, 1 << k):
-        bits = [i for i in range(k) if (zmask >> i) & 1]
-        if any(dens[i][j] != 0 for i in bits for j in bits):
-            continue
-        neigh = set()
-        for i in bits:
-            for j in range(k):
-                if dens[i][j] > 0:
-                    neigh.add(j)
-        neigh -= set(bits)
-        mz = sum((masses[i] for i in bits), Fraction(0))
-        mn = sum((masses[j] for j in neigh), Fraction(0))
-        if mz >= mn:
-            has = True
-        if mz > mn:
-            narrow = True
-        if has and narrow:
-            break
-    return has, narrow
+    best = best_trap_margin(g)
+    return best is not None and best >= 0, best is not None and best > 0
 
 
 def step_peninsula_oracle_labels(g) -> tuple[bool, bool]:
@@ -350,11 +355,10 @@ def peninsula_kind_via_cover(g):
     """
     if min_weighted_half_cover(*block_positivity_graph(g)) < HALF:
         return "narrow"
-    masks = g.positivity_masks()
     for i in range(g.k):
         if g.densities[i][i] != 0:
             continue
-        removed = {i} | {j for j in range(g.k) if (masks[i] >> j) & 1}
+        removed = {i} | {j for j in range(g.k) if g.densities[i][j] > 0}
         keep = [j for j in range(g.k) if j not in removed]
         neigh_mass = sum(
             (g.block_masses[j] for j in removed if j != i), Fraction(0)
@@ -365,6 +369,42 @@ def peninsula_kind_via_cover(g):
         if neigh_mass + min_weighted_half_cover(*sub) <= HALF:
             return "peninsula"
     return None
+
+
+def bipartite_split_reference(g):
+    """(possible, S_blocks, T_blocks, split_block) by scanning every side
+    assignment of the non-isolated blocks in bitmask order; the first that
+    fits is kept, with the isolated blocks packed into S in index order."""
+    k = g.k
+    isolated = [i for i in range(k) if all(g.densities[i][j] == 0 for j in range(k))]
+    others = [i for i in range(k) if i not in isolated]
+    iso_mass = sum((g.block_masses[i] for i in isolated), Fraction(0))
+    dens = g.densities
+    for assign in range(1 << len(others)):
+        s_blocks = [others[p] for p in range(len(others)) if (assign >> p) & 1]
+        t_blocks = [others[p] for p in range(len(others)) if not (assign >> p) & 1]
+        if any(dens[i][j] != 0 for i in s_blocks for j in s_blocks):
+            continue
+        if any(dens[i][j] != 0 for i in t_blocks for j in t_blocks):
+            continue
+        m_s = sum((g.block_masses[i] for i in s_blocks), Fraction(0))
+        if not (m_s <= HALF <= m_s + iso_mass):
+            continue
+        # pack isolated blocks into S in index order until mass 1/2
+        need = HALF - m_s
+        s_full, split = list(s_blocks), None
+        t_full = list(t_blocks)
+        for i in isolated:
+            if need == 0:
+                t_full.append(i)
+            elif g.block_masses[i] <= need:
+                s_full.append(i)
+                need -= g.block_masses[i]
+            else:
+                split = (i, need)
+                need = Fraction(0)
+        return True, tuple(sorted(s_full)), tuple(sorted(t_full)), split
+    return False, (), (), None
 
 
 def validate_half_cover_reference(cover, g) -> None:

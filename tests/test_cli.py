@@ -17,6 +17,23 @@ def test_analyze_preset(capsys):
     assert json.loads(out)["regime"] == "aas_hamiltonian"
 
 
+def test_analyze_forty_blocks(tmp_path, capsys):
+    # complete bipartite between blocks 0-19 and 20-39: a trap and an exact split
+    k = 40
+    kernel = tmp_path / "k40.json"
+    kernel.write_text(json.dumps({
+        "kind": "step",
+        "masses": [f"1/{k}"] * k,
+        "densities": [["1" if (i < k // 2) != (j < k // 2) else "0" for j in range(k)] for i in range(k)],
+    }))
+    code, out, _ = run(capsys, "analyze", str(kernel))
+    assert code == 0
+    report = json.loads(out)
+    assert report["regime"] == "aas_not_hamiltonian"
+    assert report["peninsula"]["kind"] == "peninsula"
+    assert report["exact_bipartite_split"]["S_blocks"] == list(range(k // 2))
+
+
 def test_analyze_malformed_densities(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

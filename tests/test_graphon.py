@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from graphonham import (
-    EnumerationCapExceeded,
     FormatError,
     PowerFamilyGraphon,
     StepGraphon,
@@ -14,13 +13,17 @@ from graphonham import (
     check_exact_bipartite_split,
     degree_tail_ratio,
     find_peninsula,
+    graphon,
     load_graphon,
 )
 from conftest import random_step_graphon
 from oracles import (
+    best_trap_margin,
+    bipartite_split_reference,
     peninsula_kind_via_cover,
     step_peninsula_oracle_labels,
     step_peninsula_oracle_sets,
+    trap_margin,
 )
 
 F = Fraction
@@ -170,16 +173,34 @@ class TestPeninsula:
         cert.validate(StepGraphon.constant("0"))
 
     def test_cap(self):
+        # no cap on traps: one max flow decides them at any block count
         g = StepGraphon(
             tuple([F(1, 25)] * 25),
             tuple(tuple(F(1, 2) for _ in range(25)) for _ in range(25)),
         )
-        with pytest.raises(EnumerationCapExceeded):
-            find_peninsula(g)
+        assert find_peninsula(g) is None
+        # a heavy independent block whose only neighbour is light, among 30
+        # blocks of positive diagonal: the narrow support is that block
+        k = 32
+        masses = (F(2, 5), F(1, 5)) + tuple([F(1, 75)] * (k - 2))
+        dens = [[F(0) if 0 in (i, j) else F(1, 2) for j in range(k)] for i in range(k)]
+        dens[0][1] = dens[1][0] = F(1)
+        g = StepGraphon(masses, tuple(map(tuple, dens)))
+        cert = find_peninsula(g)
+        assert cert.kind == "narrow"
+        assert [i for i, x in enumerate(cert.A_fractions) if x > 0] == [0]
+        cert.validate(g)
 
-    def test_against_both_oracles(self, rng):
+    def test_against_both_oracles(self, rng, monkeypatch):
+        supports = []
+
+        def spy(g, zmask, kind):
+            supports.append(zmask)
+            return build_certificate(g, zmask, kind)
+
+        monkeypatch.setattr(graphon, "build_certificate", spy)
         for _ in range(60):
-            g = random_step_graphon(rng, rng.randrange(1, 6))
+            g = random_step_graphon(rng, rng.randrange(1, 9))
             cert = find_peninsula(g)
             has1, narrow1 = step_peninsula_oracle_sets(g)
             has2, narrow2 = step_peninsula_oracle_labels(g)
@@ -188,6 +209,8 @@ class TestPeninsula:
             if cert is not None:
                 cert.validate(g)
                 assert (cert.kind == "narrow") == narrow1
+                # the support the flow picked has the enumeration's best margin
+                assert trap_margin(g, supports[-1]) == best_trap_margin(g)
 
     def test_cover_route_agrees(self, rng):
         for name, g, want in [
@@ -199,7 +222,7 @@ class TestPeninsula:
         ]:
             assert peninsula_kind_via_cover(g) == want, name
         for _ in range(40):
-            g = random_step_graphon(rng, rng.randrange(1, 7))
+            g = random_step_graphon(rng, rng.randrange(1, 9))
             cert = find_peninsula(g)
             assert peninsula_kind_via_cover(g) == (None if cert is None else cert.kind)
 
@@ -229,6 +252,35 @@ class TestBipartiteSplit:
         v = check_exact_bipartite_split(g)
         assert v.possible and v.split_block == (2, Fraction(1, 4))
         v.validate(g)
+
+    def test_matches_assignment_scan(self, rng):
+        possible = 0
+        for _ in range(400):
+            k = rng.randrange(1, 10)
+            if rng.random() < 0.75:
+                g = _bipartite_heavy(rng, k)
+            else:
+                g = random_step_graphon(rng, k, zero_prob=0.8, mass_units=32)
+            v = check_exact_bipartite_split(g)
+            assert (v.possible, v.S_blocks, v.T_blocks, v.split_block) == bipartite_split_reference(g)
+            possible += v.possible
+        assert possible >= 80
+
+
+def _bipartite_heavy(rng, k: int) -> StepGraphon:
+    """Random kernel whose positive densities mostly cross two random sides,
+    with some blocks isolated and now and then one density off that pattern."""
+    masses = random_step_graphon(rng, k, mass_units=32).block_masses
+    side = [rng.choice((0, 1, 0, 1, None)) for _ in range(k)]
+    dens = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if None not in (side[i], side[j]) and side[i] < side[j] and rng.random() < 0.6:
+                dens[i][j] = dens[j][i] = F(rng.randrange(1, 9), 8)
+    if rng.random() < 0.2:
+        i, j = rng.randrange(k), rng.randrange(k)
+        dens[i][j] = dens[j][i] = F(1, 2)
+    return StepGraphon(masses, tuple(map(tuple, dens)))
 
 
 class TestAnalyze:

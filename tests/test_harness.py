@@ -223,14 +223,18 @@ def test_aggregate_frequencies_exclude_errored_trials():
 
 
 def test_campaign_past_the_analysis_cap_keeps_its_trials(tmp_path):
-    k = 25
-    cfg = ExperimentConfig.from_dict({
-        "graphon": {"kind": "step", "masses": [f"1/{k}"] * k, "densities": [["1/2"] * k] * k},
-        "n_values": [30],
-        "trials": 2,
-        "seed": 3,
-        "properties": ["connected"],
-    })
+    def config(k, densities):
+        return ExperimentConfig.from_dict({
+            "graphon": {"kind": "step", "masses": [f"1/{k}"] * k, "densities": densities},
+            "n_values": [30],
+            "trials": 2,
+            "seed": 3,
+            "properties": ["connected"],
+        })
+
+    # 25 disjoint bipartite pairs: a balanced split would need 2^25 flips
+    k = 50
+    cfg = config(k, [["1" if i // 2 == j // 2 and i != j else "0" for j in range(k)] for i in range(k)])
     rep, records = run_experiment(cfg, out_dir=str(tmp_path))
     assert rep.predicted_regime == "unavailable"
     assert [r.error for r in records] == [None, None]
@@ -238,6 +242,8 @@ def test_campaign_past_the_analysis_cap_keeps_its_trials(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["predicted_regime"] == "unavailable"
     assert report["per_n"]["30"]["trials"] == 2
+    # 25 blocks of density 1/2 everywhere are no longer past any cap
+    assert run_experiment(config(25, [["1/2"] * 25] * 25))[0].predicted_regime == "aas_hamiltonian"
 
 
 FILLED = {
