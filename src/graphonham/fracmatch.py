@@ -48,36 +48,32 @@ class FiniteGraph:
 
     @staticmethod
     def build(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "FiniteGraph":
-        """Validate and normalise an (m, 2) integer array or iterable of pairs."""
+        """Validate and normalise an (m, 2) integer array or iterable of pairs.
+
+        An int32 array that one check shows to be canonical (0 <= u < v < n,
+        the pairs strictly increasing in row-major order, as the sampler
+        writes them) becomes `edge_array` as it is, copied only if it is
+        writeable; any other input is first normalised to that form.  Both
+        then go through the one COO->CSR conversion.  `edge_array` is
+        read-only.
+        """
         if not 0 <= n < 1 << 31:
             raise FormatError("vertex count must be in [0, 2**31)", "n")
-        try:
-            e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        except OverflowError:
-            raise FormatError("edge endpoint out of range", "edges") from None
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise FormatError("edges must be pairs (u, v)", "edges")
-        bad = (e < 0) | (e >= n)
-        if bad.any():
-            u, v = e[bad.any(axis=1).argmax()].tolist()
-            raise FormatError(f"edge ({u},{v}) out of range", "edges")
-        loop = e[:, 0] == e[:, 1]
-        if loop.any():
-            raise FormatError(f"self-loop at {e[loop.argmax(), 0]} not allowed in edge list", "edges")
+        vuv = _canonical_columns(n, edges)
+        if vuv is not None:
+            e = edges.copy() if edges.flags.writeable else edges
+        else:
+            e = _canonical_pairs(n, edges)
+            vuv = _vuv(e)
+        e.flags.writeable = False
         from scipy.sparse import coo_array
 
-        # every pair in both directions, the reversed pairs first: on a sorted
-        # edge array without repeats (the sampler's) each row is then already
-        # in order, so tocsr() has nothing to sort or merge
-        rows = np.concatenate([e[:, 1], e[:, 0]], dtype=np.int32)
-        cols = np.concatenate([e[:, 0], e[:, 1]], dtype=np.int32)
-        adj = coo_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
-        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(adj.indptr))
-        upper = adj.indices > row
-        edge_array = np.column_stack([row[upper], adj.indices[upper]])
-        return FiniteGraph(n, edge_array, adj.indptr, adj.indices)
+        # rows v, u and columns u, v: every pair in both directions, the
+        # reversed pairs first, so in row-major edge order each row is
+        # already ascending and tocsr() has nothing to sort or merge
+        m = len(e)
+        adj = coo_array((np.ones(2 * m, dtype=bool), (vuv[:2 * m], vuv[m:])), shape=(n, n)).tocsr()
+        return FiniteGraph(n, e, adj.indptr, adj.indices)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -141,6 +137,63 @@ class FiniteGraph:
                     raise FormatError("edge endpoints must be integers", f"line {k}") from None
             raise FormatError("edge endpoint out of range", "edges") from None
         return FiniteGraph.build(n, edges)
+
+
+def _vuv(e: np.ndarray) -> np.ndarray:
+    """The columns v, u, v of an (m, 2) edge array laid end to end."""
+    return np.concatenate([e[:, 1], e[:, 0], e[:, 1]])
+
+
+def _canonical_columns(n: int, edges) -> Optional[np.ndarray]:
+    """`_vuv(edges)` if edges is an int32 (m, 2) array with 0 <= u < v < n
+    whose pairs strictly increase in row-major order, else None.  The
+    check reads the columns u and v where they lie contiguous in vuv."""
+    if not (isinstance(edges, np.ndarray) and edges.dtype == np.int32 and edges.shape[1:] == (2,)):
+        return None
+    m, vuv = len(edges), _vuv(edges)
+    u, v = vuv[m:2 * m], vuv[:m]
+    canonical = m == 0 or bool(
+        u[0] >= 0
+        and v.max() < n
+        and (u < v).all()
+        and (u[1:] >= u[:-1]).all()
+        and ((u[1:] > u[:-1]) | (v[1:] > v[:-1])).all()
+    )
+    return vuv if canonical else None
+
+
+def _canonical_pairs(n: int, edges) -> np.ndarray:
+    """Any edge input as a canonical int32 (m, 2) array: every endpoint an
+    integer in [0, n), no self-loop; each pair turned to u < v, sorted in
+    row-major order, repeats dropped."""
+    e = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
+    if e.size == 0:
+        return np.empty((0, 2), dtype=np.int32)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise FormatError("edges must be pairs (u, v)", "edges")
+    # bool is an int subclass, and numpy's casts would truncate floats and
+    # parse digit strings, so only integer types pass
+    if e.dtype == object:
+        kinds = set(map(type, e.flat))
+        integer = all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds)
+    else:
+        integer = e.dtype.kind in "iu"
+    if not integer:
+        raise FormatError("edge endpoints must be integers", "edges")
+    # compared in their own type, so no endpoint wraps before it is reported
+    bad = ((e < 0) | (e >= n)).astype(bool, copy=False)
+    if bad.any():
+        u, v = e[bad.any(axis=1).argmax()].tolist()
+        raise FormatError(f"edge ({u},{v}) out of range", "edges")
+    e = e.astype(np.int32)
+    loop = e[:, 0] == e[:, 1]
+    if loop.any():
+        raise FormatError(f"self-loop at {e[loop.argmax(), 0]} not allowed in edge list", "edges")
+    key = np.sort(np.minimum(e[:, 0], e[:, 1]).astype(np.int64) * n + np.maximum(e[:, 0], e[:, 1]))
+    key = key[np.diff(key, prepend=-1) != 0]  # np.unique took 20x as long as this here
+    out = np.empty((len(key), 2), dtype=np.int32)
+    out[:, 0], out[:, 1] = np.divmod(key, n)
+    return out
 
 
 def _edge_list_text(n: int, edge_array: np.ndarray) -> str:

@@ -39,6 +39,7 @@ from .hamilton import classify
 from .presets import PRESETS, preset_payload
 from .sampler import (
     SampledGraph,
+    _check_seed,
     degree_concentration_report,
     sample_graph,
     sample_types,
@@ -115,6 +116,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise FormatError("trials must be at least 1", "trials")
+        _check_seed(self.seed)
         for idx, n in enumerate(self.n_values):
             if n < 3:
                 raise FormatError("n must be at least 3", f"n_values[{idx}]")

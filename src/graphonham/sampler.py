@@ -8,7 +8,9 @@ run in any order, in parallel, and still replay bit-exactly.  The coins are
 drawn in blocks of consecutive rows, each block's upper-triangle run into
 one reused flat buffer: a counter-based stream drawn in consecutive slices
 gives the numbers of one large draw, so replay does not depend on the block
-size and no array holds every pair.
+size and no array holds every pair.  A step kernel whose densities are all
+0 or 1 fixes every coin's outcome, so its edges come from the types alone
+and the edge stream is not drawn; `edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
@@ -29,14 +31,18 @@ _EDGE_CHANNEL = 1
 _BLOCK_COINS = 1 << 20
 
 
+def _check_seed(seed: int) -> None:
+    """A seed keys the streams as one 64-bit word, so any other would alias one."""
+    if not 0 <= seed < 1 << 64:
+        raise FormatError("must be in [0, 2**64)", "seed")
+
+
 def _philox(seed: int, trial_index: int, channel: int) -> np.random.Philox:
     """The bit generator of one (seed, trial_index, channel) stream."""
+    _check_seed(seed)
     if not 0 <= trial_index < 1 << 62:
         raise FormatError("trial_index out of range", "trial_index")
-    key = np.array(
-        [np.uint64(seed & (1 << 64) - 1), np.uint64((trial_index << 1) | channel)],
-        dtype=np.uint64,
-    )
+    key = np.array([np.uint64(seed), np.uint64((trial_index << 1) | channel)], dtype=np.uint64)
     return np.random.Philox(key=key)
 
 
@@ -50,7 +56,7 @@ class SampledGraph:
 
     model: Graphon
     n: int
-    edges: np.ndarray  # (m, 2) int32, u < v
+    edges: np.ndarray  # (m, 2) int32, u < v, row-major, read-only
     type_block: Optional[np.ndarray]  # int64 per vertex, None for power family
     type_offset: np.ndarray  # float64 per vertex
     seed: int
@@ -113,7 +119,56 @@ def sample_types(
 
 
 def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> SampledGraph:
-    """Both stages; consumes exactly C(n, 2) edge coins in row-major i < j order.
+    """Both stages; the edges are the pairs i < j whose coin, in row-major
+    order, falls below the kernel at the two types.
+
+    A step kernel whose every density is 0 or 1 draws no edge coin: a coin
+    lies in [0, 1), so it always falls below 1 and never below 0, and the
+    edges are read off the types (`_type_edges`).  Every other kernel draws
+    exactly C(n, 2) coins (`_coin_edges`).  Both give the same int32 (m, 2)
+    array in row-major order, read-only, so `to_finite_graph` can keep it.
+    """
+    block, offset = sample_types(g, n, seed, trial_index)
+    dens = None
+    if isinstance(g, StepGraphon):
+        dens = np.array([[float(d) for d in row] for row in g.densities])
+    if dens is not None and ((dens == 0) | (dens == 1)).all():
+        edges = _type_edges(dens == 1, block)
+    else:
+        edges = _coin_edges(g, dens, block, offset, _stream(seed, trial_index, _EDGE_CHANNEL))
+    edges.flags.writeable = False
+    return SampledGraph(g, n, edges, block, offset, seed, trial_index)
+
+
+def _type_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The edges of a 0/1 step kernel, where ones[a, b] says density 1.
+
+    Block a's partners are the ids j, ascending, with ones[a, block[j]];
+    row i's upper neighbours are the suffix of its block's list after i.
+    All lists lie in one array keyed a*n + j, so one `searchsorted` finds
+    every row's suffix, and one gather from that array writes the pairs.
+    """
+    n = len(block)
+    part_block, part = np.nonzero(ones[:, block])
+    key = part_block * n + part
+    first = np.searchsorted(key, block * n + np.arange(n), side="right")
+    count = np.searchsorted(key, (block + 1) * n) - first
+    e = np.empty((int(count.sum()), 2), dtype=np.int32)
+    e[:, 0] = np.repeat(np.arange(n, dtype=np.int32), count)
+    at = np.repeat(first - (np.cumsum(count) - count), count)
+    at += np.arange(len(e))
+    e[:, 1] = part.astype(np.int32)[at]
+    return e
+
+
+def _coin_edges(
+    g: Graphon,
+    dens: Optional[np.ndarray],
+    block: Optional[np.ndarray],
+    offset: np.ndarray,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """The edges from C(n, 2) coins drawn in row-major i < j order.
 
     Rows i..i+r-1, w = n-1-i cells long, are drawn together as one flat run
     of their r*w - r(r-1)/2 upper cells, row t starting at position
@@ -121,11 +176,8 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     compared with that scalar; any other meets the run with the upper cells
     of its (r x w) probability block, read in row-major order.
     """
-    block, offset = sample_types(g, n, seed, trial_index)
-    gen = _stream(seed, trial_index, _EDGE_CHANNEL)
-    step = isinstance(g, StepGraphon)
-    if step:
-        dens = np.array([[float(d) for d in row] for row in g.densities])
+    n = len(offset)
+    step = dens is not None
     scalar = step and (dens == dens[0, 0]).all()
     # r*w <= max(_BLOCK_COINS, w), so one buffer serves every block
     buf = np.empty(min(n * (n - 1) // 2, _BLOCK_COINS + n))
@@ -152,7 +204,7 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
         np.add(hits, np.repeat(i + 1 + t - start, count), out=e[:, 1])
         parts.append(e)
         i += r
-    return SampledGraph(g, n, np.concatenate(parts), block, offset, seed, trial_index)
+    return np.concatenate(parts)
 
 
 def edge_stream_offset(n: int, i: int, j: int) -> int:

@@ -209,6 +209,27 @@ def test_experiment_malformed_field_is_bad_input(tmp_path, capsys, key, value, p
     assert json.loads(err)["error"]["position"] == position
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_is_bad_input(tmp_path, capsys, seed):
+    """A seed past either end of [0, 2**64) would draw another seed's graphs
+    under its own name in trials.csv."""
+    cfg = tmp_path / "cfg.json"
+    config = {"graphon": "narrow-three-block", "n_values": [20], "trials": 2, "seed": seed, "properties": ["connected"]}
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "experiment", str(cfg))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["position"] == "seed"
+    code, out, err = run(capsys, "sample", "narrow-three-block", "-n", "20", "--seed", str(seed))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["position"] == "seed"
+    end = 0 if seed < 0 else (1 << 64) - 1
+    cfg.write_text(json.dumps({**config, "seed": end}))
+    code, out, _ = run(capsys, "experiment", str(cfg))
+    assert code == 0 and json.loads(out)["per_n"]["20"]["errors"] == 0
+    code, out, _ = run(capsys, "sample", "narrow-three-block", "-n", "20", "--seed", str(end))
+    assert code == 0 and out.startswith("20 ")
+
+
 def test_experiment_type_count_fluctuation(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

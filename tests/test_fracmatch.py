@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -417,6 +418,82 @@ def test_build_rejects_bad_endpoints(edge):
     if max(edge) < 2**63:
         with pytest.raises(FormatError, match="edges"):
             FiniteGraph.build(5, np.array([(0, 1), edge], dtype=np.int64))
+
+
+@pytest.mark.parametrize("edges", [
+    [[0.5, 1.7], [1, 2]],
+    np.array([[0.5, 1.7], [1, 2]]),
+    np.array([(0, 1), (1, 2)], dtype=np.float64),
+    [(0, 1.0)],
+    [(True, 1)],
+    np.array([(True, False)]),
+    [(np.bool_(True), 2)],
+    [("0", "1")],
+    np.array([("0", "1")]),
+    np.array([(0, np.nan)]),
+    [(0, Fraction(1))],
+    np.array([(0, 1), (1, 2.5)], dtype=object),
+])
+def test_build_rejects_non_integer_endpoints(edges):
+    """numpy's integer cast would truncate floats, take bools and digit
+    strings, and warn on NaN; only integer types are endpoints."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="integers") as exc:
+            FiniteGraph.build(5, edges)
+    assert exc.value.position == "edges"
+
+
+@pytest.mark.parametrize("edges", [
+    np.array([(0, 1), (1, 2)], dtype=np.uint64),
+    np.array([(1, 0), (2, 1)], dtype=np.int16),
+    np.array([(2, 1), (0, 1)], dtype=np.uint8),
+    [(np.int64(0), np.uint8(1)), (1, np.int32(2))],
+    np.array([(0, 1), (np.int64(2), 1)], dtype=object),
+])
+def test_build_accepts_every_integer_type(edges):
+    assert FiniteGraph.build(3, edges).edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("endpoint", [2**63 + 1, 2**64 - 1])
+def test_build_reports_unsigned_endpoints_unwrapped(endpoint):
+    with pytest.raises(FormatError, match=rf"edge \(0,{endpoint}\) out of range"):
+        FiniteGraph.build(5, np.array([(0, 1), (0, endpoint)], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (1, 2), (2, 5)],
+    [(-1, 2), (0, 1)],
+    [(0, 1), (3, 3)],
+    [(0, 1), (0, 1), (2, 3)],
+    [(0, 2), (0, 1)],
+    [(1, 0), (2, 3)],
+    [(0, 3), (1, 2), (0, 4)],
+])
+def test_build_checks_int32_arrays_in_order(pairs):
+    """An int32 array kept as it is must be in range and strictly
+    increasing; one flaw sends it to the normalising path."""
+    e = np.array(pairs, dtype=np.int32)
+    e.flags.writeable = False
+    if any(not 0 <= x < 5 for pair in pairs for x in pair) or any(u == v for u, v in pairs):
+        with pytest.raises(FormatError, match="edges"):
+            FiniteGraph.build(5, e)
+        return
+    g = FiniteGraph.build(5, e)
+    edges, indptr, indices = build_reference(5, pairs)
+    assert g.edge_array is not e and g.edge_array.tolist() == [list(p) for p in edges]
+    assert g.indptr.tolist() == indptr and g.indices.tolist() == indices
+
+
+def test_build_keeps_a_canonical_array_and_copies_a_writeable_one():
+    e = np.array([(0, 1), (0, 2), (1, 2)], dtype=np.int32)
+    g = FiniteGraph.build(3, e)
+    assert g.edge_array is not e and np.array_equal(g.edge_array, e)
+    assert e.flags.writeable and not g.edge_array.flags.writeable
+    e.flags.writeable = False
+    assert FiniteGraph.build(3, e).edge_array is e
+    for edges in ([(0, 1)], np.array([(1, 0)], dtype=np.int64), np.zeros((0, 2), dtype=np.int32)):
+        assert not FiniteGraph.build(3, edges).edge_array.flags.writeable
 
 
 def test_build_empty_graphs():

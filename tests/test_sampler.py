@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,21 @@ def test_negative_coin_offset_rejected():
     assert edge_coin(0, 0, 0) == stream.random()
 
 
+def test_seed_outside_64_bits_rejected():
+    """The seed keys the streams as one 64-bit word: 2**64 would draw seed
+    0's graphs and -1 those of 2**64 - 1."""
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(FormatError, match="seed") as exc:
+            sample_graph(HALF_HALF, 5, seed)
+        assert exc.value.position == "seed"
+        with pytest.raises(FormatError, match="seed"):
+            edge_coin(seed, 0, 0)
+    for seed in (0, (1 << 64) - 1):
+        stream = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        assert edge_coin(seed, 0, 0) == stream.random()
+        assert sample_graph(HALF_HALF, 5, seed).seed == seed
+
+
 def test_replay_determinism():
     a = sample_graph(HALF_HALF, 60, seed=123, trial_index=7)
     b = sample_graph(HALF_HALF, 60, seed=123, trial_index=7)
@@ -110,15 +126,38 @@ def test_pair_offsets_are_distinct_and_contiguous():
 
 
 FIVE_PRESETS = ["constant-0.3", "narrow-three-block", "bipartite-plus-clique", "power-half", "power-two"]
+
+
+def _random_zero_one_kernel(rng: random.Random, k: int) -> StepGraphon:
+    masses = [rng.randrange(1, 6) for _ in range(k)]
+    ones = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            ones[a][b] = ones[b][a] = rng.randrange(2)
+    return StepGraphon.build([f"{m}/{sum(masses)}" for m in masses], [[str(x) for x in row] for row in ones])
+
+
+_RNG = random.Random(17)
+# step kernels whose every density is 0 or 1: the sampler reads their edges
+# off the types and draws no edge coin
+ZERO_ONE_KERNELS = {
+    **{f"zero-one-k{k}": _random_zero_one_kernel(_RNG, k) for k in range(1, 7)},
+    "all-zero": StepGraphon.build(["1/4", "1/4", "1/2"], [["0"] * 3] * 3),
+    "all-one": StepGraphon.build(["1/3", "2/3"], [["1"] * 2] * 2),
+}
+# one density of 1 among fractional ones: drawn with coins like any other
+ONE_AMONG_FRACTIONAL = StepGraphon.build(["1/3", "2/3"], [["1", "3/10"], ["3/10", "1/5"]])
 # a step kernel of distinct fractional densities, and one of several blocks
 # sharing one density, which the sampler compares as a scalar
 EXTRA_KERNELS = {
     "fractional-step": StepGraphon.build(["1/3", "2/3"], [["3/10", "7/10"], ["7/10", "1/5"]]),
     "equal-density-blocks": StepGraphon.build(["1/3", "1/6", "1/2"], [["2/5"] * 3] * 3),
+    **ZERO_ONE_KERNELS,
+    "one-among-fractional": ONE_AMONG_FRACTIONAL,
 }
 
 
-@pytest.mark.parametrize("preset", FIVE_PRESETS + list(EXTRA_KERNELS))
+@pytest.mark.parametrize("preset", FIVE_PRESETS + ["balanced-bipartite"] + list(EXTRA_KERNELS))
 def test_row_blocks_match_whole_draw(preset, monkeypatch):
     g = EXTRA_KERNELS[preset] if preset in EXTRA_KERNELS else get_preset(preset)
     for n in (1, 2, 3, 37, 400, 2000):
@@ -142,8 +181,46 @@ def test_finite_graph_keeps_sampled_edges(preset, tmp_path):
         s = sample_graph(get_preset(preset), n, 5, 1)
         g = s.to_finite_graph()
         assert g.edge_array.dtype == np.int32 and np.array_equal(g.edge_array, s.edges)
+        assert g.edge_array is s.edges  # kept, not copied
+        for edges in (s.edges, g.edge_array):
+            with pytest.raises(ValueError):
+                edges[...] = 0
         write_graph(s, str(tmp_path / "g.txt"))
         assert (tmp_path / "g.txt").read_text() == g.to_edge_list_text()
+
+
+def test_zero_one_kernels_draw_no_edge_coin(monkeypatch):
+    channels = []
+    stream = sampler._stream
+
+    def recorded(seed, trial_index, channel):
+        channels.append(channel)
+        return stream(seed, trial_index, channel)
+
+    monkeypatch.setattr(sampler, "_stream", recorded)
+    zero_one = [get_preset(p) for p in ("balanced-bipartite", "bipartite-plus-clique", "narrow-three-block")]
+    for g in zero_one + list(ZERO_ONE_KERNELS.values()):
+        sample_graph(g, 50, 1)
+    assert channels and sampler._EDGE_CHANNEL not in channels
+    sample_graph(ONE_AMONG_FRACTIONAL, 50, 1)
+    assert channels[-1] == sampler._EDGE_CHANNEL
+
+
+@pytest.mark.parametrize("name", ["narrow-three-block", "bipartite-plus-clique", "zero-one-k5", "zero-one-k6"])
+def test_zero_one_edges_follow_their_coins(name):
+    """No coin is drawn for a 0/1 kernel, yet each pair is an edge exactly
+    when its replayed coin falls below the density, so replay still holds."""
+    g = ZERO_ONE_KERNELS.get(name) or get_preset(name)
+    n, seed, trial = 300, 9, 2
+    s = sample_graph(g, n, seed, trial)
+    dens = np.array([[float(d) for d in row] for row in g.densities])
+    edges = set(map(tuple, s.edges.tolist()))
+    rng = random.Random(4)
+    pairs = [(0, 1), (0, n - 1), (n - 2, n - 1)] + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)]
+    assert 0 < sum(p in edges for p in pairs) < len(pairs)
+    for i, j in pairs:
+        coin = edge_coin(seed, trial, edge_stream_offset(n, i, j))
+        assert ((i, j) in edges) == (coin < dens[s.type_block[i], s.type_block[j]]), (i, j)
 
 
 def test_edge_coins_match_stream_across_block_cuts():
@@ -185,6 +262,22 @@ def test_degrees_allocate_less_than_a_copy_of_both_columns():
         tracemalloc.stop()
     # an int64 copy of both endpoint columns would be 2 * edges.nbytes
     assert peak <= 1.25 * s.edges.nbytes
+
+
+@pytest.mark.parametrize("preset", ["narrow-three-block", "constant-0.3"])
+def test_build_on_sampled_edges_allocates_under_four_copies(preset):
+    s = sample_graph(get_preset(preset), 2000, 0)
+    FiniteGraph.build(3, [(0, 1)])  # scipy's import is not the build's
+    tracemalloc.start()
+    try:
+        g = FiniteGraph.build(s.n, s.edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_array is s.edges
+    # the CSR's indices alone are one edges.nbytes; an int64 copy, bool
+    # masks and re-reading the upper triangle would take about 9
+    assert peak <= 4 * s.edges.nbytes
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)

@@ -62,16 +62,18 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_sampling_leaves_scipy_unloaded(tmp_path):
-    """Sampling, degree properties, `write_graph` and `graphonham sample`
-    build no FiniteGraph, so none of them loads scipy."""
+    """Sampling (by coins or, for a 0/1 kernel, from the types), degree
+    properties, `write_graph` and `graphonham sample` build no FiniteGraph,
+    so none of them loads scipy."""
     code = (
         "import sys\n"
         "from graphonham import ExperimentConfig, degree_concentration_report, get_preset, run_trial, sample_graph\n"
         "from graphonham.cli import main\n"
         "from graphonham.sampler import write_graph\n"
-        "g = sample_graph(get_preset('constant-0.3'), 200, 0)\n"
-        "g.degrees(); degree_concentration_report(g)\n"
-        "write_graph(g, sys.argv[1])\n"
+        "for name in ('constant-0.3', 'narrow-three-block'):\n"
+        "    g = sample_graph(get_preset(name), 200, 0)\n"
+        "    g.degrees(); degree_concentration_report(g)\n"
+        "    write_graph(g, sys.argv[1])\n"
         "main(['sample', 'power-half', '-n', '50', '-o', sys.argv[1]])\n"
         "config = ExperimentConfig.from_dict({'graphon': 'constant-0.3', 'n_values': [200], 'trials': 1,\n"
         "    'seed': 0, 'properties': ['min_degree_ge_2', 'degree_concentration']})\n"
