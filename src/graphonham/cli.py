@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, sample, test, certify, experiment, pathsys.  Any
-validation failure exits with status 2 and a machine-readable error object on
-stderr.  A campaign in which some trial hit an internal invariant violation
-(a bug, not bad input) writes its outputs and then exits with status 3.
+validation failure, and any file that cannot be read or written, exits with
+status 2 and a machine-readable error object on stderr.  A campaign in which
+some trial hit an internal invariant violation (a bug, not bad input) writes
+its outputs and then exits with status 3.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    for flag in ("budget", "restarts"):
+    for flag in ("budget", "restarts", "seed"):
         if getattr(args, flag) < 0:
             raise FormatError("must be nonnegative", f"--{flag}")
     g = load_graph(args.graph)
@@ -156,11 +157,9 @@ def main(argv=None) -> int:
     except GraphonHamError as exc:
         print(json.dumps({"error": exc.as_dict()}), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(
-            json.dumps({"error": {"type": "FileNotFound", "message": str(exc)}}),
-            file=sys.stderr,
-        )
+    except (OSError, UnicodeDecodeError) as exc:
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(json.dumps({"error": {"type": kind, "message": str(exc)}}), file=sys.stderr)
         return 2
 
 

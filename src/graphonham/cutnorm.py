@@ -11,15 +11,18 @@ is always a certified lower bound.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, TypesMissing, _self_checked
-from .graphon import ENUMERATION_CAP, StepGraphon
+from .errors import EnumerationCapExceeded, InvariantViolation, TypesMissing, _self_checked
+from .graphon import ENUMERATION_CAP, StepGraphon, _check_step
 from .sampler import SampledGraph
 
 
@@ -31,36 +34,25 @@ class StepFunction:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        k = len(self.masses)
-        if k < 1:
-            raise FormatError("need at least one block", "masses")
-        for i, m in enumerate(self.masses):
-            if m < 0:
-                raise FormatError("block masses must be nonnegative", f"masses[{i}]")
-        if sum(self.masses, Fraction(0)) != 1:
-            raise FormatError("block masses must sum exactly to 1", "masses")
-        if len(self.values) != k:
-            raise FormatError(f"value matrix must be {k}x{k}", "values")
-        for i, row in enumerate(self.values):
-            if len(row) != k:
-                raise FormatError(f"row has {len(row)} entries, expected {k}", f"values[{i}]")
-            for j, v in enumerate(row):
-                if not -1 <= v <= 1:
-                    raise FormatError("values must lie in [-1,1]", f"values[{i}][{j}]")
-                if self.values[j][i] != v:
-                    raise FormatError("value matrix must be symmetric", f"values[{i}][{j}]")
+        _check_step(self.masses, self.values, -1, "values", "value")
 
     @property
     def k(self) -> int:
         return len(self.masses)
 
+    @cached_property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The mass-weighted values m_i * m_j * f_ij, built on first use and kept."""
+        return tuple(
+            tuple(mi * mj * v for mj, v in zip(self.masses, row))
+            for mi, row in zip(self.masses, self.values)
+        )
+
 
 def step_difference(f: StepGraphon | StepFunction, g: StepGraphon | StepFunction) -> StepFunction:
     """Signed difference f - g on the common refinement of the two partitions."""
-    fm = f.block_masses if isinstance(f, StepGraphon) else f.masses
-    gm = g.block_masses if isinstance(g, StepGraphon) else g.masses
-    fv = f.densities if isinstance(f, StepGraphon) else f.values
-    gv = g.densities if isinstance(g, StepGraphon) else g.values
+    fm, fv = (f.block_masses, f.densities) if isinstance(f, StepGraphon) else (f.masses, f.values)
+    gm, gv = (g.block_masses, g.densities) if isinstance(g, StepGraphon) else (g.masses, g.values)
     cells = _refine(fm, gm)
     masses = tuple(c[0] for c in cells)
     vals = tuple(
@@ -70,26 +62,20 @@ def step_difference(f: StepGraphon | StepFunction, g: StepGraphon | StepFunction
 
 
 def _refine(ma: tuple[Fraction, ...], mb: tuple[Fraction, ...]) -> list[tuple[Fraction, int, int]]:
-    """Common refinement cells as (mass, index in a, index in b), zero cells dropped."""
-    cells = []
-    ia = ib = 0
-    ra, rb = ma[0], mb[0]
-    while True:
-        step = min(ra, rb)
-        if step > 0:
-            cells.append((step, ia, ib))
-        ra -= step
-        rb -= step
-        if ra == 0:
-            ia += 1
-            if ia == len(ma):
-                break
-            ra = ma[ia]
-        if rb == 0:
-            ib += 1
-            if ib == len(mb):
-                break
-            rb = mb[ib]
+    """Common refinement cells as (mass, index in a, index in b), zero cells dropped.
+
+    The cells lie between consecutive cumulative cuts of either partition, up
+    to the end of the shorter one; a cell starting at x lies in the first
+    block of each partition that ends after x.
+    """
+    ends_a, ends_b = list(accumulate(ma)), list(accumulate(mb))
+    cuts = sorted({Fraction(0), *ends_a, *ends_b})
+    end = min(ends_a[-1], ends_b[-1])
+    cells = [
+        (hi - lo, bisect_right(ends_a, lo), bisect_right(ends_b, lo))
+        for lo, hi in zip(cuts, cuts[1:])
+        if hi <= end
+    ]
     if sum(c[0] for c in cells) != 1:
         raise InvariantViolation("refinement cells do not sum to mass 1")
     return cells
@@ -103,24 +89,14 @@ class CutNormResult:
 
 
 def _scaled_integer_matrix(f: StepFunction) -> tuple[list[list[int]], int]:
-    entries = [
-        f.masses[i] * f.masses[j] * f.values[i][j] for i in range(f.k) for j in range(f.k)
-    ]
-    scale = lcm(*[e.denominator for e in entries])
-    mat = [
-        [int(f.masses[i] * f.masses[j] * f.values[i][j] * scale) for j in range(f.k)]
-        for i in range(f.k)
-    ]
-    return mat, scale
+    scale = lcm(*[e.denominator for row in f.weights for e in row])
+    return [[int(e * scale) for e in row] for row in f.weights], scale
 
 
 def evaluate_box(f: StepFunction, S, T) -> Fraction:
     """|sum over S x T of mass_i * mass_j * value_ij|, exact."""
-    total = Fraction(0)
-    for i in S:
-        for j in T:
-            total += f.masses[i] * f.masses[j] * f.values[i][j]
-    return abs(total)
+    w = f.weights
+    return abs(sum((w[i][j] for i in S for j in T), Fraction(0)))
 
 
 def cut_norm_exact(f: StepFunction) -> CutNormResult:
@@ -173,17 +149,10 @@ def cut_norm_heuristic(
     cut norm.
     """
     k = f.k
-    w = np.array(
-        [[float(f.masses[i] * f.masses[j] * f.values[i][j]) for j in range(k)] for i in range(k)]
-    )
+    w = np.array([[float(e) for e in row] for row in f.weights])
     rng = random.Random(seed)
-    starts = [np.ones(k, dtype=bool), np.zeros(k, dtype=bool)]
-    for i in range(k):
-        e = np.zeros(k, dtype=bool)
-        e[i] = True
-        starts.append(e)
-    for _ in range(restarts):
-        starts.append(np.array([rng.random() < 0.5 for _ in range(k)]))
+    starts = [np.ones(k, dtype=bool), np.zeros(k, dtype=bool), *np.eye(k, dtype=bool)]
+    starts += [np.array([rng.random() < 0.5 for _ in range(k)]) for _ in range(restarts)]
     best: Optional[tuple[Fraction, tuple, tuple]] = None
     for s in starts:
         s = s.copy()
@@ -229,28 +198,21 @@ def empirical_step_function(graph: SampledGraph) -> StepFunction:
     """
     if graph.type_block is None:
         raise TypesMissing("sampled graph does not carry block types")
-    g = graph.model
-    k = g.k
+    k = graph.model.k
     counts = np.bincount(graph.type_block, minlength=k)
-    pair_counts = np.zeros((k, k), dtype=np.int64)
-    if len(graph.edges):
-        bu = graph.type_block[graph.edges[:, 0]]
-        bv = graph.type_block[graph.edges[:, 1]]
-        np.add.at(pair_counts, (bu, bv), 1)
-        np.add.at(pair_counts, (bv, bu), 1)  # diagonal gets 2 per within-edge
-    n = graph.n
-    masses = tuple(Fraction(int(c), n) for c in counts)
-    dens = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if i == j:
-                denom = int(counts[i]) * (int(counts[i]) - 1)
-            else:
-                denom = int(counts[i]) * int(counts[j])
-            row.append(Fraction(int(pair_counts[i][j]), denom) if denom else Fraction(0))
-        dens.append(tuple(row))
-    return StepFunction(masses, tuple(dens))
+    # each edge once at (block u, block v) and once transposed, so a
+    # within-block edge counts twice on the diagonal
+    ends = graph.type_block[graph.edges]
+    pairs = np.bincount(ends[:, 0] * k + ends[:, 1], minlength=k * k).reshape(k, k)
+    pairs = pairs + pairs.T
+    # ordered vertex pairs per cell, loopless on the diagonal
+    denoms = np.outer(counts, counts) - np.diag(counts)
+    masses = tuple(Fraction(c, graph.n) for c in counts.tolist())
+    dens = tuple(
+        tuple(Fraction(p, d) if d else Fraction(0) for p, d in zip(prow, drow))
+        for prow, drow in zip(pairs.tolist(), denoms.tolist())
+    )
+    return StepFunction(masses, dens)
 
 
 def sample_distance(graph: SampledGraph, g: StepGraphon) -> DistanceEstimate:
@@ -264,12 +226,5 @@ def sample_distance(graph: SampledGraph, g: StepGraphon) -> DistanceEstimate:
     emp = empirical_step_function(graph)
     diff = step_difference(emp, g)
     witness = cut_norm_heuristic(diff, restarts=50, seed=0)
-    upper = sum(
-        (
-            diff.masses[i] * diff.masses[j] * abs(diff.values[i][j])
-            for i in range(diff.k)
-            for j in range(diff.k)
-        ),
-        Fraction(0),
-    )
+    upper = sum((abs(e) for row in diff.weights for e in row), Fraction(0))
     return _self_checked(DistanceEstimate(witness.value, upper, witness))

@@ -75,15 +75,6 @@ class FiniteGraph:
         adj = coo_array((np.ones(2 * m, dtype=bool), (vuv[:2 * m], vuv[m:])), shape=(n, n)).tocsr()
         return FiniteGraph(n, e, adj.indptr, adj.indices)
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as ascending (u, v) tuples, built on first use and kept."""
-        edges = self.__dict__.get("_edges")
-        if edges is None:
-            edges = tuple(map(tuple, self.edge_array.tolist()))
-            object.__setattr__(self, "_edges", edges)
-        return edges
-
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour lists, ascending, sliced from the CSR.
 

@@ -60,6 +60,34 @@ def _list(value, position: str) -> list:
 # models
 
 
+def _check_step(masses, matrix, low: int, name: str, noun: str) -> None:
+    """Raise `FormatError` at the first fault of a step function: masses
+    (positive for a kernel, `low` 0; nonnegative for a signed one, `low` -1)
+    summing to 1, then every row and entry range of the k x k matrix, then
+    symmetry."""
+    k = len(masses)
+    if k < 1:
+        raise FormatError("need at least one block", "masses")
+    for i, m in enumerate(masses):
+        if m < 0 or (m == 0 and low == 0):
+            sign = "strictly positive" if low == 0 else "nonnegative"
+            raise FormatError(f"block masses must be {sign}", f"masses[{i}]")
+    if sum(masses, Fraction(0)) != 1:
+        raise FormatError("block masses must sum exactly to 1", "masses")
+    if len(matrix) != k:
+        raise FormatError(f"{noun} matrix must be {k}x{k}", name)
+    for i, row in enumerate(matrix):
+        if len(row) != k:
+            raise FormatError(f"row has {len(row)} entries, expected {k}", f"{name}[{i}]")
+        for j, d in enumerate(row):
+            if not low <= d <= 1:
+                raise FormatError(f"{name} must lie in [{low},1]", f"{name}[{i}][{j}]")
+    for i in range(k):
+        for j in range(i + 1, k):
+            if matrix[i][j] != matrix[j][i]:
+                raise FormatError(f"{noun} matrix must be symmetric", f"{name}[{i}][{j}]")
+
+
 @dataclass(frozen=True)
 class StepGraphon:
     """Block masses (positive rationals summing to 1) + symmetric densities."""
@@ -68,28 +96,7 @@ class StepGraphon:
     densities: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        k = len(self.block_masses)
-        if k < 1:
-            raise FormatError("need at least one block", "masses")
-        for i, m in enumerate(self.block_masses):
-            if m <= 0:
-                raise FormatError("block masses must be strictly positive", f"masses[{i}]")
-        if sum(self.block_masses, Fraction(0)) != 1:
-            raise FormatError("block masses must sum exactly to 1", "masses")
-        if len(self.densities) != k:
-            raise FormatError(f"density matrix must be {k}x{k}", "densities")
-        for i, row in enumerate(self.densities):
-            if len(row) != k:
-                raise FormatError(f"row has {len(row)} entries, expected {k}", f"densities[{i}]")
-            for j, d in enumerate(row):
-                if not 0 <= d <= 1:
-                    raise FormatError("densities must lie in [0,1]", f"densities[{i}][{j}]")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.densities[i][j] != self.densities[j][i]:
-                    raise FormatError(
-                        "density matrix must be symmetric", f"densities[{i}][{j}]"
-                    )
+        _check_step(self.block_masses, self.densities, 0, "densities", "density")
 
     @property
     def k(self) -> int:

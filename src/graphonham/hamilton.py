@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import FormatError, InvariantViolation
 from .fracmatch import FiniteGraph, _are_edges, fvcn_value, graph_peninsula, is_connected
 
 STATUS_HAMILTONIAN = "hamiltonian"
@@ -238,6 +238,8 @@ def posa_heuristic(g: FiniteGraph, seed: int = 0, restarts: int = 20) -> Optiona
     growth continues.  Candidates are read off the CSR rows in ascending
     order, so a seed replays the same cycle on every interpreter.
     """
+    if seed < 0:
+        raise FormatError("must be nonnegative", "seed")  # Random(-s) replays Random(s)
     n = g.n
     if n < 3:
         return None

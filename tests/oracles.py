@@ -19,6 +19,11 @@ the arrays of `FiniteGraph.build` from a sorted set of oriented pairs, and
 `classify_types_reference` is the per-vertex loop that `classify_types`
 replaced with array comparisons.  `posa_heuristic_reference` is the rotation
 heuristic as it ran on Python neighbour sets, before it read the CSR.
+`refine_reference` is the two-pointer walk over two partitions that
+`cutnorm._refine` replaced with cumulative cuts, and
+`empirical_step_function_reference` the per-cell loop that array arithmetic
+replaced.  `edge_tuples` is the tuple view of a graph's edges that
+`FiniteGraph` once carried for text I/O and tests.
 """
 
 from fractions import Fraction
@@ -28,9 +33,14 @@ HALF = Fraction(1, 2)
 VALUES = (Fraction(0), HALF, Fraction(1))
 
 
+def edge_tuples(g) -> tuple[tuple[int, int], ...]:
+    """A `FiniteGraph`'s edges as ascending (u, v) tuples of plain ints."""
+    return tuple(map(tuple, g.edge_array.tolist()))
+
+
 def min_half_cover_weight(g) -> Fraction:
     """Exhaustive minimum over all {0, 1/2, 1} vertex assignments."""
-    return min_weighted_half_cover(g.n, g.edges, [Fraction(1)] * g.n, ())
+    return min_weighted_half_cover(g.n, edge_tuples(g), [Fraction(1)] * g.n, ())
 
 
 def min_weighted_half_cover(k, edges, weights, loops) -> Fraction:
@@ -68,7 +78,7 @@ def min_weighted_half_cover(k, edges, weights, loops) -> Fraction:
 
 def max_half_matching_weight(g) -> Fraction:
     """Exhaustive maximum over all {0, 1/2, 1} edge assignments."""
-    m = len(g.edges)
+    m = len(edge_tuples(g))
     load = [Fraction(0)] * g.n
     best = [Fraction(0)]
 
@@ -80,7 +90,7 @@ def max_half_matching_weight(g) -> Fraction:
         # optimistic bound: every remaining edge at weight 1
         if total + (m - i) <= best[0]:
             return
-        u, v = g.edges[i]
+        u, v = edge_tuples(g)[i]
         for val in (Fraction(1), HALF, Fraction(0)):
             if load[u] + val <= 1 and load[v] + val <= 1:
                 load[u] += val
@@ -101,7 +111,7 @@ def uniquely_half_covered_oracle(g) -> bool:
     """
     n = g.n
     adj_lower = [[] for _ in range(n)]
-    for u, v in g.edges:
+    for u, v in edge_tuples(g):
         a, b = (u, v) if u > v else (v, u)
         adj_lower[a].append(b)
     assignment = [0] * n
@@ -235,7 +245,7 @@ def graph_peninsula_oracle(g) -> tuple[bool, bool]:
     """
     n = g.n
     adj_bits = [0] * n
-    for u, v in g.edges:
+    for u, v in edge_tuples(g):
         adj_bits[u] |= 1 << v
         adj_bits[v] |= 1 << u
     has = narrow = False
@@ -415,7 +425,7 @@ def validate_half_cover_reference(cover, g) -> None:
     for f in cover.values:
         if f not in VALUES:
             raise AssertionError(f"cover value {f} not in {{0, 1/2, 1}}")
-    for u, v in g.edges:
+    for u, v in edge_tuples(g):
         if cover.values[u] + cover.values[v] < 1:
             raise AssertionError(f"edge ({u},{v}) uncovered")
     if sum(cover.values, Fraction(0)) != cover.weight:
@@ -424,13 +434,13 @@ def validate_half_cover_reference(cover, g) -> None:
 
 def validate_half_matching_reference(matching, g) -> None:
     """The loop that `HalfMatching.validate` replaced."""
-    if len(matching.values) != len(g.edges):
+    if len(matching.values) != len(edge_tuples(g)):
         raise AssertionError("matching has wrong length")
     for m in matching.values:
         if m not in VALUES:
             raise AssertionError(f"matching value {m} not in {{0, 1/2, 1}}")
     load = [Fraction(0)] * g.n
-    for (u, v), m in zip(g.edges, matching.values):
+    for (u, v), m in zip(edge_tuples(g), matching.values):
         load[u] += m
         load[v] += m
     for v, l in enumerate(load):
@@ -451,7 +461,7 @@ def validate_peninsula_reference(cert, g) -> None:
         raise AssertionError("A must be nonempty")
     if sa & sb:
         raise AssertionError("A and B must be disjoint")
-    for u, v in g.edges:
+    for u, v in edge_tuples(g):
         if (u in sa and (v in sa or v in sb)) or (v in sa and (u in sa or u in sb)):
             raise AssertionError(f"edge ({u},{v}) meets A x (A u B)")
     bound = Fraction(g.n - len(cert.B), 2)
@@ -479,6 +489,64 @@ def cut_norm_subset_oracle(f) -> Fraction:
                     total += f.masses[i] * f.masses[j] * f.values[i][j]
             best = max(best, abs(total))
     return best
+
+
+def refine_reference(ma, mb) -> list[tuple[Fraction, int, int]]:
+    """Common refinement cells as (mass, index in a, index in b) by a
+    two-pointer walk over both partitions, zero cells dropped."""
+    from graphonham import InvariantViolation
+
+    cells = []
+    ia = ib = 0
+    ra, rb = ma[0], mb[0]
+    while True:
+        step = min(ra, rb)
+        if step > 0:
+            cells.append((step, ia, ib))
+        ra -= step
+        rb -= step
+        if ra == 0:
+            ia += 1
+            if ia == len(ma):
+                break
+            ra = ma[ia]
+        if rb == 0:
+            ib += 1
+            if ib == len(mb):
+                break
+            rb = mb[ib]
+    if sum(c[0] for c in cells) != 1:
+        raise InvariantViolation("refinement cells do not sum to mass 1")
+    return cells
+
+
+def empirical_step_function_reference(graph):
+    """Type-class masses and exact edge densities of a sampled graph, one
+    cell at a time: c_i c_j vertex pairs off the diagonal, c_i (c_i - 1)
+    ordered pairs on it, and density 0 where a cell has no pair."""
+    import numpy as np
+    from graphonham import StepFunction
+
+    k = graph.model.k
+    counts = np.bincount(graph.type_block, minlength=k)
+    pair_counts = np.zeros((k, k), dtype=np.int64)
+    if len(graph.edges):
+        bu = graph.type_block[graph.edges[:, 0]]
+        bv = graph.type_block[graph.edges[:, 1]]
+        np.add.at(pair_counts, (bu, bv), 1)
+        np.add.at(pair_counts, (bv, bu), 1)  # diagonal gets 2 per within-edge
+    masses = tuple(Fraction(int(c), graph.n) for c in counts)
+    dens = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            if i == j:
+                denom = int(counts[i]) * (int(counts[i]) - 1)
+            else:
+                denom = int(counts[i]) * int(counts[j])
+            row.append(Fraction(int(pair_counts[i][j]), denom) if denom else Fraction(0))
+        dens.append(tuple(row))
+    return StepFunction(masses, tuple(dens))
 
 
 def bfs_reference(indptr, indices, sources) -> tuple[list[int], list[int]]:

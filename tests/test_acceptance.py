@@ -78,7 +78,7 @@ def test_criterion_01_duality_suite():
     while checked < 300:
         n = rng.randrange(2, 11)
         g = random_graph(rng, n, rng.choice([0.15, 0.25, 0.35]))
-        if len(g.edges) > 12:
+        if len(g.edge_array) > 12:
             continue
         w = fvcn_half(g).weight
         assert w == fmn_half(g).weight

@@ -286,7 +286,7 @@ def test_pathsys_bad_alpha_is_bad_input(tmp_path, capsys, alpha):
     assert error["type"] == "FormatError" and error["position"] == "alpha"
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--restarts"])
+@pytest.mark.parametrize("flag", ["--budget", "--restarts", "--seed"])
 def test_test_negative_count_is_bad_input(tmp_path, capsys, flag):
     (tmp_path / "g.txt").write_text("3 3\n0 1\n1 2\n0 2\n")
     code, out, err = run(capsys, "test", str(tmp_path / "g.txt"), flag, "-1")
@@ -336,3 +336,28 @@ def test_missing_file(capsys):
     assert code == 2
     assert json.loads(err)["error"]["type"] == "FileNotFound"
 
+
+
+def _not_utf8(tmp_path):
+    (tmp_path / "g.json").write_bytes(b'{"kind": "step", "masses": ["\xff"]}')
+    return ["analyze", str(tmp_path / "g.json")]
+
+
+def _experiment_onto_a_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graphon": "constant-0.3", "n_values": [20], "trials": 1, "seed": 0, "properties": []}))
+    (tmp_path / "taken").write_text("")
+    return ["experiment", str(cfg), "-o", str(tmp_path / "taken")]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (lambda tmp_path: ["test", str(tmp_path)], "IsADirectoryError"),
+    (_not_utf8, "UnicodeDecodeError"),
+    (_experiment_onto_a_file, "FileExistsError"),
+    (lambda tmp_path: ["sample", "constant-0.3", "-n", "20", "-o", str(tmp_path)], "IsADirectoryError"),
+], ids=["test-a-directory", "analyze-not-utf8", "experiment-onto-a-file", "sample-onto-a-directory"])
+def test_unusable_file_is_bad_input(tmp_path, capsys, argv, kind):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == kind and error["message"]

@@ -18,8 +18,9 @@ from graphonham import (
     sample_graph,
     step_difference,
 )
-from graphonham.cutnorm import evaluate_box
-from oracles import cut_norm_subset_oracle
+from graphonham.cutnorm import _refine, empirical_step_function, evaluate_box
+from conftest import random_step_graphon
+from oracles import cut_norm_subset_oracle, empirical_step_function_reference, refine_reference
 
 F = Fraction
 
@@ -167,3 +168,89 @@ class TestSampleDistance:
         # band meets the outer ones; the best box takes both +1 rectangles
         # between the last two cells, S = T = {middle, top}
         assert cut_norm_exact(d).value == F(1, 6) == cut_norm_subset_oracle(d)
+
+
+# ---------------------------------------------------------------------------
+# step functions: shared checks, weights, refinement, empirical densities
+
+# (masses, matrix, position); "M" stands for the matrix's name
+MALFORMED = [
+    ([], [], "masses"),
+    (["-1/2", "3/2"], [["0", "0"], ["0", "0"]], "masses[0]"),
+    (["1/2", "1/3"], [["0", "0"], ["0", "0"]], "masses"),
+    (["1/2", "1/2"], [["0", "0"]], "M"),
+    (["1/2", "1/2"], [["0", "0"], ["0"]], "M[1]"),
+    # a short later row: StepFunction once raised IndexError here
+    (["1/3"] * 3, [["0"] * 3, ["0"] * 3, ["0"]], "M[2]"),
+    (["1/2", "1/2"], [["0", "2"], ["2", "0"]], "M[0][1]"),
+    (["1/2", "1/2"], [["0", "0"], ["0", "-2"]], "M[1][1]"),
+    (["1/2", "1/2"], [["0", "1"], ["0", "0"]], "M[0][1]"),
+    # every row and range is checked before symmetry
+    (["1/3"] * 3, [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "2"]], "M[2][2]"),
+    (["1/3"] * 3, [["0", "1", "0"], ["0", "0", "0"], ["0", "0"]], "M[2]"),
+]
+
+
+@pytest.mark.parametrize("masses, matrix, position", MALFORMED)
+def test_kernel_and_signed_function_reject_alike(masses, matrix, position):
+    with pytest.raises(FormatError) as kernel:
+        StepGraphon.build(masses, matrix)
+    with pytest.raises(FormatError) as signed:
+        StepFunction(tuple(F(m) for m in masses), tuple(tuple(F(v) for v in row) for row in matrix))
+    assert kernel.value.position == position.replace("M", "densities")
+    assert signed.value.position == position.replace("M", "values")
+
+
+def test_signs_only_a_signed_function_allows():
+    masses, matrix = ("0", "1"), (("-1/2", "0"), ("0", "1"))
+    f = StepFunction(tuple(map(F, masses)), tuple(tuple(map(F, row)) for row in matrix))
+    assert f.k == 2
+    with pytest.raises(FormatError, match="strictly positive") as exc:
+        StepGraphon.build(masses, matrix)
+    assert exc.value.position == "masses[0]"
+    with pytest.raises(FormatError, match=r"\[0,1\]") as exc:
+        StepGraphon.build(("1/2", "1/2"), matrix)
+    assert exc.value.position == "densities[0][0]"
+
+
+def test_weights_are_the_mass_weighted_values(rng):
+    for k in range(1, 6):
+        f = random_step_function(rng, k)
+        assert f.weights == tuple(
+            tuple(f.masses[i] * f.masses[j] * f.values[i][j] for j in range(k)) for i in range(k)
+        )
+        assert f.weights is f.weights
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def test_refine_matches_the_two_pointer_walk(rng):
+    for _ in range(400):
+        a = [rng.choice([0, 0, 1, 2, 3]) for _ in range(rng.randrange(1, 7))]
+        b = [rng.choice([0, 0, 1, 2, 3]) for _ in range(rng.randrange(1, 7))]
+        a[rng.randrange(len(a))] += 1
+        b[rng.randrange(len(b))] += 1
+        ma, mb = tuple(F(x, sum(a)) for x in a), tuple(F(x, sum(b)) for x in b)
+        assert repr(_refine(ma, mb)) == repr(refine_reference(ma, mb))
+        # totals other than 1: both cut at the shorter one and self-check alike
+        for short in (tuple(F(x, sum(b) + 1) for x in b), tuple(F(x, sum(b) - 1) for x in b if sum(b) > 1)):
+            if short:
+                assert repr(_outcome(_refine, ma, short)) == repr(_outcome(refine_reference, ma, short))
+
+
+def test_empirical_step_function_matches_the_per_cell_loop(rng):
+    empty = singleton = 0
+    for trial in range(40):
+        g = random_step_graphon(rng, rng.randrange(1, 7))
+        for n in (1, 2, 3, 9, 40):
+            s = sample_graph(g, n, trial, n)
+            got = empirical_step_function(s)
+            assert repr(got) == repr(empirical_step_function_reference(s))
+            empty += 0 in got.masses
+            singleton += F(1, n) in got.masses
+    assert empty and singleton  # empty type classes and loopless 1-vertex cells

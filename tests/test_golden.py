@@ -36,6 +36,7 @@ from graphonham import (
     uniquely_half_covered,
 )
 from conftest import campaign_digest, random_graph
+from oracles import edge_tuples
 
 CAMPAIGN_HASHES = {
     "constant-0.3": "fb16309959ff14f388abb6367bde48e7fe1d9f4043a4bd64da1769f0963459f1",
@@ -176,7 +177,7 @@ def test_certificates_unchanged():
         cert = graph_peninsula(g)
         h.update(repr((
             g.n,
-            g.edges,
+            edge_tuples(g),
             [str(x) for x in fvcn_half(g).values],
             str(fmn_half(g).weight),
             None if witness is None else [str(x) for x in witness.values],

@@ -11,6 +11,7 @@ from graphonham import (
     validate_cycle,
 )
 from conftest import random_graph
+from oracles import edge_tuples
 
 PETERSEN = FiniteGraph.build(
     10,
@@ -31,7 +32,7 @@ def complete(n):
 def brute_hamiltonian(g) -> bool:
     if g.n < 3:
         return False
-    eset = set(g.edges)
+    eset = set(edge_tuples(g))
     for perm in itertools.permutations(range(1, g.n)):
         cyc = (0,) + perm
         if all(
@@ -113,6 +114,17 @@ class TestPosa:
         g = FiniteGraph.build(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         assert posa_heuristic(g, seed=1, restarts=5) is None
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-7) replays random.Random(7), so -7 would alias 7
+        from graphonham import FormatError
+
+        for g in (complete(10), complete(2)):
+            with pytest.raises(FormatError) as exc:
+                posa_heuristic(g, seed=-7)
+            assert exc.value.position == "seed"
+        with pytest.raises(FormatError):
+            classify(complete(10), seed=-1)
+
 
 def test_heuristic_succeeds_where_reference_did():
     """Reading the CSR changes the order candidates are drawn in, not what the
@@ -174,9 +186,8 @@ class TestClassify:
 
 
 def test_trap_route_never_builds_edge_tuples(monkeypatch):
-    """The narrow-trap route reads the edge and CSR arrays only: neither the
-    tuple view `edges` (text I/O and tests) nor the adjacency lists (budgeted
-    backtracking) are built."""
+    """The narrow-trap route reads the edge and CSR arrays only: the
+    adjacency lists of budgeted backtracking are not built."""
     from graphonham import ExperimentConfig, fvcn_value, get_preset, is_connected, run_trial, sample_graph
     from graphonham.sampler import SampledGraph
 
@@ -185,7 +196,7 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
-    assert "_edges" not in vars(g) and "_adjacency" not in vars(g)
+    assert "_adjacency" not in vars(g)
 
     built = []
     to_finite_graph = SampledGraph.to_finite_graph
@@ -202,7 +213,7 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     rec = run_trial(config, 200, 0)
     assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
     assert len(built) == 1
-    assert "_adjacency" not in vars(built[0]) and "_edges" not in vars(built[0])
+    assert "_adjacency" not in vars(built[0])
 
 
 def test_heuristic_route_reads_the_csr():
@@ -262,7 +273,7 @@ class TestInvariants:
         ]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run(
-            [sys.executable, "-O", "-c", script], input=json.dumps([PETERSEN.edges, trap, campaigns]),
+            [sys.executable, "-O", "-c", script], input=json.dumps([edge_tuples(PETERSEN), trap, campaigns]),
             capture_output=True, text=True, env=env, timeout=300, check=True,
         ).stdout
 

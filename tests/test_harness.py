@@ -326,7 +326,6 @@ def test_wilson_interval_basics():
     assert 0.93 < lo99 < 0.99 and hi99 > 0.99
 
 
-@pytest.mark.slow
 def test_predicted_regime_consistent_with_observation():
     """Desk-scale cross-check: no preset's prediction contradicts the
     observed hamiltonian-found frequency beyond a generous finite-n band."""
