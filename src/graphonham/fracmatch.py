@@ -324,9 +324,10 @@ def _double_cover_matching(g: FiniteGraph) -> tuple[int, np.ndarray, np.ndarray]
 
 
 def _bfs(indptr: np.ndarray, indices: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-source BFS over a CSR: `(depth, parent)`, -1 where unreached.
+    """Multi-source BFS over a CSR: `(reached, parent)`, a mask of the
+    vertices reached and each one's BFS parent, -1 at sources and unreached.
 
-    Arcs to a negative target are skipped.  The result is that of a FIFO
+    Arcs to a negative target are skipped.  The parents are those of a FIFO
     queue seeded with the sources in the order given that scans each row in
     stored order (ascending, for a `FiniteGraph`).  scipy walks from a
     virtual root n with an arc to each source; negative targets become arcs
@@ -343,16 +344,16 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, sources) -> tuple[np.ndarray, 
     ptr = np.append(indptr, len(ind)).astype(np.int32)
     arcs = csr_matrix((np.ones(len(ind)), ind, ptr), shape=(n + 1, n + 1))
     order, pred = breadth_first_order(arcs, n, directed=True, return_predecessors=True)
-    parent = np.where((pred[:n] >= 0) & (pred[:n] < n), pred[:n], -1)
-    # depth by pointer doubling: dist[v] hops take v to hop[v], a root at the end
-    hop = np.where(parent >= 0, parent, np.arange(n))
-    dist = (parent >= 0).astype(np.int64)
-    while (hop[hop] != hop).any():
-        dist += dist[hop]
-        hop = hop[hop]
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[order[1:]] = dist[order[1:]]
-    return depth, parent
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[order] = True
+    return reached[:n], np.where((pred[:n] >= 0) & (pred[:n] < n), pred[:n], -1)
+
+
+def _double_cover_csr(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the bipartite double cover G x K2 on 2n vertices: v+ is v,
+    v- is n + v, and each edge uv gives the edges u+v- and v+u-."""
+    return (np.concatenate([g.indptr, g.indptr[1:] + len(g.indices)]),
+            np.concatenate([g.indices + g.n, g.indices]))
 
 
 def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
@@ -386,8 +387,7 @@ def _koenig_cover(g: FiniteGraph, match_l: np.ndarray, match_r: np.ndarray, sour
     so the cover is the minimum one that leaves out v+ and, beside it, only
     the left copies that every such cover leaves out.
     """
-    depth, _ = _bfs(g.indptr, match_r.take(g.indices), sources)
-    reached = depth >= 0
+    reached, _ = _bfs(g.indptr, match_r.take(g.indices), sources)
     cover_r = np.zeros(g.n, dtype=bool)
     cover_r[match_l[reached & (match_l >= 0)]] = True
     return ~reached, cover_r
@@ -492,19 +492,16 @@ def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:
 
 
 def is_bipartite(g: FiniteGraph) -> bool:
-    """Two-colour each component by BFS depth parity from its least vertex.
-
-    The roots come from one component labelling: seeding the BFS one
-    component at a time would cost a full pass per component.
-    """
+    """Whether no v shares a component of the double cover with its other
+    copy (an odd closed walk through v is a path from v+ to v-).  The arcs are
+    symmetric: strong components are the components, and need no transpose."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    arcs = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
-    _, label = connected_components(arcs, directed=False)
-    depth, _ = _bfs(g.indptr, g.indices, np.unique(label, return_index=True)[1])
-    u, v = g.edge_array.T
-    return not ((depth[u] - depth[v]) % 2 == 0).any()
+    indptr, indices = _double_cover_csr(g)
+    arcs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(2 * g.n, 2 * g.n))
+    _, label = connected_components(arcs, connection="strong")
+    return not (label[:g.n] == label[g.n:]).any()
 
 
 def is_connected(g: FiniteGraph) -> bool:
@@ -512,6 +509,6 @@ def is_connected(g: FiniteGraph) -> bool:
     on `g`, as the matching is, so every caller shares one search."""
     found = g.__dict__.get("_connected")
     if found is None:
-        found = g.n <= 1 or bool((_bfs(g.indptr, g.indices, [0])[0] >= 0).all())
+        found = g.n <= 1 or bool(_bfs(g.indptr, g.indices, [0])[0].all())
         object.__setattr__(g, "_connected", found)
     return found

@@ -299,6 +299,8 @@ def classify(
     posa_restarts: int = 20,
 ) -> HamiltonVerdict:
     """cheap obstructions -> rotation heuristic -> exact search -> unknown."""
+    if seed < 0:
+        raise FormatError("must be nonnegative", "seed")
     if g.n < 3:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=OBSTRUCTION_MIN_DEGREE)
     obs = cheap_obstructions(g)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -400,7 +401,8 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_trial_star, [(config, n, t) for n, t in tasks], chunksize=8))
+            ns, ts = [n for n, _ in tasks], [t for _, t in tasks]
+            records = list(pool.map(run_trial, itertools.repeat(config), ns, ts, chunksize=8))
     else:
         records = [run_trial(config, n, t) for n, t in tasks]
     records.sort(key=lambda r: (r.n, r.trial_index))
@@ -412,11 +414,6 @@ def run_experiment(
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
     return report, records
-
-
-def _trial_star(args) -> TrialRecord:
-    config, n, t = args
-    return run_trial(config, n, t)
 
 
 # ---------------------------------------------------------------------------

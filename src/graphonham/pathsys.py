@@ -1,5 +1,5 @@
-"""Constructive path machinery: odd walks, binary-tree path decompositions,
-and the low-degree covering path system.
+"""Constructive path machinery: shortest odd walks, binary-tree path
+decompositions, and the low-degree covering path system.
 
 The covering construction sweeps the low-degree vertices in ascending degree
 order, grants each one two fresh neighbors, decomposes the resulting binary
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BipartiteOrDisconnected, FormatError, GreedyStuck, InvariantViolation, NotBinaryTree, _self_checked
-from .fracmatch import FiniteGraph, _are_edges, _bfs, is_connected
+from .fracmatch import FiniteGraph, _are_edges, _bfs, _double_cover_csr, is_connected
 
 
 @dataclass(frozen=True)
@@ -51,49 +51,28 @@ class PathSystem:
 
 
 def odd_walk(h: FiniteGraph, i: int, j: int) -> list[int]:
-    """A walk of odd length at most 2|V| - 1 from i to j.
+    """A shortest walk of odd length, at most 2|V| - 1, from i to j.
 
-    Needs a connected non-bipartite host: a spanning tree is 2-colored by
-    depth and any same-color non-tree edge closes an odd cycle; whichever of
-    the tree path / the detour through that edge has odd parity is returned.
+    Needs a connected non-bipartite host, which is when its bipartite double
+    cover (v+ is v, v- is n + v) is connected.  Odd walks from i are the
+    paths from i+ there, so one BFS from i+ finds a shortest one to j-.
     """
     n = h.n
     if not (0 <= i < n and 0 <= j < n):
         raise BipartiteOrDisconnected("endpoint out of range")
-    depth, parent = _bfs(h.indptr, h.indices, [0])
-    if (depth < 0).any():
+    reached, parent = _bfs(*_double_cover_csr(h), [i])
+    if not (reached[:n] | reached[n:]).all():
         raise BipartiteOrDisconnected("graph is disconnected")
-    u, v = h.edge_array.T
-    same = np.flatnonzero((depth[u] - depth[v]) % 2 == 0)
-    if not len(same):
+    if not reached.all():
         raise BipartiteOrDisconnected("graph is bipartite")
-    odd_edge = h.edge_array[same[0]].tolist()
-    depth, parent = depth.tolist(), parent.tolist()
-
-    def tree_path(a: int, b: int) -> list[int]:
-        pa, pb = [a], [b]
-        x, y = a, b
-        while depth[x] > depth[y]:
-            x = parent[x]
-            pa.append(x)
-        while depth[y] > depth[x]:
-            y = parent[y]
-            pb.append(y)
-        while x != y:
-            x = parent[x]
-            y = parent[y]
-            pa.append(x)
-            pb.append(y)
-        return pa[:-1] + pb[::-1]
-
-    direct = tree_path(i, j)
-    if (len(direct) - 1) % 2 == 1:
-        return direct
-    u, v = odd_edge
-    detour = tree_path(i, u) + tree_path(v, j)
-    if (len(detour) - 1) % 2 != 1 or len(detour) - 1 > 2 * n - 1:
-        raise InvariantViolation(f"detour of length {len(detour) - 1} is not an odd walk of length <= 2n-1")
-    return detour
+    walk, parent = [n + j], parent.tolist()
+    while walk[-1] != i:
+        walk.append(parent[walk[-1]])
+    walk = [v % n for v in reversed(walk)]
+    steps, length = _are_edges(h, walk[:-1], walk[1:]), len(walk) - 1
+    if length % 2 != 1 or length > 2 * n - 1 or (walk[0], walk[-1]) != (i, j) or not steps.all():
+        raise InvariantViolation(f"{walk} is not an odd walk from {i} to {j} of length <= 2n-1")
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +133,7 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
         raise NotBinaryTree("not a tree of order at least 3")
     deg = t.degrees()
     roots = [v for v in range(n) if deg[v] == 2]
-    if len(roots) != 1 or any(d not in (1, 2, 3) for d in deg) or deg.count(2) != 1:
+    if len(roots) != 1 or any(d not in (1, 2, 3) for d in deg):
         raise NotBinaryTree("degrees must be one 2, rest in {1, 3}")
     if not is_connected(t):
         raise NotBinaryTree("tree must be connected")

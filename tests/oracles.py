@@ -10,7 +10,9 @@ half-integral covers of the weighted block graph.
 `check_exact_bipartite_split` ran before it flipped whole components.  The
 `validate_*_reference` functions are the plain `Fraction` loops the
 certificate validators were before they became integer array checks,
-`bfs_reference` is the plain queue loop that the CSR traversal replaced, and
+`bfs_reference` is the plain queue loop that the CSR traversal replaced,
+`is_bipartite_reference` the plain 2-colouring that the double-cover
+labelling replaced, and
 `uniquely_half_covered_reference` is the per-vertex loop of matching solves
 that the reachability test on one double-cover matching replaced, and
 `sample_graph_reference` is the whole-draw sampler, one array entry per
@@ -629,6 +631,26 @@ def posa_heuristic_reference(g, seed: int = 0, restarts: int = 20):
             path[i + 1:] = reversed(path[i + 1:])
             rotations += 1
     return None
+
+
+def is_bipartite_reference(g) -> bool:
+    """Two-colour each component by a stack walk from its least vertex."""
+    adj = g.adjacency()
+    colour = [-1] * g.n
+    for root in range(g.n):
+        if colour[root] != -1:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if colour[v] == colour[u]:
+                    return False
+                if colour[v] == -1:
+                    colour[v] = 1 - colour[u]
+                    stack.append(v)
+    return True
 
 
 def min_odd_walk_length(g, i: int, j: int):

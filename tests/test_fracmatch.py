@@ -29,6 +29,7 @@ from oracles import (
     build_reference,
     edge_tuples,
     graph_peninsula_oracle,
+    is_bipartite_reference,
     max_half_matching_weight,
     min_half_cover_weight,
     uniquely_half_covered_oracle,
@@ -196,6 +197,25 @@ class TestPerfectMatching:
         assert is_bipartite(complete_bipartite(3, 3))
         assert not is_bipartite(cycle(5))
 
+    def test_bipartite_matches_two_colouring(self, rng):
+        shapes = set()
+        for _ in range(1500):
+            n = rng.randrange(0, 16)
+            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]))
+            want = is_bipartite_reference(g)
+            assert is_bipartite(g) == want, edge_tuples(g)
+            if n <= 1:
+                shapes.add(f"n={n}")
+                continue
+            if 0 in g.degrees():
+                shapes.add(f"isolated {want}")
+            if -1 in bfs_reference(g.indptr.tolist(), g.indices.tolist(), [0])[0]:
+                shapes.add(f"several components {want}")
+        # an odd cycle in one component only, beside a bipartite one
+        assert not is_bipartite(FiniteGraph.build(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]))
+        assert shapes == {"n=0", "n=1", "isolated True", "isolated False",
+                          "several components True", "several components False"}
+
 
 def test_fvcn_value_matches_cover(rng):
     for _ in range(30):
@@ -265,8 +285,9 @@ def test_uniquely_half_covered_matches_reference_loop():
 def _bfs_agrees(indptr, indices, sources) -> None:
     from graphonham.fracmatch import _bfs
 
-    depth, parent = _bfs(indptr, indices, sources)
-    assert (depth.tolist(), parent.tolist()) == bfs_reference(indptr.tolist(), indices.tolist(), sources)
+    reached, parent = _bfs(indptr, indices, sources)
+    depth, want_parent = bfs_reference(indptr.tolist(), indices.tolist(), sources)
+    assert (reached.tolist(), parent.tolist()) == ([d >= 0 for d in depth], want_parent)
 
 
 def test_bfs_matches_fifo_reference(rng):

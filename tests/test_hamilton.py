@@ -122,8 +122,15 @@ class TestPosa:
             with pytest.raises(FormatError) as exc:
                 posa_heuristic(g, seed=-7)
             assert exc.value.position == "seed"
-        with pytest.raises(FormatError):
-            classify(complete(10), seed=-1)
+        triangles = FiniteGraph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        k34 = FiniteGraph.build(7, [(i, 3 + j) for i in range(3) for j in range(4)])
+        # classify checks the seed whichever route decides: too small,
+        # disconnected, a narrow trap, the heuristic, the exact search
+        for g in (complete(2), triangles, k34, complete(10), PETERSEN):
+            assert classify(g).status in ("hamiltonian", "not_hamiltonian")
+            with pytest.raises(FormatError) as exc:
+                classify(g, seed=-1)
+            assert exc.value.position == "seed"
 
 
 def test_heuristic_succeeds_where_reference_did():

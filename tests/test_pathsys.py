@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,13 +34,29 @@ class TestOddWalk:
         assert odd_walk(cycle(5), 0, 1) == [0, 1]
 
     def test_bipartite_rejected(self):
-        with pytest.raises(BipartiteOrDisconnected):
+        # 0 and 3 lie on opposite sides, so an odd walk from 0 to 3 exists
+        with pytest.raises(BipartiteOrDisconnected, match="graph is bipartite"):
             odd_walk(FiniteGraph.build(4, [(0, 1), (1, 2), (2, 3)]), 0, 3)
 
     def test_disconnected_rejected(self):
+        # 0's component is a triangle, so odd walks from 0 to 0 and 1 exist
         g = FiniteGraph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        with pytest.raises(BipartiteOrDisconnected):
-            odd_walk(g, 0, 5)
+        for j in (0, 1, 5):
+            with pytest.raises(BipartiteOrDisconnected, match="graph is disconnected"):
+                odd_walk(g, 0, j)
+
+    def test_walks_are_shortest(self):
+        rng = random.Random(19)
+        hosts = 0
+        while hosts < 60:
+            n = rng.randrange(3, 11)
+            g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.8]))
+            if None in (min_odd_walk_length(g, 0, j) for j in range(n)):  # disconnected or bipartite
+                continue
+            hosts += 1
+            for i in range(n):
+                for j in range(n):
+                    assert len(odd_walk(g, i, j)) - 1 == min_odd_walk_length(g, i, j), (edge_tuples(g), i, j)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

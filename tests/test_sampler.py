@@ -327,7 +327,8 @@ def test_graph_file_roundtrip(tmp_path):
     assert edge_tuples(back) == edge_tuples(g.to_finite_graph())
     import json
 
-    side = json.loads(open(meta).read())
+    with open(meta) as fh:
+        side = json.load(fh)
     assert side["seed"] == 1 and side["trial_index"] == 2
     assert len(side["type_block"]) == 30
 
