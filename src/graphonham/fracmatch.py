@@ -199,9 +199,15 @@ def _edge_list_text(n: int, edge_array: np.ndarray) -> str:
 
 
 def _uncovered_edge(g: FiniteGraph, h: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first edge (u, v) with h[u] + h[v] < 2 half-units, or None."""
+    """The first edge (u, v) with h[u] + h[v] < 2 half-units, or None.
+
+    Called only after `_HalfUnits.validate` has checked every unit to be 0,
+    1 or 2, so the units fit int8 and their sums cannot wrap; gathering the
+    int8 copy with `take` moves an eighth of the bytes of the int64 units.
+    """
     u, v = g.edge_array.T
-    low = np.flatnonzero(h[u] + h[v] < 2)
+    h8 = h.astype(np.int8)
+    low = np.flatnonzero(h8.take(u) + h8.take(v) < 2)
     return (int(u[low[0]]), int(v[low[0]])) if len(low) else None
 
 
@@ -358,10 +364,16 @@ def _double_cover_csr(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
     """Whether each pair (a[k], b[k]) is an edge of g, by binary search of the
-    sorted edge keys u*n + v; a pair off the vertex range is no edge."""
+    sorted edge keys u*n + v; a pair off the vertex range is no edge.  The
+    keys are built on the first call and kept on `g`, so a later call costs
+    O(k log m) for k pairs."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    key = g.edge_array[:, 0].astype(np.int64) * g.n + g.edge_array[:, 1]
+    key = g.__dict__.get("_edge_keys")
+    if key is None:
+        key = g.edge_array[:, 0].astype(np.int64) * g.n + g.edge_array[:, 1]
+        key.flags.writeable = False
+        object.__setattr__(g, "_edge_keys", key)
     q = lo * g.n + hi
     pos = np.searchsorted(key, q)
     hit = (lo >= 0) & (hi < g.n) & (pos < len(key))

@@ -6,16 +6,20 @@ the two types.  Each (seed, trial_index) pair keys its own pair of
 counter-based Philox streams (one for types, one for edges), so trials can
 run in any order, in parallel, and still replay bit-exactly.  The coins are
 drawn in blocks of consecutive rows, each block's upper-triangle run into
-one reused flat buffer: a counter-based stream drawn in consecutive slices
-gives the numbers of one large draw, so replay does not depend on the block
-size and no array holds every pair.  A step kernel whose densities are all
-0 or 1 fixes every coin's outcome, so its edges come from the types alone
-and the edge stream is not drawn; `edge_coin` still replays every coin.
+one flat buffer.  A counter-based stream can be positioned at any coin, so
+each block opens the edge stream at its own first coin and the blocks run on
+every CPU the process has: the coins are those of one large draw, whatever
+the block size or the thread count, and no array holds every pair.  A step
+kernel whose densities are all 0 or 1 fixes every coin's outcome, so its
+edges come from the types alone and the edge stream is not drawn;
+`edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import queue
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,8 +30,8 @@ from .graphon import Graphon, PowerFamilyGraphon, StepGraphon
 
 _TYPE_CHANNEL = 0
 _EDGE_CHANNEL = 1
-#: Cells of the (rows x row length) rectangle a block of edge coins spans;
-#: a block holds at least one row.
+#: Cells of the (rows x row length) rectangles that the blocks of edge
+#: coins drawn at one time span together; a block holds at least one row.
 _BLOCK_COINS = 1 << 20
 
 
@@ -50,6 +54,32 @@ def _stream(seed: int, trial_index: int, channel: int) -> np.random.Generator:
     return np.random.Generator(_philox(seed, trial_index, channel))
 
 
+def _edge_stream_at(seed: int, trial_index: int, pos: int) -> np.random.Generator:
+    """The edge stream of a trial, positioned at its pos-th coin.
+
+    Philox emits four 64-bit words per counter tick, so advancing the raw
+    counter by pos // 4 and discarding pos % 4 draws lands exactly there.
+    """
+    bg = _philox(seed, trial_index, _EDGE_CHANNEL)
+    bg.advance(pos // 4)
+    gen = np.random.Generator(bg)
+    gen.random(pos % 4)
+    return gen
+
+
+def _sampling_threads() -> int:
+    """The threads one sample draws its coin blocks on: every CPU in the
+    process's affinity, or 1 in a multiprocessing worker, whose pool
+    already spreads trials over the CPUs."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SampledGraph:
     """One sampled graph together with its latent types and replay key."""
@@ -61,17 +91,11 @@ class SampledGraph:
     type_offset: np.ndarray  # float64 per vertex
     seed: int
     trial_index: int
+    _degrees: np.ndarray = field(repr=False, compare=False)  # int64 per vertex, read-only
 
     def degrees(self) -> np.ndarray:
-        """Degree of every vertex, counted on first use and kept read-only."""
-        deg = self.__dict__.get("_degrees")
-        if deg is None:
-            # column by column, so bincount's int64 cast copies half the edges
-            u, v = self.edges.T
-            deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-            deg.flags.writeable = False
-            object.__setattr__(self, "_degrees", deg)
-        return deg
+        """Degree of every vertex, counted while the edges were drawn."""
+        return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
         return FiniteGraph.build(self.n, self.edges)
@@ -133,15 +157,17 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     if isinstance(g, StepGraphon):
         dens = np.array([[float(d) for d in row] for row in g.densities])
     if dens is not None and ((dens == 0) | (dens == 1)).all():
-        edges = _type_edges(dens == 1, block)
+        edges, deg = _type_edges(dens == 1, block)
     else:
-        edges = _coin_edges(g, dens, block, offset, _stream(seed, trial_index, _EDGE_CHANNEL))
+        edges, deg = _coin_edges(g, dens, block, offset, seed, trial_index)
     edges.flags.writeable = False
-    return SampledGraph(g, n, edges, block, offset, seed, trial_index)
+    deg.flags.writeable = False
+    return SampledGraph(g, n, edges, block, offset, seed, trial_index, deg)
 
 
-def _type_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The edges of a 0/1 step kernel, where ones[a, b] says density 1.
+def _type_edges(ones: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of a 0/1 step kernel, where ones[a, b] says density 1, and
+    the degree of every vertex.
 
     Block a's partners are the ids j, ascending, with ones[a, block[j]];
     row i's upper neighbours are the suffix of its block's list after i.
@@ -157,8 +183,9 @@ def _type_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
     e[:, 0] = np.repeat(np.arange(n, dtype=np.int32), count)
     at = np.repeat(first - (np.cumsum(count) - count), count)
     at += np.arange(len(e))
-    e[:, 1] = part.astype(np.int32)[at]
-    return e
+    column = part[at]
+    e[:, 1] = column
+    return e, count + np.bincount(column, minlength=n)
 
 
 def _coin_edges(
@@ -166,45 +193,94 @@ def _coin_edges(
     dens: Optional[np.ndarray],
     block: Optional[np.ndarray],
     offset: np.ndarray,
-    gen: np.random.Generator,
-) -> np.ndarray:
-    """The edges from C(n, 2) coins drawn in row-major i < j order.
+    seed: int,
+    trial_index: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges from C(n, 2) coins drawn in row-major i < j order, and the
+    degree of every vertex.
 
     Rows i..i+r-1, w = n-1-i cells long, are drawn together as one flat run
     of their r*w - r(r-1)/2 upper cells, row t starting at position
     t*w - t(t-1)/2 with the pair (i+t, i+t+1).  A kernel of one density is
     compared with that scalar; any other meets the run with the upper cells
-    of its (r x w) probability block, read in row-major order.
+    of its (r x w) probability block, read in row-major order.  Each block
+    opens the edge stream at its own first coin, counts its hits per row
+    into its slice of `rowcount` and returns its columns with their counts,
+    so the blocks may run in any order; on several threads each spans about
+    `_BLOCK_COINS // threads` coins, so as many coins are in flight as on
+    one.  The pairs are written once the columns are in and the coin
+    buffers freed: column 1 first, dropping each block's part as it is
+    copied, then column 0 from the row counts, so the assembly holds at
+    most 1.5 times the edge array.
     """
     n = len(offset)
     step = dens is not None
     scalar = step and (dens == dens[0, 0]).all()
-    # r*w <= max(_BLOCK_COINS, w), so one buffer serves every block
-    buf = np.empty(min(n * (n - 1) // 2, _BLOCK_COINS + n))
-    parts = [np.empty((0, 2), dtype=np.int32)]
+    threads = _sampling_threads()
+    spans = []  # (first row, rows) of each block
     i = 0
     while i < n - 1:
         w = n - 1 - i
-        r = min(w, max(1, _BLOCK_COINS // w))
+        spans.append((i, min(w, max(1, _BLOCK_COINS // threads // w))))
+        i += spans[-1][1]
+    threads = max(1, min(threads, len(spans)))
+    # r*w <= max(_BLOCK_COINS // threads, w), so one buffer per thread serves every block
+    buffers = queue.SimpleQueue()
+    for _ in range(threads):
+        buffers.put(np.empty(min(n * (n - 1) // 2, _BLOCK_COINS // threads + n)))
+    rowcount = np.zeros(n, dtype=np.int64)
+
+    def draw(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        i, r = span
+        w = n - 1 - i
         t = np.arange(r)
         start = t * w - t * (t - 1) // 2
-        coins = gen.random(out=buf[:r * w - r * (r - 1) // 2])
-        if scalar:
-            p = dens[0, 0]
-        else:
-            if step:
-                p = np.take(dens[block[i:i + r]], block[i + 1:], axis=1)
+        buf = buffers.get()
+        try:
+            gen = _edge_stream_at(seed, trial_index, edge_stream_offset(n, i, i + 1))
+            coins = gen.random(out=buf[:r * w - r * (r - 1) // 2])
+            if scalar:
+                p = dens[0, 0]
             else:
-                p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
-            p = p[np.arange(w) >= t[:, None]]
-        hits = np.flatnonzero(coins < p)
+                if step:
+                    p = np.take(dens[block[i:i + r]], block[i + 1:], axis=1)
+                else:
+                    p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
+                p = p[np.arange(w) >= t[:, None]]
+            hits = np.flatnonzero(coins < p)
+        finally:
+            buffers.put(buf)
         count = np.diff(np.searchsorted(hits, start), append=len(hits))
-        e = np.empty((len(hits), 2), dtype=np.int32)
-        e[:, 0] = np.repeat(t + i, count)
-        np.add(hits, np.repeat(i + 1 + t - start, count), out=e[:, 1])
-        parts.append(e)
-        i += r
-    return np.concatenate(parts)
+        rowcount[i:i + r] = count
+        hits += np.repeat(i + 1 + t - start, count)  # now the column of each hit
+        return hits.astype(np.int32), np.bincount(hits, minlength=n)
+
+    deg = np.zeros(n, dtype=np.int64)
+    parts = []
+    pool = None
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(threads)
+    try:
+        for column, column_count in (pool.map if pool else map)(draw, spans):
+            parts.append(column)
+            deg += column_count
+    finally:
+        if pool is not None:
+            # on an error the blocks not yet started are dropped; either way
+            # no thread outlives the sample (`experiment --jobs` forks)
+            pool.shutdown(cancel_futures=True)
+    del buffers  # freed before the edge array is made
+    deg += rowcount
+    e = np.empty((sum(len(c) for c in parts), 2), dtype=np.int32)
+    at = 0
+    for k in range(len(parts)):
+        e[at:at + len(parts[k]), 1] = parts[k]
+        at += len(parts[k])
+        parts[k] = None
+    e[:, 0] = np.repeat(np.arange(n, dtype=np.int32), rowcount)
+    return e, deg
 
 
 def edge_stream_offset(n: int, i: int, j: int) -> int:
@@ -214,17 +290,11 @@ def edge_stream_offset(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 def edge_coin(seed: int, trial_index: int, offset: int) -> float:
-    """The offset-th edge coin of a trial, regenerated from the counter alone.
-
-    Philox emits four 64-bit words per counter tick, so advancing the raw
-    counter by offset // 4 and discarding offset % 4 draws lands exactly on
-    the requested position; this is what makes per-pair accounting testable.
-    """
+    """The offset-th edge coin of a trial, regenerated from the counter alone
+    (`_edge_stream_at`); this is what makes per-pair accounting testable."""
     if offset < 0:
         raise FormatError("must be nonnegative", "offset")
-    bg = _philox(seed, trial_index, _EDGE_CHANNEL)
-    bg.advance(offset // 4)
-    return float(np.random.Generator(bg).random(offset % 4 + 1)[-1])
+    return float(_edge_stream_at(seed, trial_index, offset).random())
 
 
 def degree_concentration_report(graph: SampledGraph) -> float:

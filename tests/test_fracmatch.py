@@ -248,6 +248,30 @@ def test_adjacency_and_double_cover_solved_once_per_graph(rng, monkeypatch):
     assert len(calls) == 2
 
 
+def test_edge_keys_kept_after_the_first_membership_check():
+    """Edge membership reads the sorted keys u*n + v; they are built on the
+    first check and kept on the graph, so a later check pays only its
+    binary searches (`validate_cycle`, `odd_walk` and `PathSystem.validate`
+    each ask about a few pairs)."""
+    import tracemalloc
+
+    from graphonham.fracmatch import _are_edges
+
+    g = sample_graph(get_preset("constant-0.3"), 400, 0).to_finite_graph()
+    (u, v), m = g.edge_array[7], len(g.edge_array)
+    assert _are_edges(g, [u, v, 0, -1], [v, u, 0, 0]).tolist() == [True, True, False, False]
+    keys = g.__dict__["_edge_keys"]
+    assert not keys.flags.writeable
+    tracemalloc.start()
+    try:
+        assert _are_edges(g, [v, u, 399], [u, u, 400]).tolist() == [True, False, False]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.__dict__["_edge_keys"] is keys
+    assert peak < 8 * m // 10  # rebuilding the keys would take 8 bytes per edge
+
+
 # ---------------------------------------------------------------------------
 # unique half-coverage read off one matching, against the per-vertex loop
 

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import tracemalloc
 
@@ -157,20 +158,99 @@ EXTRA_KERNELS = {
 }
 
 
-@pytest.mark.parametrize("preset", FIVE_PRESETS + ["balanced-bipartite"] + list(EXTRA_KERNELS))
-def test_row_blocks_match_whole_draw(preset, monkeypatch):
+def _draws_coins(name: str) -> bool:
+    """Whether the kernel draws edge coins: a 0/1 step kernel has no block plan to thread."""
+    g = EXTRA_KERNELS.get(name) or get_preset(name)
+    return not isinstance(g, StepGraphon) or any(d not in (0, 1) for row in g.densities for d in row)
+
+
+@pytest.mark.parametrize("preset, threads", [
+    pytest.param(p, t, id=p if t == 1 else f"{p}-{t}-threads")
+    for p in FIVE_PRESETS + ["balanced-bipartite"] + list(EXTRA_KERNELS)
+    for t in (1, 2, 3)
+    if t == 1 or _draws_coins(p)
+])
+def test_row_blocks_match_whole_draw(preset, threads, monkeypatch):
+    """Each block opens the edge stream at its own first coin, so the edges
+    are those of one whole draw whatever the block plan or thread count.
+    Blocks of one row each cost a thread hand-off apiece, so on several
+    threads they run at n=400 (hundreds of blocks) and not at n=2000."""
     g = EXTRA_KERNELS[preset] if preset in EXTRA_KERNELS else get_preset(preset)
+    default = sampler._BLOCK_COINS
     for n in (1, 2, 3, 37, 400, 2000):
         for trial in (0, 3):
             ref = sample_graph_reference(g, n, 8, trial)
+            ref_deg = np.bincount(ref.ravel(), minlength=n)
             # the default block, one row per block, short multi-row tail
             # blocks, and a first block ending exactly at the end of row 0
-            for coins in (sampler._BLOCK_COINS, 1, 5, n - 1):
-                monkeypatch.setattr(sampler, "_BLOCK_COINS", coins)
-                edges = sample_graph(g, n, 8, trial).edges
-                assert edges.dtype == np.int32
-                assert np.array_equal(edges, ref), (n, trial, coins)
+            for coins in (default, 1, 5, n - 1) if threads == 1 or n < 2000 else (default, 5 * n):
+                monkeypatch.setattr(sampler, "_sampling_threads", lambda: threads)
+                # each block spans `coins`, the plan of one thread
+                monkeypatch.setattr(sampler, "_BLOCK_COINS", coins * threads)
+                s = sample_graph(g, n, 8, trial)
+                assert s.edges.dtype == np.int32
+                assert np.array_equal(s.edges, ref), (n, trial, coins)
+                assert np.array_equal(s.degrees(), ref_deg), (n, trial, coins)
             monkeypatch.undo()
+
+
+def test_many_threads_under_fast_switching_match_whole_draw(monkeypatch):
+    """Eight threads switching every microsecond finish their blocks in any
+    order; the edges are still the whole draw's, in row-major order."""
+    import sys
+    import time
+
+    g = StepGraphon.build(["1/3", "2/3"], [["3/10", "7/10"], ["7/10", "1/5"]])
+    n = 2000
+    ref = sample_graph_reference(g, n, 13, 1)
+    monkeypatch.setattr(sampler, "_sampling_threads", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        began = time.perf_counter()
+        for coins in (sampler._BLOCK_COINS, 40 * n):  # 17 blocks, then 215
+            monkeypatch.setattr(sampler, "_BLOCK_COINS", coins)
+            s = sample_graph(g, n, 13, 1)
+            assert np.array_equal(s.edges, ref), coins
+            assert np.array_equal(s.degrees(), np.bincount(ref.ravel(), minlength=n))
+        elapsed = time.perf_counter() - began
+    finally:
+        sys.setswitchinterval(interval)
+    assert elapsed < 30
+
+
+def test_failed_block_cancels_the_rest_and_joins_its_threads(monkeypatch):
+    """An error in one block reaches the caller; the blocks not yet started
+    are dropped, and the threads are joined before `sample_graph` raises."""
+    import threading
+
+    calls = []
+    stream_at = sampler._edge_stream_at
+
+    def failing(seed, trial_index, pos):
+        calls.append(pos)
+        if len(calls) == 3:
+            raise MemoryError("block 3")
+        return stream_at(seed, trial_index, pos)
+
+    monkeypatch.setattr(sampler, "_edge_stream_at", failing)
+    monkeypatch.setattr(sampler, "_sampling_threads", lambda: 2)
+    monkeypatch.setattr(sampler, "_BLOCK_COINS", 2)  # one row per block: 1999 blocks
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="block 3"):
+        sample_graph(StepGraphon.constant("0.3"), 2000, 0)
+    assert threading.active_count() == before
+    assert len(calls) < 1999  # some blocks never started
+
+
+def test_pool_workers_sample_on_one_thread():
+    """A process pool (`experiment --jobs`) already spreads trials over the
+    CPUs, so its workers draw each sample's blocks on one thread."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    assert 1 <= sampler._sampling_threads() <= (os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(sampler._sampling_threads).result() == 1
 
 
 @pytest.mark.parametrize("preset", FIVE_PRESETS)
@@ -191,13 +271,13 @@ def test_finite_graph_keeps_sampled_edges(preset, tmp_path):
 
 def test_zero_one_kernels_draw_no_edge_coin(monkeypatch):
     channels = []
-    stream = sampler._stream
+    philox = sampler._philox
 
     def recorded(seed, trial_index, channel):
         channels.append(channel)
-        return stream(seed, trial_index, channel)
+        return philox(seed, trial_index, channel)
 
-    monkeypatch.setattr(sampler, "_stream", recorded)
+    monkeypatch.setattr(sampler, "_philox", recorded)
     zero_one = [get_preset(p) for p in ("balanced-bipartite", "bipartite-plus-clique", "narrow-three-block")]
     for g in zero_one + list(ZERO_ONE_KERNELS.values()):
         sample_graph(g, 50, 1)
@@ -252,6 +332,24 @@ def test_sample_peak_memory_is_bounded():
     assert peak <= 100 * 2**20
 
 
+def test_sample_assembly_holds_one_and_a_half_edge_arrays():
+    """The blocks return int32 columns only, and the pairs are written into
+    one array once the coin buffers are freed: column 1 from the parts,
+    each dropped as it is copied, then column 0 from the row counts.  A list
+    of (m, 2) parts joined at the end would hold the edge array twice."""
+    g = StepGraphon.constant("0.3")
+    sample_graph(g, 200, 0)
+    tracemalloc.start()
+    try:
+        s = sample_graph(g, 4000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 8 bytes for each of the coins in flight, their buffers or one
+    # block's temporaries, whichever is held at the peak
+    assert peak <= 1.5 * s.edges.nbytes + 8 * sampler._BLOCK_COINS
+
+
 def test_degrees_allocate_less_than_a_copy_of_both_columns():
     s = sample_graph(StepGraphon.constant("0.3"), 4000, 0)
     tracemalloc.start()
@@ -282,7 +380,8 @@ def test_build_on_sampled_edges_allocates_under_four_copies(preset):
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_degrees_count_every_endpoint(preset):
-    for n in (1, 2, 3, 60, 400):
+    # n=2000 draws more than one block of coins
+    for n in (1, 2, 3, 60, 400, 2000):
         s = sample_graph(get_preset(preset), n, 6, 2)
         deg = s.degrees()
         assert deg.dtype == np.int64

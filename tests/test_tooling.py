@@ -83,6 +83,29 @@ def test_sampling_leaves_scipy_unloaded(tmp_path):
     assert _python_output(code, str(tmp_path / "g.txt")).splitlines()[-1] == "False"
 
 
+def test_no_thread_outlives_import_or_sampling():
+    """`import graphonham` starts no thread, and a sample whose coin blocks
+    ran on several threads has joined them all when it returns, so a
+    process pool (`experiment --jobs`) never forks a process mid-draw."""
+    code = (
+        "import threading\n"
+        "import graphonham\n"
+        "from graphonham import get_preset, sampler\n"
+        "print(threading.active_count())\n"
+        "import concurrent.futures\n"
+        "pools = []\n"
+        "class Pool(concurrent.futures.ThreadPoolExecutor):\n"
+        "    def __init__(self, workers):\n"
+        "        pools.append(workers)\n"
+        "        super().__init__(workers)\n"
+        "concurrent.futures.ThreadPoolExecutor = Pool\n"
+        "sampler._sampling_threads = lambda: 3\n"
+        "sampler.sample_graph(get_preset('constant-0.3'), 2000, 0)\n"
+        "print(pools, threading.active_count())\n"
+    )
+    assert _python_output(code).split() == ["1", "[3]", "1"]
+
+
 def test_no_bare_asserts_in_package():
     """`python -O` strips `assert` statements, so every check in the package
     is an explicit raise; this keeps a new bare `assert` from slipping in."""
