@@ -14,17 +14,23 @@ sandwich
 
 proves both folded objects optimal, so no external LP theory is trusted at
 runtime; every returned object is also re-validated against its definition.
+A step-kernel sample's graph carries its types (`_TypeHint`), and then
+`fvcn_value`, `is_connected` and the narrow trap come from one max flow on
+the block graph, lifted through the types and proved on the graph by the
+same sandwich, before any CSR or matching is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import FormatError, InvariantViolation, _self_checked
+from .graphon import _cover_flow
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +41,15 @@ from .errors import FormatError, InvariantViolation, _self_checked
 class FiniteGraph:
     """A finite simple graph: no weights, no self-loops, no repeated edges.
 
-    The edge set is held as arrays built once: `edge_array` is the (m, 2)
-    int32 array of edges with u < v, sorted and without repeats, and
-    `indptr`/`indices` are the CSR of the symmetric adjacency, each row
-    ascending.
+    The edge set is `edge_array`, the (m, 2) int32 array of edges with
+    u < v, sorted and without repeats, built once.  `indptr`/`indices`, the
+    CSR of the symmetric adjacency with each row ascending, are built from
+    it on first use and kept: the searches and the matching read them, a
+    trap decided from a sample's types (`_TypeHint`) never does.
     """
 
     n: int
     edge_array: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
 
     @staticmethod
     def build(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "FiniteGraph":
@@ -53,27 +58,37 @@ class FiniteGraph:
         An int32 array that one check shows to be canonical (0 <= u < v < n,
         the pairs strictly increasing in row-major order, as the sampler
         writes them) becomes `edge_array` as it is, copied only if it is
-        writeable; any other input is first normalised to that form.  Both
-        then go through the one COO->CSR conversion.  `edge_array` is
-        read-only.
+        writeable; any other input is first normalised to that form.
+        `edge_array` is read-only.
         """
         if not 0 <= n < 1 << 31:
             raise FormatError("vertex count must be in [0, 2**31)", "n")
-        vuv = _canonical_columns(n, edges)
-        if vuv is not None:
+        if _is_canonical(n, edges):
             e = edges.copy() if edges.flags.writeable else edges
         else:
             e = _canonical_pairs(n, edges)
-            vuv = _vuv(e)
         e.flags.writeable = False
+        return FiniteGraph(n, e)
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return self._csr()[0]
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self._csr()[1]
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one COO->CSR conversion; both arrays are kept on the instance."""
         from scipy.sparse import coo_array
 
         # rows v, u and columns u, v: every pair in both directions, the
         # reversed pairs first, so in row-major edge order each row is
         # already ascending and tocsr() has nothing to sort or merge
-        m = len(e)
-        adj = coo_array((np.ones(2 * m, dtype=bool), (vuv[:2 * m], vuv[m:])), shape=(n, n)).tocsr()
-        return FiniteGraph(n, e, adj.indptr, adj.indices)
+        m, vuv = len(self.edge_array), _vuv(self.edge_array)
+        adj = coo_array((np.ones(2 * m, dtype=bool), (vuv[:2 * m], vuv[m:])), shape=(self.n, self.n)).tocsr()
+        self.__dict__.update(indptr=adj.indptr, indices=adj.indices)
+        return adj.indptr, adj.indices
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour lists, ascending, sliced from the CSR.
@@ -90,7 +105,7 @@ class FiniteGraph:
         return adj
 
     def degrees(self) -> list[int]:
-        return np.diff(self.indptr).tolist()
+        return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
 
     def to_edge_list_text(self) -> str:
         return _edge_list_text(self.n, self.edge_array)
@@ -135,22 +150,22 @@ def _vuv(e: np.ndarray) -> np.ndarray:
     return np.concatenate([e[:, 1], e[:, 0], e[:, 1]])
 
 
-def _canonical_columns(n: int, edges) -> Optional[np.ndarray]:
-    """`_vuv(edges)` if edges is an int32 (m, 2) array with 0 <= u < v < n
-    whose pairs strictly increase in row-major order, else None.  The
-    check reads the columns u and v where they lie contiguous in vuv."""
+def _is_canonical(n: int, edges) -> bool:
+    """Whether edges is an int32 (m, 2) array with 0 <= u < v < n whose pairs
+    strictly increase in row-major order.  The check reads contiguous
+    copies of the columns u and v."""
     if not (isinstance(edges, np.ndarray) and edges.dtype == np.int32 and edges.shape[1:] == (2,)):
-        return None
-    m, vuv = len(edges), _vuv(edges)
-    u, v = vuv[m:2 * m], vuv[:m]
-    canonical = m == 0 or bool(
+        return False
+    if not len(edges):
+        return True
+    u, v = np.ascontiguousarray(edges.T)
+    return bool(
         u[0] >= 0
         and v.max() < n
         and (u < v).all()
         and (u[1:] >= u[:-1]).all()
         and ((u[1:] > u[:-1]) | (v[1:] > v[:-1])).all()
     )
-    return vuv if canonical else None
 
 
 def _canonical_pairs(n: int, edges) -> np.ndarray:
@@ -419,6 +434,159 @@ def _folded_cover(
 
 
 # ---------------------------------------------------------------------------
+# a step-kernel sample's types
+
+
+@dataclass(frozen=True, eq=False)
+class _TypeHint:
+    """What a step-kernel sample knows beyond its edges, attached to its graph
+    by `SampledGraph.to_finite_graph`: the block of each vertex, where the
+    kernel is positive between two blocks (a k x k bool array), and whether
+    every density is 0 or 1.
+
+    Zero density draws no edge, so a half cover of the block graph lifts
+    through the types to a half cover of the sample.  When every density is
+    0 or 1, each block is also a twin class (an independent set or a clique,
+    with one set of outside neighbours), and the fractional-cover LP has an
+    optimum constant on twin classes (Grohe, Kersting, Mladenov and Selman,
+    "Dimension reduction via colour refinement", ESA 2014), so the best block
+    cover weighs fvcn(G).  No answer drawn from the hint is taken on trust:
+    each is checked on the graph, and a failed check falls back to the
+    graph's own route, so a wrong hint costs time, never soundness.
+    """
+
+    block: np.ndarray
+    positive: np.ndarray
+    zero_one: bool
+
+
+def _type_classes(g: FiniteGraph) -> Optional[tuple[_TypeHint, np.ndarray, list[np.ndarray]]]:
+    """g's hint, the size of each block and its vertices, ascending; None when
+    g carries no hint or its blocks do not label g's vertices."""
+    hint = g.__dict__.get("_types")
+    if hint is None:
+        return None
+    block, k = hint.block, len(hint.positive)
+    if len(block) != g.n or g.n == 0 or block.min() < 0 or block.max() >= k:
+        return None
+    count = np.bincount(block, minlength=k)
+    return hint, count, np.split(np.argsort(block, kind="stable"), np.cumsum(count)[:-1])
+
+
+def _type_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
+    """The best half cover of g's block graph lifted through its types and
+    validated on g (a `GraphPeninsula` when it weighs less than n/2), and
+    whether it is proved minimum; (None, False) when g carries no hint or
+    the cover fails its check.  Kept on g.
+
+    The cover is the least min cut of `graphon._cover_flow` on the block
+    sizes, a block looped when its density is positive and it holds two
+    vertices.  On a 0/1 kernel the proof is this module's sandwich: the
+    integer flow splits into as many double-cover pairs as the cover has
+    half-units, f pairs (u+, w-) with u in block v and w in block x for a
+    flow f on v -> x.  A block gives its left copies in list order and its
+    right copies from the list rotated by one, its loop first on both sides,
+    so no loop pair is u+u-.  Checked to be edges of g that use each copy at
+    most once, the pairs are a double-cover matching as large as the cover.
+    """
+    found = g.__dict__.get("_type_cover")
+    if found is None:
+        found = _lifted_cover(g)
+        object.__setattr__(g, "_type_cover", found)
+    return found
+
+
+def _lifted_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
+    classes = _type_classes(g)
+    if classes is None:
+        return None, False
+    hint, count, members = classes
+    k = len(count)
+    positive = hint.positive & ((count >= 2) | ~np.eye(k, dtype=bool))
+    flow, r, reach = _cover_flow(count.tolist(), positive.tolist())
+    units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
+    cover = (GraphPeninsula if flow < g.n else HalfCover)(units[hint.block], Fraction(flow, 2))
+    try:
+        cover.validate(g)
+    except AssertionError:
+        return None, False
+    if not hint.zero_one:
+        return cover, False
+    left, right = [], []
+    rotated = [np.roll(m, -1) for m in members]
+    used_l, used_r = [0] * k, [0] * k
+    for v, x in [(v, v) for v in range(k)] + [(v, x) for v in range(k) for x in range(k) if v != x]:
+        f = r[k + x][v]
+        left.append(members[v][used_l[v]:used_l[v] + f])
+        right.append(rotated[x][used_r[x]:used_r[x] + f])
+        used_l[v] += f
+        used_r[x] += f
+    a, b = np.concatenate(left), np.concatenate(right)
+    exact = bool(
+        len(a) == len(b) == flow
+        and _are_edges(g, a, b).all()
+        and np.bincount(a, minlength=g.n).max() <= 1
+        and np.bincount(b, minlength=g.n).max() <= 1
+    )
+    return cover, exact
+
+
+def _type_connected(g: FiniteGraph) -> Optional[bool]:
+    """Whether a 0/1-kernel sample is connected, read off its block graph and
+    checked on g; None when g carries no such hint or the check fails.
+
+    Two adjacent blocks are completely joined, so with two or more nonempty
+    blocks G is connected iff they are connected in the block graph; a lone
+    block is connected iff it is a clique or one vertex.  "Connected" is
+    checked by a spanning tree lifted from a BFS tree of the blocks: each
+    vertex but the root has a parent one level above it, joined to it by an
+    edge of g, so following parents ends at the root.  "Disconnected" is
+    checked by a set of vertices, neither empty nor all, that no edge of g
+    leaves: the blocks the root's block reaches, or the root alone when its
+    block is independent and the only nonempty one.
+    """
+    classes = _type_classes(g)
+    if classes is None or not classes[0].zero_one:
+        return None
+    hint, count, members = classes
+    nonempty = np.flatnonzero(count).tolist()
+    top = nonempty[0]
+    root = members[top][0]
+    above = {top: top}  # block -> its parent in the BFS tree of the blocks
+    level = {top: 0}
+    for c in (queue := [top]):
+        for d in nonempty:
+            if d not in above and hint.positive[c, d]:
+                above[d], level[d] = c, level[c] + 1
+                queue.append(d)
+    clique = bool(hint.positive[top, top])
+    inside = None
+    if len(queue) < len(nonempty):
+        inside = np.isin(hint.block, queue)
+    elif len(queue) == 1 and not clique:
+        inside = np.arange(g.n) == root
+    if inside is not None:
+        u, v = g.edge_array.T
+        return None if (inside[u] != inside[v]).any() else False
+    parent = np.full(g.n, -1, dtype=np.int64)
+    depth = np.zeros(g.n, dtype=np.int64)
+    for c in queue[1:]:
+        parent[members[c]], depth[members[c]] = members[above[c]][0], level[c]
+    rest = members[top][1:]
+    if clique:
+        parent[rest], depth[rest] = root, 1
+    elif len(rest):
+        parent[rest], depth[rest] = members[queue[1]][0], 2
+    child = np.flatnonzero(parent >= 0)
+    tree = (
+        len(child) == g.n - 1
+        and (depth[parent[child]] == depth[child] - 1).all()
+        and _are_edges(g, child, parent[child]).all()
+    )
+    return True if tree else None
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -442,7 +610,12 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
 
 
 def fvcn_value(g: FiniteGraph) -> Fraction:
-    """Exact fvcn without materializing the cover (fast path)."""
+    """Exact fvcn without materializing the cover: the weight of the lifted
+    block cover when `_type_cover` proves it minimum, else half the size of
+    the double-cover matching."""
+    cover, exact = _type_cover(g)
+    if exact:
+        return cover.weight
     size, _, _ = _double_cover_matching(g)
     return Fraction(size, 2)
 
@@ -517,10 +690,14 @@ def is_bipartite(g: FiniteGraph) -> bool:
 
 
 def is_connected(g: FiniteGraph) -> bool:
-    """Whether a BFS from vertex 0 reaches every vertex; the answer is kept
-    on `g`, as the matching is, so every caller shares one search."""
+    """Whether g is connected: read off a 0/1-kernel sample's types when
+    `_type_connected` can, else whether a BFS from vertex 0 reaches every
+    vertex.  The answer is kept on `g`, as the matching is, so every caller
+    shares one search."""
     found = g.__dict__.get("_connected")
     if found is None:
-        found = g.n <= 1 or bool(_bfs(g.indptr, g.indices, [0])[0].all())
+        found = True if g.n <= 1 else _type_connected(g)
+        if found is None:
+            found = bool(_bfs(g.indptr, g.indices, [0])[0].all())
         object.__setattr__(g, "_connected", found)
     return found

@@ -480,36 +480,28 @@ def _zero_set(closed, k: int) -> int:
     return sum(1 << v for v in range(k) if v in closed and k + v not in closed)
 
 
-def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
-    """A trap certificate read off one exact max flow; prefers the narrow kind.
+def _cover_flow(weights: list[int], positive) -> tuple[int, list[list[int]], dict[int, int]]:
+    """Max flow of the double cover of a weighted block graph (Nemhauser and
+    Trotter 1975): left copy v is fed from the source and right copy k + v
+    drained to the sink, both of capacity weights[v], with an uncuttable arc
+    v -> k + w wherever positive[v][w] (a loop when v == w).
 
-    A support Z works iff it is independent (diagonal included) in the block
-    positivity graph and mass(Z) >= mass(N(Z)), strictly for the narrow kind.
-    Z is the zero set of the half cover 0 on Z, 1 on N(Z), 1/2 elsewhere, so
-    the best margin mass(Z) - mass(N(Z)) is 1 - 2c for c the least weight of
-    a fractional vertex cover of the block graph, loops at positive diagonals.
-    2c is the min cut of its double cover: left copy v fed from the source and
-    right copy k + v drained to the sink, both of capacity mass(v), with an
-    uncuttable arc v -> k + w per positive density (Nemhauser and Trotter
-    1975).  A min cut folds to an optimal cover, 0 where only the left copy is
-    on the source side.  A flow below 1 is narrow, and the least min cut then
-    reaches the best margin.  At flow 1 the min cuts are the residual graph's
-    closed sets (Picard and Queyranne 1980): a trap exists iff the least one
-    holding some block v, tried in ascending order, leaves out k + v, the
-    test `fracmatch.uniquely_half_covered` runs on graphs.
+    The min cut is twice the least weight of a half-integral vertex cover of
+    the block graph, and the least min cut, the source's residual reach,
+    folds to an optimal one, in half-units: 0 on a block whose left copy is
+    reached and right copy is not, 2 where only the right copy is reached,
+    1 elsewhere.  Returns the flow, the residual capacities (the flow
+    on an arc v -> k + w is r[k + w][v]) and that reach, each reached node
+    with its BFS parent.
     """
-    if isinstance(g, PowerFamilyGraphon):
-        return None  # kernel positive almost everywhere
-    k = g.k
-    # integer capacities in units of the masses' common denominator; scale + 1 exceeds every min cut
-    scale = math.lcm(*(m.denominator for m in g.block_masses))
+    k, uncuttable = len(weights), sum(weights) + 1
     source, sink = 2 * k, 2 * k + 1
     r = [[0] * (2 * k + 2) for _ in range(2 * k + 2)]
-    for v, m in enumerate(g.block_masses):
-        r[source][v] = r[k + v][sink] = m.numerator * (scale // m.denominator)
+    for v, cap in enumerate(weights):
+        r[source][v] = r[k + v][sink] = cap
         for w in range(k):
-            if g.densities[v][w] > 0:
-                r[v][k + w] = scale + 1
+            if positive[v][w]:
+                r[v][k + w] = uncuttable
     flow = 0
     while sink in (parent := _residual_reach(r, source)):
         path = [sink]
@@ -520,8 +512,32 @@ def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
             r[u][w] -= push
             r[w][u] += push
         flow += push
+    return flow, r, parent
+
+
+def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
+    """A trap certificate read off one exact max flow; prefers the narrow kind.
+
+    A support Z works iff it is independent (diagonal included) in the block
+    positivity graph and mass(Z) >= mass(N(Z)), strictly for the narrow kind.
+    Z is the zero set of the half cover 0 on Z, 1 on N(Z), 1/2 elsewhere, so
+    the best margin mass(Z) - mass(N(Z)) is 1 - 2c for c the least weight of
+    a fractional vertex cover of the block graph, loops at positive diagonals.
+    2c is the min cut of `_cover_flow` with the masses as weights, in units
+    of their common denominator.  A flow below 1 is narrow, and the least min
+    cut then reaches the best margin.  At flow 1 the min cuts are the
+    residual graph's closed sets (Picard and Queyranne 1980): a trap exists
+    iff the least one holding some block v, tried in ascending order, leaves
+    out k + v, the test `fracmatch.uniquely_half_covered` runs on graphs.
+    """
+    if isinstance(g, PowerFamilyGraphon):
+        return None  # kernel positive almost everywhere
+    k = g.k
+    scale = math.lcm(*(m.denominator for m in g.block_masses))
+    weights = [m.numerator * (scale // m.denominator) for m in g.block_masses]
+    flow, r, reach = _cover_flow(weights, [[d > 0 for d in row] for row in g.densities])
     if flow < scale:
-        return build_certificate(g, _zero_set(parent, k), "narrow")
+        return build_certificate(g, _zero_set(reach, k), "narrow")
     for v in range(k):
         closed = _residual_reach(r, v)
         if k + v not in closed:

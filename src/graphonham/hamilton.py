@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, InvariantViolation
-from .fracmatch import FiniteGraph, _are_edges, fvcn_value, graph_peninsula, is_connected
+from .fracmatch import FiniteGraph, GraphPeninsula, _are_edges, _type_cover, fvcn_value, graph_peninsula, is_connected
 
 STATUS_HAMILTONIAN = "hamiltonian"
 STATUS_NOT_HAMILTONIAN = "not_hamiltonian"
@@ -68,13 +68,18 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
     """First certified necessary-condition failure, if any.
 
     Checked in order: connectivity, minimum degree 2, then a narrow trap
-    (fvcn < n/2, which already rules out a perfect fractional matching),
-    whose certificate `graph_peninsula` has validated before returning it.
+    (fvcn < n/2, which already rules out a perfect fractional matching).
+    The trap's certificate is a validated `GraphPeninsula`: on a step-kernel
+    sample the block cover lifted through its types, when that weighs less
+    than n/2 (no matching is solved), else the one `graph_peninsula` folds
+    from the double-cover matching.
     """
     if not is_connected(g):
         return OBSTRUCTION_DISCONNECTED
     if g.n == 0 or min(g.degrees()) < 2:
         return OBSTRUCTION_MIN_DEGREE
+    if g.n >= 3 and isinstance(_type_cover(g)[0], GraphPeninsula):
+        return OBSTRUCTION_NARROW
     if g.n >= 3 and fvcn_value(g) < Fraction(g.n, 2):
         cert = graph_peninsula(g)
         if cert is None or cert.kind != "narrow":

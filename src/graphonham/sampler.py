@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError
-from .fracmatch import FiniteGraph, _edge_list_text
+from .fracmatch import FiniteGraph, _TypeHint, _edge_list_text
 from .graphon import Graphon, PowerFamilyGraphon, StepGraphon
 
 _TYPE_CHANNEL = 0
@@ -80,7 +80,7 @@ def _sampling_threads() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One sampled graph together with its latent types and replay key."""
 
@@ -98,7 +98,19 @@ class SampledGraph:
         return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
-        return FiniteGraph.build(self.n, self.edges)
+        """The graph of the edges.  A step-kernel sample's graph also carries
+        its types and the kernel's positivity as a `_TypeHint`, from which
+        traps, fvcn and connectivity are read and then checked on the graph."""
+        g = FiniteGraph.build(self.n, self.edges)
+        if self.type_block is not None:
+            dens = self.model.densities
+            hint = _TypeHint(
+                self.type_block,
+                np.array([[d > 0 for d in row] for row in dens]),
+                all(d in (0, 1) for row in dens for d in row),
+            )
+            object.__setattr__(g, "_types", hint)
+        return g
 
     def sidecar_dict(self) -> dict:
         d = {

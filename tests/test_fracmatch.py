@@ -13,6 +13,8 @@ from graphonham import (
     GraphPeninsula,
     HalfCover,
     HalfMatching,
+    StepGraphon,
+    classify,
     fmn_half,
     fvcn_half,
     fvcn_value,
@@ -20,10 +22,13 @@ from graphonham import (
     graph_peninsula,
     half_integral_perfect_matching,
     is_bipartite,
+    is_connected,
     sample_graph,
     uniquely_half_covered,
 )
-from conftest import random_graph
+from conftest import random_graph, random_step_graphon
+from graphonham.fracmatch import _TypeHint, _type_connected, _type_cover
+from graphonham.presets import PRESET_NAMES
 from oracles import (
     bfs_reference,
     build_reference,
@@ -576,3 +581,82 @@ def test_build_matches_reference():
             assert g.edge_array.dtype == g.indptr.dtype == g.indices.dtype == np.int32
             assert g.edge_array.shape == (len(edges), 2) and g.edge_array.tolist() == edges
             assert g.indptr.tolist() == indptr and g.indices.tolist() == indices
+
+
+# ---------------------------------------------------------------------------
+# step-kernel samples decided from their types
+
+
+def _hinted_samples():
+    """Samples of every preset and of seeded random step kernels, k <= 6,
+    n from 3 to 400, every other one with its positive densities set to 1."""
+    for name in PRESET_NAMES:
+        for n in (3, 10, 60, 400):
+            yield sample_graph(get_preset(name), n, 2, 1)
+    rng = random.Random(2021)
+    for trial in range(200):
+        g = random_step_graphon(rng, rng.randint(1, 6), zero_prob=rng.choice([0.3, 0.5, 0.7]))
+        if trial % 2:
+            g = StepGraphon(g.block_masses, tuple(tuple(Fraction(int(d > 0)) for d in row) for row in g.densities))
+        yield sample_graph(g, rng.choice([3, 4, 5, 8, 13, 30, 60, 150, 400]), rng.randrange(1 << 30), trial)
+
+
+def _same_answers(g, ref):
+    """g decides as ref, the same edges with no hint, and whatever g's hint
+    produced validates on g."""
+    assert is_connected(g) == is_connected(ref)
+    assert min(g.degrees(), default=None) == min(ref.degrees(), default=None)
+    assert fvcn_value(g) == fvcn_value(ref)
+    assert classify(g, budget=2000, posa_restarts=2) == classify(ref, budget=2000, posa_restarts=2)
+    cover, exact = _type_cover(g)
+    if cover is not None:
+        cover.validate(g)
+        assert isinstance(cover, GraphPeninsula) == (2 * cover.weight < g.n)
+        assert cover.weight >= fvcn_value(ref)
+    if exact:
+        assert cover.weight == fvcn_value(ref)
+    assert _type_connected(g) in (None, is_connected(ref))
+
+
+def test_type_hint_answers_as_the_graph_does():
+    """A sample's graph carries its types exactly when the kernel is a step
+    kernel; on a 0/1 kernel they decide fvcn and connectivity outright."""
+    for s in _hinted_samples():
+        g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
+        hint = vars(g).get("_types")
+        assert (hint is None) == (s.type_block is None) and "_types" not in vars(ref)
+        _same_answers(g, ref)
+        cover, exact = _type_cover(g)
+        assert (cover is None) == (hint is None)
+        if hint is not None:
+            assert exact == hint.zero_one
+            assert (_type_connected(g) is not None) == hint.zero_one
+
+
+@pytest.mark.parametrize("wrong", ["shuffled", "zero_to_one", "one_to_zero"])
+def test_wrong_type_hint_falls_back(wrong):
+    """A hint that misstates the types or the kernel fails its checks on the
+    graph, or passes them, and either way gives the graph's own answers."""
+    rng = np.random.default_rng(7)
+    fell_back = 0
+    for s in _hinted_samples():
+        if s.type_block is None:
+            continue
+        dens = s.model.densities
+        block = s.type_block
+        positive = np.array([[d > 0 for d in row] for row in dens])
+        if wrong == "shuffled":
+            block = rng.permutation(block)
+        else:
+            cells = np.argwhere(positive == (wrong == "one_to_zero"))
+            if not len(cells):
+                continue
+            i, j = cells[rng.integers(len(cells))]
+            positive[i, j] = positive[j, i] = wrong == "zero_to_one"
+        g, ref = FiniteGraph.build(s.n, s.edges), FiniteGraph.build(s.n, s.edges)
+        hint = _TypeHint(block, positive, all(d in (0, 1) for row in dens for d in row))
+        object.__setattr__(g, "_types", hint)
+        _same_answers(g, ref)
+        cover, exact = _type_cover(g)
+        fell_back += cover is None or (hint.zero_one and (not exact or _type_connected(g) is None))
+    assert fell_back >= 10

@@ -193,8 +193,9 @@ class TestClassify:
 
 
 def test_trap_route_never_builds_edge_tuples(monkeypatch):
-    """The narrow-trap route reads the edge and CSR arrays only: the
-    adjacency lists of budgeted backtracking are not built."""
+    """The narrow-trap route of a step-kernel sample reads the edge array
+    only: neither the adjacency lists of budgeted backtracking, nor the CSR,
+    nor the double-cover matching is built."""
     from graphonham import ExperimentConfig, fvcn_value, get_preset, is_connected, run_trial, sample_graph
     from graphonham.sampler import SampledGraph
 
@@ -203,7 +204,7 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
-    assert "_adjacency" not in vars(g)
+    assert not {"_adjacency", "indptr", "indices", "_matching"} & set(vars(g))
 
     built = []
     to_finite_graph = SampledGraph.to_finite_graph
@@ -220,7 +221,7 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     rec = run_trial(config, 200, 0)
     assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
     assert len(built) == 1
-    assert "_adjacency" not in vars(built[0])
+    assert not {"_adjacency", "indptr", "indices", "_matching"} & set(vars(built[0]))
 
 
 def test_heuristic_route_reads_the_csr():

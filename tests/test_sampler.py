@@ -388,6 +388,14 @@ def test_degrees_count_every_endpoint(preset):
         assert np.array_equal(deg, np.bincount(s.edges.ravel(), minlength=n)), n
 
 
+def test_samples_compare_by_identity():
+    """A sample holds numpy arrays, so it compares and hashes by identity,
+    as `FiniteGraph` does, rather than raising."""
+    a, b = sample_graph(HALF_HALF, 20, seed=1), sample_graph(HALF_HALF, 20, seed=1)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_degrees_counted_once():
     s = sample_graph(HALF_HALF, 40, seed=3)
     deg = s.degrees()

@@ -55,8 +55,8 @@ def _python_output(code: str, *args: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    """scipy loads on the first `FiniteGraph.build`, not on import, so runs
-    that never build a FiniteGraph pay nothing for it."""
+    """scipy loads on the first use of a graph's CSR or matching, not on
+    import, so runs that never need one pay nothing for it."""
     out = _python_output("import sys, graphonham; print('scipy' in sys.modules)")
     assert out.strip() == "False"
 
@@ -81,6 +81,24 @@ def test_sampling_leaves_scipy_unloaded(tmp_path):
         "print('scipy' in sys.modules)"
     )
     assert _python_output(code, str(tmp_path / "g.txt")).splitlines()[-1] == "False"
+
+
+def test_trap_trial_leaves_scipy_unloaded():
+    """A narrow-three-block trap trial is decided from the sample's types on
+    its edge array alone, with no CSR and no matching, so scipy stays
+    unloaded; a trial with fvcn = n/2 goes on to the rotation heuristic,
+    which reads the CSR and loads it."""
+    code = (
+        "import sys\n"
+        "import graphonham\n"
+        "from graphonham import ExperimentConfig, run_trial\n"
+        "config = ExperimentConfig.from_dict({'graphon': 'narrow-three-block', 'n_values': [400], 'trials': 1,\n"
+        "    'seed': 0, 't': 4, 'properties': ['connected', 'min_degree_ge_2', 'hamiltonian', 'fvcn_ge_half']})\n"
+        "for index in (0, 51):\n"
+        "    o = run_trial(config, 400, index).outcomes\n"
+        "    print(o['ham_obstruction'], o['fvcn'] == 200, 'scipy' in sys.modules)\n"
+    )
+    assert _python_output(code).splitlines() == ["narrow_graph_peninsula False False", "None True True"]
 
 
 def test_no_thread_outlives_import_or_sampling():
