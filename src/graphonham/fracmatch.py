@@ -105,7 +105,12 @@ class FiniteGraph:
         return adj
 
     def degrees(self) -> list[int]:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
+        """Counted from `edge_array`, unless the sampler handed over the
+        degrees it counted while drawing the edges (`_degrees`)."""
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
+        return deg.tolist()
 
     def to_edge_list_text(self) -> str:
         return _edge_list_text(self.n, self.edge_array)

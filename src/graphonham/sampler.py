@@ -5,20 +5,23 @@ pair, row-major over i < j, with success probability equal to the kernel at
 the two types.  Each (seed, trial_index) pair keys its own pair of
 counter-based Philox streams (one for types, one for edges), so trials can
 run in any order, in parallel, and still replay bit-exactly.  The coins are
-drawn in blocks of consecutive rows, each block's upper-triangle run into
-one flat buffer.  A counter-based stream can be positioned at any coin, so
-each block opens the edge stream at its own first coin and the blocks run on
-every CPU the process has: the coins are those of one large draw, whatever
-the block size or the thread count, and no array holds every pair.  A step
-kernel whose densities are all 0 or 1 fixes every coin's outcome, so its
-edges come from the types alone and the edge stream is not drawn;
-`edge_coin` still replays every coin.
+drawn in blocks of consecutive rows, each block's upper-triangle cells as
+one flat run of raw 64-bit Philox words.  A coin is the double
+(x >> 11) * 2**-53 of its word x, so it falls below a density p exactly when
+x >> 11 < ceil(p * 2**53): step kernels compare the words with such integer
+thresholds and never form the doubles.  A counter-based stream can be
+positioned at any coin, so each block opens the edge stream at its own first
+coin and the blocks run on every CPU the process has: the coins are those of
+one large draw, whatever the block size or the thread count, and no array
+holds every pair.  The same threads then write each block's slice of the
+edge array.  A step kernel whose densities are all 0 or 1 fixes every coin's
+outcome, so its edges come from the types alone and the edge stream is not
+drawn; `edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,17 +57,25 @@ def _stream(seed: int, trial_index: int, channel: int) -> np.random.Generator:
     return np.random.Generator(_philox(seed, trial_index, channel))
 
 
-def _edge_stream_at(seed: int, trial_index: int, pos: int) -> np.random.Generator:
+def _edge_stream_at(seed: int, trial_index: int, pos: int) -> np.random.Philox:
     """The edge stream of a trial, positioned at its pos-th coin.
 
-    Philox emits four 64-bit words per counter tick, so advancing the raw
-    counter by pos // 4 and discarding pos % 4 draws lands exactly there.
+    Philox emits four 64-bit words per counter tick, one word per coin, so
+    advancing the raw counter by pos // 4 and discarding pos % 4 words lands
+    exactly there.
     """
     bg = _philox(seed, trial_index, _EDGE_CHANNEL)
     bg.advance(pos // 4)
-    gen = np.random.Generator(bg)
-    gen.random(pos % 4)
-    return gen
+    bg.random_raw(pos % 4, output=False)
+    return bg
+
+
+def _threshold(p: float | np.ndarray) -> np.ndarray:
+    """The integer K with `(x >> 11) * 2**-53 < p` iff `x >> 11 < K` for
+    every 64-bit word x: x >> 11 is an integer, and p * 2**53 only rescales
+    the float64 p, so K = ceil(p * 2**53).  Density 0 gives 0 and density 1
+    gives 2**53."""
+    return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.uint64)
 
 
 def _sampling_threads() -> int:
@@ -100,8 +111,10 @@ class SampledGraph:
     def to_finite_graph(self) -> FiniteGraph:
         """The graph of the edges.  A step-kernel sample's graph also carries
         its types and the kernel's positivity as a `_TypeHint`, from which
-        traps, fvcn and connectivity are read and then checked on the graph."""
+        traps, fvcn and connectivity are read and then checked on the graph.
+        The graph keeps the sampler's degrees, so it need not count them."""
         g = FiniteGraph.build(self.n, self.edges)
+        object.__setattr__(g, "_degrees", self._degrees)
         if self.type_block is not None:
             dens = self.model.densities
             hint = _TypeHint(
@@ -212,22 +225,32 @@ def _coin_edges(
     degree of every vertex.
 
     Rows i..i+r-1, w = n-1-i cells long, are drawn together as one flat run
-    of their r*w - r(r-1)/2 upper cells, row t starting at position
-    t*w - t(t-1)/2 with the pair (i+t, i+t+1).  A kernel of one density is
-    compared with that scalar; any other meets the run with the upper cells
-    of its (r x w) probability block, read in row-major order.  Each block
-    opens the edge stream at its own first coin, counts its hits per row
-    into its slice of `rowcount` and returns its columns with their counts,
-    so the blocks may run in any order; on several threads each spans about
-    `_BLOCK_COINS // threads` coins, so as many coins are in flight as on
-    one.  The pairs are written once the columns are in and the coin
-    buffers freed: column 1 first, dropping each block's part as it is
-    copied, then column 0 from the row counts, so the assembly holds at
-    most 1.5 times the edge array.
+    of r*w - r(r-1)/2 raw words for their upper cells, row t starting at
+    position t*w - t(t-1)/2 with the pair (i+t, i+t+1).  A kernel of one
+    density p (0 < p < 1: a 0/1 kernel draws no coin) compares each word x
+    with the one word `_threshold(p) << 11`.  Other step kernels shift the
+    words to x >> 11 and meet them with the upper cells of the (r x w)
+    block of the k x k threshold table, read in row-major order, so
+    densities 0 and 1 need no special case.  A power kernel turns the
+    shifted words into the coins (x >> 11) * 2**-53 and compares them with
+    its probabilities.  Each block opens the edge stream at its own first
+    coin, counts its hits per row into its slice of `rowcount`, keeps its
+    int32 columns in its slot of `parts` and returns how often each column
+    occurs, so the blocks may run in any order; on several threads each
+    spans about `_BLOCK_COINS // threads` coins, so as many coins are in
+    flight as on one.  Once every block is in and its words are freed, each
+    block's offset in the edge array is the sum of the lengths before it,
+    and the same threads write the blocks' slices: column 1 from the
+    block's part, which is then dropped, and column 0 from its row counts,
+    so the assembly holds at most 1.5 times the edge array.
     """
     n = len(offset)
     step = dens is not None
     scalar = step and (dens == dens[0, 0]).all()
+    if scalar:
+        bound = np.uint64(int(_threshold(dens[0, 0])) << 11)
+    elif step:
+        table = _threshold(dens)
     threads = _sampling_threads()
     spans = []  # (first row, rows) of each block
     i = 0
@@ -236,62 +259,61 @@ def _coin_edges(
         spans.append((i, min(w, max(1, _BLOCK_COINS // threads // w))))
         i += spans[-1][1]
     threads = max(1, min(threads, len(spans)))
-    # r*w <= max(_BLOCK_COINS // threads, w), so one buffer per thread serves every block
-    buffers = queue.SimpleQueue()
-    for _ in range(threads):
-        buffers.put(np.empty(min(n * (n - 1) // 2, _BLOCK_COINS // threads + n)))
     rowcount = np.zeros(n, dtype=np.int64)
+    parts = [None] * len(spans)  # the int32 columns of each block's hits
 
-    def draw(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        i, r = span
+    def draw(k: int) -> np.ndarray:
+        i, r = spans[k]
         w = n - 1 - i
         t = np.arange(r)
         start = t * w - t * (t - 1) // 2
-        buf = buffers.get()
-        try:
-            gen = _edge_stream_at(seed, trial_index, edge_stream_offset(n, i, i + 1))
-            coins = gen.random(out=buf[:r * w - r * (r - 1) // 2])
-            if scalar:
-                p = dens[0, 0]
+        words = _edge_stream_at(seed, trial_index, edge_stream_offset(n, i, i + 1)).random_raw(
+            r * w - r * (r - 1) // 2
+        )
+        if scalar:
+            hit = words < bound
+        else:
+            upper = np.arange(w) >= t[:, None]
+            words >>= 11
+            if step:
+                hit = words < np.take(table[block[i:i + r]], block[i + 1:], axis=1)[upper]
             else:
-                if step:
-                    p = np.take(dens[block[i:i + r]], block[i + 1:], axis=1)
-                else:
-                    p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
-                p = p[np.arange(w) >= t[:, None]]
-            hits = np.flatnonzero(coins < p)
-        finally:
-            buffers.put(buf)
+                p = np.clip(np.multiply.outer(offset[i:i + r], offset[i + 1:]) ** float(g.beta), 0.0, 1.0)
+                hit = words * 2.0**-53 < p[upper]
+        hits = np.flatnonzero(hit)
+        del words, hit  # the block's largest arrays, freed before its smaller ones are made
         count = np.diff(np.searchsorted(hits, start), append=len(hits))
         rowcount[i:i + r] = count
         hits += np.repeat(i + 1 + t - start, count)  # now the column of each hit
-        return hits.astype(np.int32), np.bincount(hits, minlength=n)
+        parts[k] = hits.astype(np.int32)
+        return np.bincount(hits, minlength=n)
+
+    def assemble(k: int) -> None:
+        i, r = spans[k]
+        e[at[k]:at[k + 1], 1] = parts[k]
+        parts[k] = None
+        e[at[k]:at[k + 1], 0] = np.repeat(np.arange(i, i + r, dtype=np.int32), rowcount[i:i + r])
 
     deg = np.zeros(n, dtype=np.int64)
-    parts = []
     pool = None
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(threads)
+    run = pool.map if pool else map
     try:
-        for column, column_count in (pool.map if pool else map)(draw, spans):
-            parts.append(column)
+        for column_count in run(draw, range(len(spans))):
             deg += column_count
+        deg += rowcount
+        at = np.cumsum([0] + [len(c) for c in parts])  # each block's first edge
+        e = np.empty((int(at[-1]), 2), dtype=np.int32)
+        for _ in run(assemble, range(len(spans))):  # reading each result raises a block's error
+            pass
     finally:
         if pool is not None:
             # on an error the blocks not yet started are dropped; either way
             # no thread outlives the sample (`experiment --jobs` forks)
             pool.shutdown(cancel_futures=True)
-    del buffers  # freed before the edge array is made
-    deg += rowcount
-    e = np.empty((sum(len(c) for c in parts), 2), dtype=np.int32)
-    at = 0
-    for k in range(len(parts)):
-        e[at:at + len(parts[k]), 1] = parts[k]
-        at += len(parts[k])
-        parts[k] = None
-    e[:, 0] = np.repeat(np.arange(n, dtype=np.int32), rowcount)
     return e, deg
 
 
@@ -302,11 +324,12 @@ def edge_stream_offset(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 def edge_coin(seed: int, trial_index: int, offset: int) -> float:
-    """The offset-th edge coin of a trial, regenerated from the counter alone
-    (`_edge_stream_at`); this is what makes per-pair accounting testable."""
+    """The offset-th edge coin of a trial, the double (x >> 11) * 2**-53 of
+    its raw word x, regenerated from the counter alone (`_edge_stream_at`);
+    this is what makes per-pair accounting testable."""
     if offset < 0:
         raise FormatError("must be nonnegative", "offset")
-    return float(_edge_stream_at(seed, trial_index, offset).random())
+    return (_edge_stream_at(seed, trial_index, offset).random_raw() >> 11) * 2.0**-53
 
 
 def degree_concentration_report(graph: SampledGraph) -> float:

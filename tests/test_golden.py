@@ -25,6 +25,7 @@ from graphonham import (
     PRESET_NAMES,
     analyze,
     exact_hamilton,
+    StepGraphon,
     find_peninsula,
     fmn_half,
     fvcn_half,
@@ -57,6 +58,18 @@ GRAPH_HASHES = {
         "1307be62b3ca879807b8b1a3a8e27745cc4d14761dd31b2f92832022f5ceebbc",
     ("power-one", 60, 13):
         "66f941741fd4ee2aa2e76a73d46765e800d69c2e457491ce39d1dbe058ec1080",
+}
+
+# Graphs above one block of 2**20 edge coins (n=4000, seed 0, trial 0): the
+# sha256 of the int32 edge array's bytes then the int64 degrees' bytes.
+# Taken while the coins were still drawn as doubles from a Generator.
+MULTI_BLOCK_HASHES = {
+    "constant-0.3": "33ca5bd4d8d4a82107e512a30ee112138e9ba6a0f896ebdf3fbcc47469f08141",
+    "fractional-two-block": "20198d0e38e84e54c7744147d65567c9d40df2b6f2e8bf15ed0cb950ad0a663b",
+}
+MULTI_BLOCK_KERNELS = {
+    "constant-0.3": get_preset("constant-0.3"),
+    "fractional-two-block": StepGraphon.build(["1/3", "2/3"], [["3/10", "7/10"], ["7/10", "1/5"]]),
 }
 
 CERTIFICATE_HASH = "a66dc48359fa07ff96cd9a50efd7fa664d560cf83a1e858de89d58ee948719e0"
@@ -159,6 +172,14 @@ def test_edge_list_text_unchanged(key):
     g = sample_graph(get_preset(preset), n, seed).to_finite_graph()
     digest = hashlib.sha256(g.to_edge_list_text().encode()).hexdigest()
     assert digest == GRAPH_HASHES[key]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK_HASHES))
+def test_multi_block_graphs_unchanged(name):
+    s = sample_graph(MULTI_BLOCK_KERNELS[name], 4000, 0, 0)
+    assert s.edges.dtype == "<i4" and s.degrees().dtype == "<i8"
+    digest = hashlib.sha256(s.edges.tobytes() + s.degrees().tobytes()).hexdigest()
+    assert digest == MULTI_BLOCK_HASHES[name]
 
 
 def _certificate_graphs():

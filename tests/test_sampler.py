@@ -148,11 +148,17 @@ ZERO_ONE_KERNELS = {
 }
 # one density of 1 among fractional ones: drawn with coins like any other
 ONE_AMONG_FRACTIONAL = StepGraphon.build(["1/3", "2/3"], [["1", "3/10"], ["3/10", "1/5"]])
-# a step kernel of distinct fractional densities, and one of several blocks
-# sharing one density, which the sampler compares as a scalar
+# a step kernel of distinct fractional densities; one of several blocks
+# sharing one density, which the sampler compares as a scalar; one holding
+# 0, 1 and a fractional density, whose integer thresholds are 0 and 2**53
+# beside a fractional one; and constant 1/2, where p * 2**53 is an integer
 EXTRA_KERNELS = {
     "fractional-step": StepGraphon.build(["1/3", "2/3"], [["3/10", "7/10"], ["7/10", "1/5"]]),
     "equal-density-blocks": StepGraphon.build(["1/3", "1/6", "1/2"], [["2/5"] * 3] * 3),
+    "zero-one-fractional": StepGraphon.build(
+        ["1/4", "1/4", "1/2"], [["0", "1", "1/3"], ["1", "0", "0"], ["1/3", "0", "7/10"]]
+    ),
+    "constant-half": StepGraphon.constant("1/2"),
     **ZERO_ONE_KERNELS,
     "one-among-fractional": ONE_AMONG_FRACTIONAL,
 }
@@ -241,6 +247,67 @@ def test_failed_block_cancels_the_rest_and_joins_its_threads(monkeypatch):
         sample_graph(StepGraphon.constant("0.3"), 2000, 0)
     assert threading.active_count() == before
     assert len(calls) < 1999  # some blocks never started
+
+
+def test_failed_last_block_joins_its_threads(monkeypatch):
+    """An error in the last block, after every earlier part has landed,
+    still reaches the caller with every thread joined."""
+    import threading
+
+    n = 2000
+    last = edge_stream_offset(n, n - 2, n - 1)
+    stream_at = sampler._edge_stream_at
+    calls = []
+
+    def failing(seed, trial_index, pos):
+        calls.append(pos)
+        if pos == last:
+            raise MemoryError("last block")
+        return stream_at(seed, trial_index, pos)
+
+    monkeypatch.setattr(sampler, "_edge_stream_at", failing)
+    monkeypatch.setattr(sampler, "_sampling_threads", lambda: 2)
+    monkeypatch.setattr(sampler, "_BLOCK_COINS", 2)  # one row per block: 1999 blocks
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="last block"):
+        sample_graph(StepGraphon.constant("0.3"), n, 0)
+    assert threading.active_count() == before
+    assert sorted(calls) == [edge_stream_offset(n, i, i + 1) for i in range(n - 1)]
+
+
+THRESHOLD_DENSITIES = [2.0**-53, 1 / 3, 0.3, 0.5, 0.375, 0.7, 1 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("p", THRESHOLD_DENSITIES)
+def test_integer_threshold_decides_as_the_double(p):
+    """`x >> 11 < K` with K = ceil(p * 2**53) holds exactly when the coin
+    (x >> 11) * 2**-53 of the word x falls below p: at the words on both
+    sides of K << 11, at both ends of the range, and at seeded words."""
+    k = int(sampler._threshold(p))
+    assert k == math.ceil(p * 2**53) and sampler._threshold(np.array([[p]])).dtype == np.uint64
+    # K << 11 and past it lie above 2**64 - 1 only at p = 1
+    edge = [x for x in (0, (k << 11) - 1, k << 11, (k << 11) + 2047, 2**64 - 1) if x < 2**64]
+    for x in edge:
+        assert ((x >> 11) < k) == ((x >> 11) * 2**-53 < p) == (x < k << 11), x
+    words = np.concatenate([np.array(edge, dtype=np.uint64), np.random.default_rng(53).integers(0, 2**64, 10**5, dtype=np.uint64)])
+    by_int = (words >> np.uint64(11)) < np.uint64(k)
+    by_double = (words >> np.uint64(11)) * 2.0**-53 < p
+    assert np.array_equal(by_int, by_double)
+
+
+def test_edge_coin_is_the_double_of_its_word():
+    """`edge_coin` returns the double a Generator draws at the same place:
+    at positions 0-7, which cover every word of two Philox ticks, and on
+    both sides of the first block cut of one thread's plan at n=2000."""
+    n = 2000
+    rows = sampler._BLOCK_COINS // (n - 1)
+    cut = edge_stream_offset(n, rows, rows + 1)
+    positions = list(range(8)) + [cut - 1, cut, cut + 1]
+    bg = np.random.Philox(key=np.array([5, (2 << 1) | 1], dtype=np.uint64))
+    doubles = np.random.Generator(bg).random(cut + 2)
+    for pos in positions:
+        coin = edge_coin(5, 2, pos)
+        assert type(coin) is float and coin == doubles[pos], pos
 
 
 def test_pool_workers_sample_on_one_thread():
@@ -386,6 +453,9 @@ def test_degrees_count_every_endpoint(preset):
         deg = s.degrees()
         assert deg.dtype == np.int64
         assert np.array_equal(deg, np.bincount(s.edges.ravel(), minlength=n)), n
+        # the graph keeps the sampler's degrees rather than counting them again
+        g = s.to_finite_graph()
+        assert vars(g)["_degrees"] is deg and g.degrees() == deg.tolist(), n
 
 
 def test_samples_compare_by_identity():
@@ -432,6 +502,8 @@ def test_graph_file_roundtrip(tmp_path):
     back = load_graph(str(path))
     assert back.n == 30
     assert edge_tuples(back) == edge_tuples(g.to_finite_graph())
+    assert "_degrees" not in vars(back)  # a graph read from a file counts its own
+    assert back.degrees() == g.degrees().tolist()
     import json
 
     with open(meta) as fh:
