@@ -14,10 +14,10 @@ sandwich
 
 proves both folded objects optimal, so no external LP theory is trusted at
 runtime; every returned object is also re-validated against its definition.
-A step-kernel sample's graph carries its types (`_TypeHint`), and then
-`fvcn_value`, `is_connected` and the narrow trap come from one max flow on
-the block graph, lifted through the types and proved on the graph by the
-same sandwich, before any CSR or matching is built.
+A step-kernel sample's graph carries its types (`_TypeHint`): one count of
+its edges per block pair checks covers constant on the blocks, and on a graph
+it shows to be its block graph's blow-up, `fvcn_value` and `is_connected` are
+read off the block graph, before any CSR or matching is built.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class HalfCover(_HalfUnits):
 
     def validate(self, g: FiniteGraph) -> None:
         super().validate(g.n)
-        edge = _uncovered_edge(g, self.units)
+        edge = None if _covers_blocks(g, self.units) else _uncovered_edge(g, self.units)
         if edge is not None:
             raise AssertionError(f"edge ({edge[0]},{edge[1]}) uncovered")
 
@@ -445,29 +445,42 @@ def _folded_cover(
 @dataclass(frozen=True, eq=False)
 class _TypeHint:
     """What a step-kernel sample knows beyond its edges, attached to its graph
-    by `SampledGraph.to_finite_graph`: the block of each vertex, where the
-    kernel is positive between two blocks (a k x k bool array), and whether
-    every density is 0 or 1.
+    by `SampledGraph.to_finite_graph`: the block of each vertex and where the
+    kernel is positive between two blocks (a k x k bool array).
 
     Zero density draws no edge, so a half cover of the block graph lifts
-    through the types to a half cover of the sample.  When every density is
-    0 or 1, each block is also a twin class (an independent set or a clique,
-    with one set of outside neighbours), and the fractional-cover LP has an
-    optimum constant on twin classes (Grohe, Kersting, Mladenov and Selman,
-    "Dimension reduction via colour refinement", ESA 2014), so the best block
-    cover weighs fvcn(G).  No answer drawn from the hint is taken on trust:
-    each is checked on the graph, and a failed check falls back to the
-    graph's own route, so a wrong hint costs time, never soundness.
+    through the types to a half cover of the sample.  No answer drawn from the
+    hint is taken on trust: each is checked on the graph, and a failed check
+    falls back to the graph's own route, so a wrong hint costs time, never
+    soundness.
     """
 
     block: np.ndarray
     positive: np.ndarray
-    zero_one: bool
 
 
-def _type_classes(g: FiniteGraph) -> Optional[tuple[_TypeHint, np.ndarray, list[np.ndarray]]]:
-    """g's hint, the size of each block and its vertices, ascending; None when
-    g carries no hint or its blocks do not label g's vertices."""
+@dataclass(frozen=True, eq=False)
+class _BlockCounts:
+    hint: _TypeHint
+    count: np.ndarray  # vertices per block
+    occupied: np.ndarray  # k x k: whether some edge joins the two blocks
+    complete: bool  # whether E = F (see `_type_blocks`)
+
+
+def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
+    """g's edges counted per pair of blocks, in one pass that codes each
+    edge's pair a*k + b in the least unsigned dtype holding k*k - 1 (uint8
+    while k <= 16); None when g carries no hint or its blocks do not label
+    its vertices.
+
+    Let F be the blow-up of the block graph: an edge between any two distinct
+    vertices whose blocks are positive.  g is complete when each pair count
+    is c_a*c_b (C(c_a, 2) on the diagonal) where the hint is positive and 0
+    elsewhere, for c the block sizes: then E is a subset of F holding as many
+    edges as F in each pair, and as g's edges never repeat, E = F.  Each
+    block is then a twin class (Grohe, Kersting, Mladenov and Selman, ESA
+    2014): an independent set or a clique with one set of outside neighbours.
+    """
     hint = g.__dict__.get("_types")
     if hint is None:
         return None
@@ -475,7 +488,33 @@ def _type_classes(g: FiniteGraph) -> Optional[tuple[_TypeHint, np.ndarray, list[
     if len(block) != g.n or g.n == 0 or block.min() < 0 or block.max() >= k:
         return None
     count = np.bincount(block, minlength=k)
-    return hint, count, np.split(np.argsort(block, kind="stable"), np.cumsum(count)[:-1])
+    code = block.astype(np.min_scalar_type(k * k - 1))
+    u, v = g.edge_array.T
+    pairs = np.bincount(code.take(u) * k + code.take(v), minlength=k * k).reshape(k, k)
+    pairs = pairs + pairs.T - np.diag(pairs.diagonal())
+    full = np.outer(count, count) - np.diag(count * (count + 1) // 2)
+    return _BlockCounts(hint, count, pairs > 0, bool((pairs == np.where(hint.positive, full, 0)).all()))
+
+
+def _blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
+    """`_type_blocks(g)`, counted on first use and kept on g."""
+    if "_blocks" not in g.__dict__:
+        object.__setattr__(g, "_blocks", _type_blocks(g))
+    return g.__dict__["_blocks"]
+
+
+def _covers_blocks(g: FiniteGraph, h: np.ndarray) -> bool:
+    """Whether units h, constant on each block of a hinted g, give every
+    occupied pair of blocks a, b h_a + h_b >= 2: exactly the per-edge check,
+    as each edge lies in an occupied pair and each occupied pair holds an
+    edge.  False when g has no hint or h is not constant on its blocks."""
+    blocks = _blocks(g)
+    if blocks is None:
+        return False
+    block = blocks.hint.block
+    per = np.zeros(len(blocks.count), dtype=np.int64)
+    per[block] = h
+    return bool((per[block] == h).all() and (per[:, None] + per >= 2)[blocks.occupied].all())
 
 
 def _type_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
@@ -486,13 +525,15 @@ def _type_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
 
     The cover is the least min cut of `graphon._cover_flow` on the block
     sizes, a block looped when its density is positive and it holds two
-    vertices.  On a 0/1 kernel the proof is this module's sandwich: the
-    integer flow splits into as many double-cover pairs as the cover has
-    half-units, f pairs (u+, w-) with u in block v and w in block x for a
-    flow f on v -> x.  A block gives its left copies in list order and its
-    right copies from the list rotated by one, its loop first on both sides,
-    so no loop pair is u+u-.  Checked to be edges of g that use each copy at
-    most once, the pairs are a double-cover matching as large as the cover.
+    vertices.  On a complete g (E = F, `_type_blocks`) the proof is this
+    module's sandwich, from O(k^2) checks on the integer flow f(v, x) on the
+    arcs v -> k + x: f > 0 only on occupied pairs, each row sum at most c_v,
+    each column sum at most c_x, the total the cover's half-units.  Then pair
+    f(v, x) left copies of block v with right copies of block x, a block
+    giving its left copies in list order and its right copies from the list
+    rotated by one, its loop first on both sides: no copy is used twice, and
+    no pair is u+u-, as a loop's block holds an edge and so two vertices.
+    The pairs are edges of F = E, a double-cover matching as large as the cover.
     """
     found = g.__dict__.get("_type_cover")
     if found is None:
@@ -502,93 +543,46 @@ def _type_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
 
 
 def _lifted_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
-    classes = _type_classes(g)
-    if classes is None:
+    blocks = _blocks(g)
+    if blocks is None:
         return None, False
-    hint, count, members = classes
-    k = len(count)
-    positive = hint.positive & ((count >= 2) | ~np.eye(k, dtype=bool))
+    count, k = blocks.count, len(blocks.count)
+    positive = blocks.hint.positive & ((count >= 2) | ~np.eye(k, dtype=bool))
     flow, r, reach = _cover_flow(count.tolist(), positive.tolist())
     units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
-    cover = (GraphPeninsula if flow < g.n else HalfCover)(units[hint.block], Fraction(flow, 2))
+    cover = (GraphPeninsula if flow < g.n else HalfCover)(units[blocks.hint.block], Fraction(flow, 2))
     try:
         cover.validate(g)
     except AssertionError:
         return None, False
-    if not hint.zero_one:
-        return cover, False
-    left, right = [], []
-    rotated = [np.roll(m, -1) for m in members]
-    used_l, used_r = [0] * k, [0] * k
-    for v, x in [(v, v) for v in range(k)] + [(v, x) for v in range(k) for x in range(k) if v != x]:
-        f = r[k + x][v]
-        left.append(members[v][used_l[v]:used_l[v] + f])
-        right.append(rotated[x][used_r[x]:used_r[x] + f])
-        used_l[v] += f
-        used_r[x] += f
-    a, b = np.concatenate(left), np.concatenate(right)
+    f = np.array([row[:k] for row in r[k:2 * k]]).T  # f[v, x] = r[k + x][v]
     exact = bool(
-        len(a) == len(b) == flow
-        and _are_edges(g, a, b).all()
-        and np.bincount(a, minlength=g.n).max() <= 1
-        and np.bincount(b, minlength=g.n).max() <= 1
+        blocks.complete
+        and not f[~blocks.occupied].any()
+        and (f.sum(axis=1) <= count).all()
+        and (f.sum(axis=0) <= count).all()
+        and f.sum() == flow
     )
     return cover, exact
 
 
 def _type_connected(g: FiniteGraph) -> Optional[bool]:
-    """Whether a 0/1-kernel sample is connected, read off its block graph and
-    checked on g; None when g carries no such hint or the check fails.
-
-    Two adjacent blocks are completely joined, so with two or more nonempty
-    blocks G is connected iff they are connected in the block graph; a lone
-    block is connected iff it is a clique or one vertex.  "Connected" is
-    checked by a spanning tree lifted from a BFS tree of the blocks: each
-    vertex but the root has a parent one level above it, joined to it by an
-    edge of g, so following parents ends at the root.  "Disconnected" is
-    checked by a set of vertices, neither empty nor all, that no edge of g
-    leaves: the blocks the root's block reaches, or the root alone when its
-    block is independent and the only nonempty one.
+    """Whether a hinted g is connected, read off its block-pair counts; None
+    when g has no hint or the counts cannot tell.  Disconnected: no occupied
+    pair joins two parts of the nonempty blocks, or two or more vertices
+    have no edge.  Otherwise connected if g is complete, as two blocks of an
+    occupied pair are then completely joined, and a lone block is a clique.
     """
-    classes = _type_classes(g)
-    if classes is None or not classes[0].zero_one:
+    blocks = _blocks(g)
+    if blocks is None:
         return None
-    hint, count, members = classes
-    nonempty = np.flatnonzero(count).tolist()
-    top = nonempty[0]
-    root = members[top][0]
-    above = {top: top}  # block -> its parent in the BFS tree of the blocks
-    level = {top: 0}
-    for c in (queue := [top]):
-        for d in nonempty:
-            if d not in above and hint.positive[c, d]:
-                above[d], level[d] = c, level[c] + 1
-                queue.append(d)
-    clique = bool(hint.positive[top, top])
-    inside = None
-    if len(queue) < len(nonempty):
-        inside = np.isin(hint.block, queue)
-    elif len(queue) == 1 and not clique:
-        inside = np.arange(g.n) == root
-    if inside is not None:
-        u, v = g.edge_array.T
-        return None if (inside[u] != inside[v]).any() else False
-    parent = np.full(g.n, -1, dtype=np.int64)
-    depth = np.zeros(g.n, dtype=np.int64)
-    for c in queue[1:]:
-        parent[members[c]], depth[members[c]] = members[above[c]][0], level[c]
-    rest = members[top][1:]
-    if clique:
-        parent[rest], depth[rest] = root, 1
-    elif len(rest):
-        parent[rest], depth[rest] = members[queue[1]][0], 2
-    child = np.flatnonzero(parent >= 0)
-    tree = (
-        len(child) == g.n - 1
-        and (depth[parent[child]] == depth[child] - 1).all()
-        and _are_edges(g, child, parent[child]).all()
-    )
-    return True if tree else None
+    nonempty = np.flatnonzero(blocks.count).tolist()
+    reached = nonempty[:1]
+    for a in reached:
+        reached += [b for b in nonempty if blocks.occupied[a, b] and b not in reached]
+    if len(reached) < len(nonempty) or (g.n > 1 and not blocks.occupied.any()):
+        return False
+    return True if blocks.complete else None
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +689,8 @@ def is_bipartite(g: FiniteGraph) -> bool:
 
 
 def is_connected(g: FiniteGraph) -> bool:
-    """Whether g is connected: read off a 0/1-kernel sample's types when
-    `_type_connected` can, else whether a BFS from vertex 0 reaches every
+    """Whether g is connected: read off a step-kernel sample's block-pair
+    counts when `_type_connected` can, else whether a BFS from vertex 0 reaches every
     vertex.  The answer is kept on `g`, as the matching is, so every caller
     shares one search."""
     found = g.__dict__.get("_connected")

@@ -116,13 +116,8 @@ class SampledGraph:
         g = FiniteGraph.build(self.n, self.edges)
         object.__setattr__(g, "_degrees", self._degrees)
         if self.type_block is not None:
-            dens = self.model.densities
-            hint = _TypeHint(
-                self.type_block,
-                np.array([[d > 0 for d in row] for row in dens]),
-                all(d in (0, 1) for row in dens for d in row),
-            )
-            object.__setattr__(g, "_types", hint)
+            positive = np.array([[d > 0 for d in row] for row in self.model.densities])
+            object.__setattr__(g, "_types", _TypeHint(self.type_block, positive))
         return g
 
     def sidecar_dict(self) -> dict:

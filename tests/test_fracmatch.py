@@ -27,7 +27,7 @@ from graphonham import (
     uniquely_half_covered,
 )
 from conftest import random_graph, random_step_graphon
-from graphonham.fracmatch import _TypeHint, _type_connected, _type_cover
+from graphonham.fracmatch import _TypeHint, _blocks, _covers_blocks, _type_connected, _type_cover
 from graphonham.presets import PRESET_NAMES
 from oracles import (
     bfs_reference,
@@ -618,9 +618,21 @@ def _same_answers(g, ref):
     assert _type_connected(g) in (None, is_connected(ref))
 
 
+def _zero_one(s) -> bool:
+    return all(d in (0, 1) for row in s.model.densities for d in row)
+
+
+def _with_hint(n, edges, hint):
+    g = FiniteGraph.build(n, edges)
+    object.__setattr__(g, "_types", hint)
+    return g
+
+
 def test_type_hint_answers_as_the_graph_does():
     """A sample's graph carries its types exactly when the kernel is a step
-    kernel; on a 0/1 kernel they decide fvcn and connectivity outright."""
+    kernel.  A 0/1 kernel's sample is complete, the blow-up of its block
+    graph, and on a complete graph the types decide fvcn and connectivity
+    outright."""
     for s in _hinted_samples():
         g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
         hint = vars(g).get("_types")
@@ -629,8 +641,10 @@ def test_type_hint_answers_as_the_graph_does():
         cover, exact = _type_cover(g)
         assert (cover is None) == (hint is None)
         if hint is not None:
-            assert exact == hint.zero_one
-            assert (_type_connected(g) is not None) == hint.zero_one
+            complete = _blocks(g).complete
+            assert complete or not _zero_one(s)
+            assert exact == complete
+            assert _type_connected(g) is not None or not complete
 
 
 @pytest.mark.parametrize("wrong", ["shuffled", "zero_to_one", "one_to_zero"])
@@ -642,9 +656,8 @@ def test_wrong_type_hint_falls_back(wrong):
     for s in _hinted_samples():
         if s.type_block is None:
             continue
-        dens = s.model.densities
         block = s.type_block
-        positive = np.array([[d > 0 for d in row] for row in dens])
+        positive = np.array([[d > 0 for d in row] for row in s.model.densities])
         if wrong == "shuffled":
             block = rng.permutation(block)
         else:
@@ -653,10 +666,104 @@ def test_wrong_type_hint_falls_back(wrong):
                 continue
             i, j = cells[rng.integers(len(cells))]
             positive[i, j] = positive[j, i] = wrong == "zero_to_one"
-        g, ref = FiniteGraph.build(s.n, s.edges), FiniteGraph.build(s.n, s.edges)
-        hint = _TypeHint(block, positive, all(d in (0, 1) for row in dens for d in row))
-        object.__setattr__(g, "_types", hint)
+        g, ref = _with_hint(s.n, s.edges, _TypeHint(block, positive)), FiniteGraph.build(s.n, s.edges)
         _same_answers(g, ref)
         cover, exact = _type_cover(g)
-        fell_back += cover is None or (hint.zero_one and (not exact or _type_connected(g) is None))
+        fell_back += cover is None or (_zero_one(s) and not exact)
     assert fell_back >= 10
+
+
+def _cover_outcome(cover, g):
+    try:
+        cover.validate(g)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("hint", ["true", "one_vertex_mislabelled", "zero_to_one"])
+def test_block_cover_check_agrees_with_the_edges(hint):
+    """On a hinted graph `HalfCover.validate` accepts and rejects the covers
+    the per-edge check does, with its message.  A cover constant on the
+    blocks is decided from the block pairs that hold an edge: not from the
+    hint's positive pairs, which a wrong hint may set where no edge is."""
+    rng = random.Random(23)
+    phantom = 0
+    for s in _hinted_samples():
+        if s.type_block is None:
+            continue
+        block = s.type_block.copy()
+        k = len(s.model.densities)
+        positive = np.array([[d > 0 for d in row] for row in s.model.densities])
+        if hint == "one_vertex_mislabelled":
+            if k < 2:
+                continue
+            v = rng.randrange(s.n)
+            block[v] = (block[v] + rng.randrange(1, k)) % k
+        elif hint == "zero_to_one":
+            positive[:] = True
+        g, ref = _with_hint(s.n, s.edges, _TypeHint(block, positive)), FiniteGraph.build(s.n, s.edges)
+        occupied = {(int(block[u]), int(block[v])) for u, v in s.edges.tolist()}
+        occupied |= {(b, a) for a, b in occupied}
+        units = [np.array([rng.choice(UNITS) for _ in range(s.n)]) for _ in range(2)]
+        per_block = [np.array([rng.choice(UNITS) for _ in range(k)]) for _ in range(3)]
+        for a in range(k):
+            for b in range(a, k):
+                h = np.full(k, 2)
+                if (a, b) not in occupied:
+                    h[[a, b]] = 0  # valid iff (a, a), (b, b) hold no edge either
+                elif a == b:
+                    h[a] = 0  # leaves exactly the occupied pair (a, a) uncovered
+                elif (b, b) not in occupied or (a, a) not in occupied:
+                    h[[a, b]] = (1, 0) if (b, b) not in occupied else (0, 1)
+                per_block.append(h)
+        units += [h[block] for h in per_block]
+        for x in units:
+            cover = HalfCover(x, Fraction(int(x.sum()), 2))
+            outcome = _cover_outcome(cover, ref)
+            assert _cover_outcome(cover, g) == outcome
+            constant = all(len(set(x[block == c].tolist())) <= 1 for c in range(k))
+            assert _covers_blocks(g, x) == (constant and outcome is None)
+            h = np.zeros(k, dtype=int)
+            h[block] = x
+            phantom += outcome is None and constant and bool((h[:, None] + h < 2)[positive].any())
+    assert phantom > 0 or hint != "zero_to_one"
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_completeness_is_checked_not_declared(change):
+    """A 0/1-kernel sample with one edge dropped or added keeps its sample's
+    hint but is not complete, and answers as the graph without a hint."""
+    rng = random.Random(5)
+    for name in ("balanced-bipartite", "bipartite-plus-clique", "narrow-three-block"):
+        for n in (10, 60):
+            s = sample_graph(get_preset(name), n, 3, 0)
+            assert _zero_one(s) and _blocks(s.to_finite_graph()).complete
+            edges = s.edges.tolist()
+            if change == "drop":
+                edges.pop(rng.randrange(len(edges)))
+            else:
+                have = set(map(tuple, edges))
+                edges.append(rng.choice([(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in have]))
+            g, ref = _with_hint(n, edges, vars(s.to_finite_graph())["_types"]), FiniteGraph.build(n, edges)
+            assert not _blocks(g).complete and not _type_cover(g)[1]
+            _same_answers(g, ref)
+
+
+def test_complete_fractional_sample_is_proved_exact():
+    """Completeness is a fact about the graph, not the kernel: a sample of a
+    kernel with a density strictly between 0 and 1 that drew every pair its
+    kernel allows is proved exact from its types."""
+    rng = random.Random(41)
+    for trial in range(400):
+        kernel = random_step_graphon(rng, rng.randint(2, 3), zero_prob=0.4)
+        s = sample_graph(kernel, rng.randint(3, 6), rng.randrange(1 << 30), trial)
+        g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
+        if not _zero_one(s) and _blocks(g).complete:
+            break
+    else:
+        pytest.fail("no complete sample of a fractional kernel found")
+    cover, exact = _type_cover(g)
+    assert exact and cover.weight == fvcn_value(ref)
+    assert _type_connected(g) == is_connected(ref)
+    _same_answers(g, ref)

@@ -194,17 +194,23 @@ class TestClassify:
 
 def test_trap_route_never_builds_edge_tuples(monkeypatch):
     """The narrow-trap route of a step-kernel sample reads the edge array
-    only: neither the adjacency lists of budgeted backtracking, nor the CSR,
-    nor the double-cover matching is built."""
-    from graphonham import ExperimentConfig, fvcn_value, get_preset, is_connected, run_trial, sample_graph
+    only, in one count of its block pairs: neither the adjacency lists of
+    budgeted backtracking, nor the CSR, nor the double-cover matching, nor
+    the edge keys of membership checks is built."""
+    from graphonham import ExperimentConfig, fracmatch, fvcn_value, get_preset, is_connected, run_trial, sample_graph
     from graphonham.sampler import SampledGraph
+
+    counted = []
+    type_blocks = fracmatch._type_blocks
+    monkeypatch.setattr(fracmatch, "_type_blocks", lambda g: counted.append(g) or type_blocks(g))
+    unbuilt = {"_adjacency", "indptr", "indices", "_matching", "_edge_keys"}
 
     g = sample_graph(get_preset("narrow-three-block"), 200, 4, 0).to_finite_graph()
     assert len(g.edge_array) >= 4000  # a graph of trap-campaign size
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
-    assert not {"_adjacency", "indptr", "indices", "_matching"} & set(vars(g))
+    assert not unbuilt & set(vars(g))
 
     built = []
     to_finite_graph = SampledGraph.to_finite_graph
@@ -221,7 +227,8 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     rec = run_trial(config, 200, 0)
     assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
     assert len(built) == 1
-    assert not {"_adjacency", "indptr", "indices", "_matching"} & set(vars(built[0]))
+    assert not unbuilt & set(vars(built[0]))
+    assert [id(x) for x in counted] == [id(g), id(built[0])]
 
 
 def test_heuristic_route_reads_the_csr():
