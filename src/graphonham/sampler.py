@@ -13,16 +13,18 @@ thresholds and never form the doubles.  A counter-based stream can be
 positioned at any coin, so each block opens the edge stream at its own first
 coin and the blocks run on every CPU the process has: the coins are those of
 one large draw, whatever the block size or the thread count, and no array
-holds every pair.  The same threads then write each block's slice of the
-edge array.  A step kernel whose densities are all 0 or 1 fixes every coin's
-outcome, so its edges come from the types alone and the edge stream is not
-drawn; `edge_coin` still replays every coin.
+holds every pair.  A sample keeps its blocks' int32 columns, half the edge
+array, which is assembled on one thread only when something reads it.  A
+step kernel whose densities are all 0 or 1 fixes every coin's outcome, so
+its edges come from the types alone and the edge stream is not drawn;
+`edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,16 +95,40 @@ def _sampling_threads() -> int:
 
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """One sampled graph together with its latent types and replay key."""
+    """One sampled graph together with its latent types and replay key.  Its
+    edges stay as the sampler's blocks drew them until `edges` is read."""
 
     model: Graphon
     n: int
-    edges: np.ndarray  # (m, 2) int32, u < v, row-major, read-only
     type_block: Optional[np.ndarray]  # int64 per vertex, None for power family
     type_offset: np.ndarray  # float64 per vertex
     seed: int
     trial_index: int
     _degrees: np.ndarray = field(repr=False, compare=False)  # int64 per vertex, read-only
+    # (int64 hits per row, int32 columns of each block), None once `edges` is published
+    _parts: Optional[tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The (m, 2) int32 edges u < v, row-major, read-only, assembled on
+        first read: column 1 from the blocks, then column 0 in place, as a
+        running sum of ones at each row's first edge, with no temporary near
+        a block's size.  It is published before the parts are released, so
+        a reader that came meanwhile returns the same array."""
+        parts = self._parts
+        if parts is None:  # published by another reader
+            return vars(self)["edges"]
+        rowcount, columns = parts
+        e = np.zeros((int(rowcount.sum()), 2), dtype=np.int32)
+        if columns:  # none at n = 1
+            np.concatenate(columns, out=e[:, 1])
+        first = np.cumsum(rowcount[:-1])  # the first edge of rows 1..n-1, ascending
+        np.add.at(e[:, 0], first[:np.searchsorted(first, len(e))], 1)  # rows after the last edge have none
+        np.cumsum(e[:, 0], out=e[:, 0])
+        e.flags.writeable = False
+        e = vars(self).setdefault("edges", e)
+        object.__setattr__(self, "_parts", None)
+        return e
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, counted while the edges were drawn."""
@@ -169,43 +195,43 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     A step kernel whose every density is 0 or 1 draws no edge coin: a coin
     lies in [0, 1), so it always falls below 1 and never below 0, and the
     edges are read off the types (`_type_edges`).  Every other kernel draws
-    exactly C(n, 2) coins (`_coin_edges`).  Both give the same int32 (m, 2)
-    array in row-major order, read-only, so `to_finite_graph` can keep it.
+    exactly C(n, 2) coins (`_coin_edges`).  Both return the parts from which
+    the sample assembles its read-only int32 (m, 2) `edges` when first read,
+    in row-major order, so `to_finite_graph` can keep that array.
     """
     block, offset = sample_types(g, n, seed, trial_index)
     dens = None
     if isinstance(g, StepGraphon):
         dens = np.array([[float(d) for d in row] for row in g.densities])
     if dens is not None and ((dens == 0) | (dens == 1)).all():
-        edges, deg = _type_edges(dens == 1, block)
+        parts, deg = _type_edges(dens == 1, block)
     else:
-        edges, deg = _coin_edges(g, dens, block, offset, seed, trial_index)
-    edges.flags.writeable = False
+        parts, deg = _coin_edges(g, dens, block, offset, seed, trial_index)
     deg.flags.writeable = False
-    return SampledGraph(g, n, edges, block, offset, seed, trial_index, deg)
+    return SampledGraph(g, n, block, offset, seed, trial_index, deg, parts)
 
 
-def _type_edges(ones: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of a 0/1 step kernel, where ones[a, b] says density 1, and
-    the degree of every vertex.
+def _type_edges(ones: np.ndarray, block: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The edges of a 0/1 step kernel, where ones[a, b] says density 1, as
+    the parts `SampledGraph` keeps (each row's count of upper neighbours and
+    one block of every row's int32 columns), and the degree of every vertex.
 
     Block a's partners are the ids j, ascending, with ones[a, block[j]];
     row i's upper neighbours are the suffix of its block's list after i.
     All lists lie in one array keyed a*n + j, so one `searchsorted` finds
-    every row's suffix, and one gather from that array writes the pairs.
+    every row's suffix, and one gather from the lists' int32 ids gives the
+    columns.  A degree is the size of every block the vertex's block joins,
+    less one on a loop: no pass over the edges.
     """
     n = len(block)
     part_block, part = np.nonzero(ones[:, block])
     key = part_block * n + part
     first = np.searchsorted(key, block * n + np.arange(n), side="right")
     count = np.searchsorted(key, (block + 1) * n) - first
-    e = np.empty((int(count.sum()), 2), dtype=np.int32)
-    e[:, 0] = np.repeat(np.arange(n, dtype=np.int32), count)
     at = np.repeat(first - (np.cumsum(count) - count), count)
-    at += np.arange(len(e))
-    column = part[at]
-    e[:, 1] = column
-    return e, count + np.bincount(column, minlength=n)
+    at += np.arange(len(at))
+    sizes = np.bincount(block, minlength=len(ones))
+    return (count, [part.astype(np.int32)[at]]), ((ones @ sizes) - np.diagonal(ones))[block]
 
 
 def _coin_edges(
@@ -215,9 +241,9 @@ def _coin_edges(
     offset: np.ndarray,
     seed: int,
     trial_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edges from C(n, 2) coins drawn in row-major i < j order, and the
-    degree of every vertex.
+) -> tuple[tuple, np.ndarray]:
+    """The edges from C(n, 2) coins drawn in row-major i < j order, as the
+    parts `SampledGraph` keeps, and the degree of every vertex.
 
     Rows i..i+r-1, w = n-1-i cells long, are drawn together as one flat run
     of r*w - r(r-1)/2 raw words for their upper cells, row t starting at
@@ -233,11 +259,8 @@ def _coin_edges(
     int32 columns in its slot of `parts` and returns how often each column
     occurs, so the blocks may run in any order; on several threads each
     spans about `_BLOCK_COINS // threads` coins, so as many coins are in
-    flight as on one.  Once every block is in and its words are freed, each
-    block's offset in the edge array is the sum of the lengths before it,
-    and the same threads write the blocks' slices: column 1 from the
-    block's part, which is then dropped, and column 0 from its row counts,
-    so the assembly holds at most 1.5 times the edge array.
+    flight as on one.  The parts, half the size of the edge array, are all
+    that is kept: the array itself is assembled only when read.
     """
     n = len(offset)
     step = dens is not None
@@ -283,33 +306,22 @@ def _coin_edges(
         parts[k] = hits.astype(np.int32)
         return np.bincount(hits, minlength=n)
 
-    def assemble(k: int) -> None:
-        i, r = spans[k]
-        e[at[k]:at[k + 1], 1] = parts[k]
-        parts[k] = None
-        e[at[k]:at[k + 1], 0] = np.repeat(np.arange(i, i + r, dtype=np.int32), rowcount[i:i + r])
-
     deg = np.zeros(n, dtype=np.int64)
     pool = None
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(threads)
-    run = pool.map if pool else map
     try:
-        for column_count in run(draw, range(len(spans))):
+        # reading each result raises a block's error
+        for column_count in (pool.map if pool else map)(draw, range(len(spans))):
             deg += column_count
-        deg += rowcount
-        at = np.cumsum([0] + [len(c) for c in parts])  # each block's first edge
-        e = np.empty((int(at[-1]), 2), dtype=np.int32)
-        for _ in run(assemble, range(len(spans))):  # reading each result raises a block's error
-            pass
     finally:
         if pool is not None:
             # on an error the blocks not yet started are dropped; either way
             # no thread outlives the sample (`experiment --jobs` forks)
             pool.shutdown(cancel_futures=True)
-    return e, deg
+    return (rowcount, parts), deg + rowcount
 
 
 def edge_stream_offset(n: int, i: int, j: int) -> int:

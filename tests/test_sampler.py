@@ -399,22 +399,87 @@ def test_sample_peak_memory_is_bounded():
     assert peak <= 100 * 2**20
 
 
-def test_sample_assembly_holds_one_and_a_half_edge_arrays():
-    """The blocks return int32 columns only, and the pairs are written into
-    one array once the coin buffers are freed: column 1 from the parts,
-    each dropped as it is copied, then column 0 from the row counts.  A list
-    of (m, 2) parts joined at the end would hold the edge array twice."""
+def test_sample_assembly_holds_one_and_a_half_edge_arrays(monkeypatch):
+    """A sample keeps its blocks' int32 columns, half an edge array, and its
+    first `edges` read writes them into one array, column 0 from the row
+    counts; the parts are released only once the array is published.  A
+    list of (m, 2) parts joined at the end would hold the edge array twice.
+    The array is kept, read-only, and is the one its graph holds; threads
+    that read a fresh sample's edges at once all get that one array."""
+    import sys
+    import threading
+
     g = StepGraphon.constant("0.3")
-    sample_graph(g, 200, 0)
+    sample_graph(g, 200, 0).edges
     tracemalloc.start()
     try:
         s = sample_graph(g, 4000, 0)
+        edges = s.edges
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # 8 bytes for each of the coins in flight, their buffers or one
     # block's temporaries, whichever is held at the peak
-    assert peak <= 1.5 * s.edges.nbytes + 8 * sampler._BLOCK_COINS
+    assert peak <= 1.5 * edges.nbytes + 8 * sampler._BLOCK_COINS
+    assert s.edges is edges and s._parts is None
+    with pytest.raises(ValueError):
+        edges[0, 0] = 1
+    assert s.to_finite_graph().edge_array is edges
+
+    # once through `edges` and once calling the assembly itself, past the
+    # lock `cached_property` takes before Python 3.12, so that a reader which
+    # assembles while the other publishes must return the published array
+    n = 1000
+    ref = sample_graph_reference(g, n, 4, 1)
+    monkeypatch.setattr(sampler, "_BLOCK_COINS", 40 * n)  # a dozen blocks or more
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for read in [lambda s: s.edges, sampler.SampledGraph.edges.func] * 10:
+            s = sample_graph(g, n, 4, 1)
+            barrier = threading.Barrier(4)
+            got = [None] * 4
+
+            def reader(k):
+                barrier.wait(timeout=30)
+                got[k] = read(s)
+
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert all(e is s.edges for e in got)
+            assert np.array_equal(s.edges, ref) and not s.edges.flags.writeable
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_degree_only_trial_never_assembles_edges():
+    """A trial that reads only degrees keeps the blocks' int32 columns, half
+    an edge array, and never allocates the (m, 2) one."""
+    from graphonham import harness
+
+    g = StepGraphon.constant("0.3")
+    config = harness.ExperimentConfig(g, (2000,), 1, 0, ("min_degree_ge_2", "degree_concentration"))
+    s = sample_graph(g, 2000, 0)
+    rec = harness.TrialRecord(n=2000, trial_index=0, seed=0)
+    harness._evaluate_properties(config, s, (s.type_block, s.type_offset), rec)
+    assert rec.outcomes["min_degree_ge_2"] and rec.outcomes["degree_concentration"] > 0
+    assert "edges" not in vars(s)
+
+    sample_graph(g, 200, 0)
+    tracemalloc.start()
+    try:
+        s = sample_graph(g, 8000, 0)
+        m = int(s.degrees().sum()) // 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "edges" not in vars(s)
+    # the (m, 2) int32 array would be 8m bytes on its own
+    assert peak <= 0.75 * 8 * m
 
 
 def test_degrees_allocate_less_than_a_copy_of_both_columns():

@@ -104,7 +104,8 @@ def test_trap_trial_leaves_scipy_unloaded():
 def test_no_thread_outlives_import_or_sampling():
     """`import graphonham` starts no thread, and a sample whose coin blocks
     ran on several threads has joined them all when it returns, so a
-    process pool (`experiment --jobs`) never forks a process mid-draw."""
+    process pool (`experiment --jobs`) never forks a process mid-draw.
+    Assembling the edge array on first read opens no pool either."""
     code = (
         "import threading\n"
         "import graphonham\n"
@@ -118,10 +119,11 @@ def test_no_thread_outlives_import_or_sampling():
         "        super().__init__(workers)\n"
         "concurrent.futures.ThreadPoolExecutor = Pool\n"
         "sampler._sampling_threads = lambda: 3\n"
-        "sampler.sample_graph(get_preset('constant-0.3'), 2000, 0)\n"
-        "print(pools, threading.active_count())\n"
+        "s = sampler.sample_graph(get_preset('constant-0.3'), 2000, 0)\n"
     )
-    assert _python_output(code).split() == ["1", "[3]", "1"]
+    report = "print(pools, threading.active_count())\n"
+    for read in ("", "s.edges\ns.to_finite_graph()\n"):
+        assert _python_output(code + read + report).split() == ["1", "[3]", "1"], read
 
 
 def test_no_bare_asserts_in_package():
