@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationCapExceeded, InvariantViolation, TypesMissing, _self_checked
+from .fracmatch import _block_pairs
 from .graphon import ENUMERATION_CAP, StepGraphon, _check_step
 from .sampler import SampledGraph
 
@@ -200,11 +201,9 @@ def empirical_step_function(graph: SampledGraph) -> StepFunction:
         raise TypesMissing("sampled graph does not carry block types")
     k = graph.model.k
     counts = np.bincount(graph.type_block, minlength=k)
-    # each edge once at (block u, block v) and once transposed, so a
-    # within-block edge counts twice on the diagonal
-    ends = graph.type_block[graph.edges]
-    pairs = np.bincount(ends[:, 0] * k + ends[:, 1], minlength=k * k).reshape(k, k)
-    pairs = pairs + pairs.T
+    # ordered pairs: a within-block edge counts twice on the diagonal
+    pairs = _block_pairs(graph.type_block, k, graph.edges)
+    pairs += np.diag(pairs.diagonal())
     # ordered vertex pairs per cell, loopless on the diagonal
     denoms = np.outer(counts, counts) - np.diag(counts)
     masses = tuple(Fraction(c, graph.n) for c in counts.tolist())

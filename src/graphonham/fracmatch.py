@@ -14,15 +14,16 @@ sandwich
 
 proves both folded objects optimal, so no external LP theory is trusted at
 runtime; every returned object is also re-validated against its definition.
-A step-kernel sample's graph carries its types (`_TypeHint`): one count of
-its edges per block pair checks covers constant on the blocks, and on a graph
-it shows to be its block graph's blow-up, `fvcn_value` and `is_connected` are
-read off the block graph, before any CSR or matching is built.
+A step-kernel sample's graph carries its vertex blocks (`_types`), and no
+kernel: one count of its edges per block pair checks covers constant on the
+blocks, and on a graph it shows to be the blow-up of its occupied block graph,
+`fvcn_value` and `is_connected` are read off that block graph, before any CSR
+or matching is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
@@ -42,14 +43,18 @@ class FiniteGraph:
     """A finite simple graph: no weights, no self-loops, no repeated edges.
 
     The edge set is `edge_array`, the (m, 2) int32 array of edges with
-    u < v, sorted and without repeats, built once.  `indptr`/`indices`, the
-    CSR of the symmetric adjacency with each row ascending, are built from
-    it on first use and kept: the searches and the matching read them, a
-    trap decided from a sample's types (`_TypeHint`) never does.
+    u < v, sorted and without repeats, built once.  A sample's graph is
+    also handed its sampler's degrees (`_degrees`) and vertex blocks
+    (`_types`).  All else is a `cached_property` derived on first use, such
+    as the CSR `indptr`/`indices` of the adjacency, rows ascending, which
+    the searches and the matching read and a trap decided from the blocks
+    never does.
     """
 
     n: int
     edge_array: np.ndarray
+    _degrees: Optional[np.ndarray] = field(default=None, repr=False)  # int64 per vertex
+    _types: Optional[np.ndarray] = field(default=None, repr=False)  # block per vertex
 
     @staticmethod
     def build(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "FiniteGraph":
@@ -90,27 +95,64 @@ class FiniteGraph:
         self.__dict__.update(indptr=adj.indptr, indices=adj.indices)
         return adj.indptr, adj.indices
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour lists, ascending, sliced from the CSR.
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        ind, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(ind[ptr[v]:ptr[v + 1]]) for v in range(self.n))
 
-        Built on first use and kept on the instance.  In the package only the
-        budgeted backtracking search (`hamilton._backtrack`) reads them; every
-        other search reads `indptr`/`indices` directly.
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour lists, ascending, sliced from the CSR on first use.
+
+        In the package only the budgeted backtracking search
+        (`hamilton._backtrack`) reads them; every other search reads
+        `indptr`/`indices` directly.
         """
-        adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            ind, ptr = self.indices.tolist(), self.indptr.tolist()
-            adj = tuple(tuple(ind[ptr[v]:ptr[v + 1]]) for v in range(self.n))
-            object.__setattr__(self, "_adjacency", adj)
-        return adj
+        return self._adjacency
 
     def degrees(self) -> list[int]:
         """Counted from `edge_array`, unless the sampler handed over the
         degrees it counted while drawing the edges (`_degrees`)."""
-        deg = self.__dict__.get("_degrees")
-        if deg is None:
-            deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
-        return deg.tolist()
+        if self._degrees is not None:
+            return self._degrees.tolist()
+        return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
+
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        """The sorted keys u*n + v of the edges, read-only (`_are_edges`)."""
+        key = self.edge_array[:, 0].astype(np.int64) * self.n + self.edge_array[:, 1]
+        key.flags.writeable = False
+        return key
+
+    @cached_property
+    def _matching(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Maximum matching in the bipartite double cover, whose biadjacency is
+        the CSR, by scipy's Hopcroft-Karp: every fold of it (fvcn, the Koenig
+        cover, the half matching) shares this one solve.  The size and the
+        left-to-right and right-to-left partners, -1 where unmatched."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        n = self.n
+        data = np.ones(len(self.indices), dtype=np.int8)
+        bi = csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        match_l = maximum_bipartite_matching(bi, perm_type="column")
+        matched = np.flatnonzero(match_l >= 0)
+        match_r = np.full(n, -1, dtype=match_l.dtype)
+        match_r[match_l[matched]] = matched
+        return len(matched), match_l, match_r
+
+    @cached_property
+    def _blocks(self) -> Optional[_BlockCounts]:
+        return _type_blocks(self)
+
+    @cached_property
+    def _type_cover(self) -> tuple[Optional[HalfCover], bool]:
+        return _lifted_cover(self)
+
+    @cached_property
+    def _connected(self) -> bool:
+        found = True if self.n <= 1 else _type_connected(self)
+        return bool(_bfs(self.indptr, self.indices, [0])[0].all()) if found is None else found
 
     def to_edge_list_text(self) -> str:
         return _edge_list_text(self.n, self.edge_array)
@@ -322,33 +364,6 @@ class GraphPeninsula(HalfCover):
 # the double-cover matching and its Koenig cover
 
 
-def _double_cover_matching(g: FiniteGraph) -> tuple[int, np.ndarray, np.ndarray]:
-    """Maximum matching in the bipartite double cover of a graph.
-
-    The CSR of the graph is the biadjacency of its double cover, so it goes
-    straight to scipy's Hopcroft-Karp.  Solved once per graph: the result is
-    kept on `g`, so every fold of it (fvcn, the Koenig cover, the half
-    matching) shares one solve.  Returns the size and the left-to-right and
-    right-to-left partner arrays, -1 where unmatched.
-    """
-    found = g.__dict__.get("_matching")
-    if found is not None:
-        return found
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    n = g.n
-    data = np.ones(len(g.indices), dtype=np.int8)
-    bi = csr_matrix((data, g.indices, g.indptr), shape=(n, n))
-    match_l = maximum_bipartite_matching(bi, perm_type="column")
-    matched = np.flatnonzero(match_l >= 0)
-    match_r = np.full(n, -1, dtype=match_l.dtype)
-    match_r[match_l[matched]] = matched
-    found = (len(matched), match_l, match_r)
-    object.__setattr__(g, "_matching", found)
-    return found
-
-
 def _bfs(indptr: np.ndarray, indices: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
     """Multi-source BFS over a CSR: `(reached, parent)`, a mask of the
     vertices reached and each one's BFS parent, -1 at sources and unreached.
@@ -389,11 +404,7 @@ def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
     O(k log m) for k pairs."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    key = g.__dict__.get("_edge_keys")
-    if key is None:
-        key = g.edge_array[:, 0].astype(np.int64) * g.n + g.edge_array[:, 1]
-        key.flags.writeable = False
-        object.__setattr__(g, "_edge_keys", key)
+    key = g._edge_keys
     q = lo * g.n + hi
     pos = np.searchsorted(key, q)
     hit = (lo >= 0) & (hi < g.n) & (pos < len(key))
@@ -439,118 +450,91 @@ def _folded_cover(
 
 
 # ---------------------------------------------------------------------------
-# a step-kernel sample's types
-
-
-@dataclass(frozen=True, eq=False)
-class _TypeHint:
-    """What a step-kernel sample knows beyond its edges, attached to its graph
-    by `SampledGraph.to_finite_graph`: the block of each vertex and where the
-    kernel is positive between two blocks (a k x k bool array).
-
-    Zero density draws no edge, so a half cover of the block graph lifts
-    through the types to a half cover of the sample.  No answer drawn from the
-    hint is taken on trust: each is checked on the graph, and a failed check
-    falls back to the graph's own route, so a wrong hint costs time, never
-    soundness.
-    """
-
-    block: np.ndarray
-    positive: np.ndarray
+# a step-kernel sample's blocks
 
 
 @dataclass(frozen=True, eq=False)
 class _BlockCounts:
-    hint: _TypeHint
     count: np.ndarray  # vertices per block
     occupied: np.ndarray  # k x k: whether some edge joins the two blocks
     complete: bool  # whether E = F (see `_type_blocks`)
 
 
-def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
-    """g's edges counted per pair of blocks, in one pass that codes each
-    edge's pair a*k + b in the least unsigned dtype holding k*k - 1 (uint8
-    while k <= 16); None when g carries no hint or its blocks do not label
-    its vertices.
-
-    Let F be the blow-up of the block graph: an edge between any two distinct
-    vertices whose blocks are positive.  g is complete when each pair count
-    is c_a*c_b (C(c_a, 2) on the diagonal) where the hint is positive and 0
-    elsewhere, for c the block sizes: then E is a subset of F holding as many
-    edges as F in each pair, and as g's edges never repeat, E = F.  Each
-    block is then a twin class (Grohe, Kersting, Mladenov and Selman, ESA
-    2014): an independent set or a clique with one set of outside neighbours.
-    """
-    hint = g.__dict__.get("_types")
-    if hint is None:
-        return None
-    block, k = hint.block, len(hint.positive)
-    if len(block) != g.n or g.n == 0 or block.min() < 0 or block.max() >= k:
-        return None
-    count = np.bincount(block, minlength=k)
+def _block_pairs(block: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
+    """The symmetric k x k count of edges per unordered pair of blocks, each
+    edge once, in one pass that codes each edge's pair a*k + b in the least
+    unsigned dtype holding k*k - 1 (uint8 while k <= 16)."""
     code = block.astype(np.min_scalar_type(k * k - 1))
-    u, v = g.edge_array.T
+    u, v = edges.T
     pairs = np.bincount(code.take(u) * k + code.take(v), minlength=k * k).reshape(k, k)
-    pairs = pairs + pairs.T - np.diag(pairs.diagonal())
+    return pairs + pairs.T - np.diag(pairs.diagonal())
+
+
+def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
+    """g's edges counted per pair of its blocks, k of them for k - 1 the
+    largest label; None when g carries no blocks or they do not label its
+    vertices.
+
+    A pair of blocks is occupied when it holds an edge.  Let F be the
+    blow-up of the occupied block graph: an edge between any two distinct
+    vertices whose blocks are occupied.  g is complete when each occupied
+    pair holds all of its vertex pairs, c_a*c_b (C(c_a, 2) on the diagonal)
+    for c the block sizes: then E is a subset of F holding as many edges as
+    F in each pair, and as g's edges never repeat, E = F.  Each block is
+    then a twin class (Grohe, Kersting, Mladenov and Selman, ESA 2014): an
+    independent set or a clique with one set of outside neighbours.  No
+    kernel enters: the blocks are a partition of the vertices, and the rest
+    is read off the edges.
+    """
+    block = g._types
+    if block is None or len(block) != g.n or g.n == 0 or block.min() < 0:
+        return None
+    k = int(block.max()) + 1
+    count = np.bincount(block, minlength=k)
+    pairs = _block_pairs(block, k, g.edge_array)
     full = np.outer(count, count) - np.diag(count * (count + 1) // 2)
-    return _BlockCounts(hint, count, pairs > 0, bool((pairs == np.where(hint.positive, full, 0)).all()))
-
-
-def _blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
-    """`_type_blocks(g)`, counted on first use and kept on g."""
-    if "_blocks" not in g.__dict__:
-        object.__setattr__(g, "_blocks", _type_blocks(g))
-    return g.__dict__["_blocks"]
+    return _BlockCounts(count, pairs > 0, bool(((pairs == 0) | (pairs == full)).all()))
 
 
 def _covers_blocks(g: FiniteGraph, h: np.ndarray) -> bool:
-    """Whether units h, constant on each block of a hinted g, give every
-    occupied pair of blocks a, b h_a + h_b >= 2: exactly the per-edge check,
-    as each edge lies in an occupied pair and each occupied pair holds an
-    edge.  False when g has no hint or h is not constant on its blocks."""
-    blocks = _blocks(g)
+    """Whether units h, constant on each block of g, give every occupied
+    pair of blocks a, b h_a + h_b >= 2: exactly the per-edge check, as each
+    edge lies in an occupied pair and each occupied pair holds an edge.
+    False when g has no blocks or h is not constant on them."""
+    blocks = g._blocks
     if blocks is None:
         return False
-    block = blocks.hint.block
     per = np.zeros(len(blocks.count), dtype=np.int64)
-    per[block] = h
-    return bool((per[block] == h).all() and (per[:, None] + per >= 2)[blocks.occupied].all())
-
-
-def _type_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
-    """The best half cover of g's block graph lifted through its types and
-    validated on g (a `GraphPeninsula` when it weighs less than n/2), and
-    whether it is proved minimum; (None, False) when g carries no hint or
-    the cover fails its check.  Kept on g.
-
-    The cover is the least min cut of `graphon._cover_flow` on the block
-    sizes, a block looped when its density is positive and it holds two
-    vertices.  On a complete g (E = F, `_type_blocks`) the proof is this
-    module's sandwich, from O(k^2) checks on the integer flow f(v, x) on the
-    arcs v -> k + x: f > 0 only on occupied pairs, each row sum at most c_v,
-    each column sum at most c_x, the total the cover's half-units.  Then pair
-    f(v, x) left copies of block v with right copies of block x, a block
-    giving its left copies in list order and its right copies from the list
-    rotated by one, its loop first on both sides: no copy is used twice, and
-    no pair is u+u-, as a loop's block holds an edge and so two vertices.
-    The pairs are edges of F = E, a double-cover matching as large as the cover.
-    """
-    found = g.__dict__.get("_type_cover")
-    if found is None:
-        found = _lifted_cover(g)
-        object.__setattr__(g, "_type_cover", found)
-    return found
+    per[g._types] = h
+    return bool((per[g._types] == h).all() and (per[:, None] + per >= 2)[blocks.occupied].all())
 
 
 def _lifted_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
-    blocks = _blocks(g)
+    """The best half cover of g's occupied block graph lifted through its
+    blocks and validated on g (a `GraphPeninsula` when it weighs less than
+    n/2), and whether it is proved minimum; (None, False) when g carries no
+    blocks or the cover fails its check.  Kept on g as `g._type_cover`.
+
+    The cover is the least min cut of `graphon._cover_flow` on the block
+    sizes and the occupied pairs; a diagonal is occupied only if its block
+    holds an edge, and so two vertices.  On a complete g (E = F,
+    `_type_blocks`) the proof is this module's sandwich, from O(k^2) checks
+    on the integer flow f(v, x) on the arcs v -> k + x, which are occupied
+    pairs: each row sum at most c_v, each column sum at most c_x, the total
+    the cover's half-units.  Then pair f(v, x) left copies of block v with
+    right copies of block x, a block giving its left copies in list order
+    and its right copies from the list rotated by one, its loop first on
+    both sides: no copy is used twice, and no pair is u+u-, as a loop's
+    block holds two vertices.  The pairs are edges of F = E, a double-cover
+    matching as large as the cover.
+    """
+    blocks = g._blocks
     if blocks is None:
         return None, False
     count, k = blocks.count, len(blocks.count)
-    positive = blocks.hint.positive & ((count >= 2) | ~np.eye(k, dtype=bool))
-    flow, r, reach = _cover_flow(count.tolist(), positive.tolist())
+    flow, r, reach = _cover_flow(count.tolist(), blocks.occupied.tolist())
     units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
-    cover = (GraphPeninsula if flow < g.n else HalfCover)(units[blocks.hint.block], Fraction(flow, 2))
+    cover = (GraphPeninsula if flow < g.n else HalfCover)(units[g._types], Fraction(flow, 2))
     try:
         cover.validate(g)
     except AssertionError:
@@ -558,7 +542,6 @@ def _lifted_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
     f = np.array([row[:k] for row in r[k:2 * k]]).T  # f[v, x] = r[k + x][v]
     exact = bool(
         blocks.complete
-        and not f[~blocks.occupied].any()
         and (f.sum(axis=1) <= count).all()
         and (f.sum(axis=0) <= count).all()
         and f.sum() == flow
@@ -567,13 +550,13 @@ def _lifted_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
 
 
 def _type_connected(g: FiniteGraph) -> Optional[bool]:
-    """Whether a hinted g is connected, read off its block-pair counts; None
-    when g has no hint or the counts cannot tell.  Disconnected: no occupied
+    """Whether g is connected, read off its block-pair counts; None when g
+    has no blocks or the counts cannot tell.  Disconnected: no occupied
     pair joins two parts of the nonempty blocks, or two or more vertices
     have no edge.  Otherwise connected if g is complete, as two blocks of an
     occupied pair are then completely joined, and a lone block is a clique.
     """
-    blocks = _blocks(g)
+    blocks = g._blocks
     if blocks is None:
         return None
     nonempty = np.flatnonzero(blocks.count).tolist()
@@ -591,7 +574,7 @@ def _type_connected(g: FiniteGraph) -> Optional[bool]:
 
 def fmn_half(g: FiniteGraph) -> HalfMatching:
     """Maximum-weight half-integral fractional matching."""
-    size, ml, _ = _double_cover_matching(g)
+    size, ml, _ = g._matching
     u, v = g.edge_array.T
     units = (ml[u] == v).astype(np.int64) + (ml[v] == u)
     matching = HalfMatching(units, Fraction(size, 2))
@@ -604,18 +587,18 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
     Koenig's construction on the double cover's maximum matching; the cover
     it yields does not depend on which maximum matching the solver found.
     """
-    size, match_l, match_r = _double_cover_matching(g)
+    size, match_l, match_r = g._matching
     return _folded_cover(g, size, *_koenig_cover(g, match_l, match_r, np.flatnonzero(match_l < 0)))
 
 
 def fvcn_value(g: FiniteGraph) -> Fraction:
     """Exact fvcn without materializing the cover: the weight of the lifted
-    block cover when `_type_cover` proves it minimum, else half the size of
+    block cover when `_lifted_cover` proves it minimum, else half the size of
     the double-cover matching."""
-    cover, exact = _type_cover(g)
+    cover, exact = g._type_cover
     if exact:
         return cover.weight
-    size, _, _ = _double_cover_matching(g)
+    size, _, _ = g._matching
     return Fraction(size, 2)
 
 
@@ -642,7 +625,7 @@ def uniquely_half_covered(g: FiniteGraph) -> tuple[bool, Optional[GraphPeninsula
     n = g.n
     if n == 0:
         return True, None
-    size, match_l, match_r = _double_cover_matching(g)
+    size, match_l, match_r = g._matching
     if size < n:
         cover_l, cover_r = _koenig_cover(g, match_l, match_r, np.flatnonzero(match_l < 0))
         return False, _folded_cover(g, size, cover_l, cover_r, GraphPeninsula)
@@ -690,13 +673,7 @@ def is_bipartite(g: FiniteGraph) -> bool:
 
 def is_connected(g: FiniteGraph) -> bool:
     """Whether g is connected: read off a step-kernel sample's block-pair
-    counts when `_type_connected` can, else whether a BFS from vertex 0 reaches every
-    vertex.  The answer is kept on `g`, as the matching is, so every caller
-    shares one search."""
-    found = g.__dict__.get("_connected")
-    if found is None:
-        found = True if g.n <= 1 else _type_connected(g)
-        if found is None:
-            found = bool(_bfs(g.indptr, g.indices, [0])[0].all())
-        object.__setattr__(g, "_connected", found)
-    return found
+    counts when `_type_connected` can, else whether a BFS from vertex 0
+    reaches every vertex.  The answer is kept on `g` (`g._connected`), as
+    the matching is, so every caller shares one search."""
+    return g._connected

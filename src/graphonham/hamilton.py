@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, InvariantViolation
-from .fracmatch import FiniteGraph, GraphPeninsula, _are_edges, _type_cover, fvcn_value, graph_peninsula, is_connected
+from .fracmatch import FiniteGraph, GraphPeninsula, _are_edges, fvcn_value, graph_peninsula, is_connected
 
 STATUS_HAMILTONIAN = "hamiltonian"
 STATUS_NOT_HAMILTONIAN = "not_hamiltonian"
@@ -70,7 +70,7 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
     Checked in order: connectivity, minimum degree 2, then a narrow trap
     (fvcn < n/2, which already rules out a perfect fractional matching).
     The trap's certificate is a validated `GraphPeninsula`: on a step-kernel
-    sample the block cover lifted through its types, when that weighs less
+    sample the block cover lifted through its blocks, when that weighs less
     than n/2 (no matching is solved), else the one `graph_peninsula` folds
     from the double-cover matching.
     """
@@ -78,7 +78,7 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
         return OBSTRUCTION_DISCONNECTED
     if g.n == 0 or min(g.degrees()) < 2:
         return OBSTRUCTION_MIN_DEGREE
-    if g.n >= 3 and isinstance(_type_cover(g)[0], GraphPeninsula):
+    if g.n >= 3 and isinstance(g._type_cover[0], GraphPeninsula):
         return OBSTRUCTION_NARROW
     if g.n >= 3 and fvcn_value(g) < Fraction(g.n, 2):
         cert = graph_peninsula(g)
@@ -220,12 +220,15 @@ def exact_hamilton(g: FiniteGraph, budget: int = DEFAULT_BACKTRACK_BUDGET) -> Ha
     """Exact decision: bitmask DP up to 24 vertices, budgeted backtracking above.
 
     The DP answer is unconditional; the backtracking answer is exact unless
-    the node budget runs out, in which case the verdict is `unknown`.
+    the node budget runs out, in which case the verdict is `unknown`: at
+    once for a budget below 1, as the search would stop at its first node.
     """
     if g.n < 3:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=OBSTRUCTION_EXHAUSTED)
     if g.n <= DP_VERTEX_CAP:
         return _exact_dp(g)
+    if budget < 1:
+        return HamiltonVerdict(STATUS_UNKNOWN)
     return _backtrack(g, budget)
 
 

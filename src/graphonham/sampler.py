@@ -23,14 +23,14 @@ its edges come from the types alone and the edge stream is not drawn;
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import FormatError
-from .fracmatch import FiniteGraph, _TypeHint, _edge_list_text
+from .fracmatch import FiniteGraph, _edge_list_text
 from .graphon import Graphon, PowerFamilyGraphon, StepGraphon
 
 _TYPE_CHANNEL = 0
@@ -135,16 +135,11 @@ class SampledGraph:
         return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
-        """The graph of the edges.  A step-kernel sample's graph also carries
-        its types and the kernel's positivity as a `_TypeHint`, from which
-        traps, fvcn and connectivity are read and then checked on the graph.
-        The graph keeps the sampler's degrees, so it need not count them."""
-        g = FiniteGraph.build(self.n, self.edges)
-        object.__setattr__(g, "_degrees", self._degrees)
-        if self.type_block is not None:
-            positive = np.array([[d > 0 for d in row] for row in self.model.densities])
-            object.__setattr__(g, "_types", _TypeHint(self.type_block, positive))
-        return g
+        """The graph of the edges, handed the sampler's degrees, so it need
+        not count them, and a step-kernel sample's vertex blocks, from which
+        traps, fvcn and connectivity are read off the edges and then checked
+        on the graph; no kernel is handed over."""
+        return replace(FiniteGraph.build(self.n, self.edges), _degrees=self._degrees, _types=self.type_block)
 
     def sidecar_dict(self) -> dict:
         d = {

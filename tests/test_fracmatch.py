@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from graphonham import (
     uniquely_half_covered,
 )
 from conftest import random_graph, random_step_graphon
-from graphonham.fracmatch import _TypeHint, _blocks, _covers_blocks, _type_connected, _type_cover
+from graphonham.fracmatch import _covers_blocks, _type_connected
 from graphonham.presets import PRESET_NAMES
 from oracles import (
     bfs_reference,
@@ -602,13 +603,13 @@ def _hinted_samples():
 
 
 def _same_answers(g, ref):
-    """g decides as ref, the same edges with no hint, and whatever g's hint
-    produced validates on g."""
+    """g decides as ref, the same edges with no blocks, and whatever g's
+    blocks produced validates on g."""
     assert is_connected(g) == is_connected(ref)
     assert min(g.degrees(), default=None) == min(ref.degrees(), default=None)
     assert fvcn_value(g) == fvcn_value(ref)
     assert classify(g, budget=2000, posa_restarts=2) == classify(ref, budget=2000, posa_restarts=2)
-    cover, exact = _type_cover(g)
+    cover, exact = g._type_cover
     if cover is not None:
         cover.validate(g)
         assert isinstance(cover, GraphPeninsula) == (2 * cover.weight < g.n)
@@ -622,55 +623,64 @@ def _zero_one(s) -> bool:
     return all(d in (0, 1) for row in s.model.densities for d in row)
 
 
-def _with_hint(n, edges, hint):
-    g = FiniteGraph.build(n, edges)
-    object.__setattr__(g, "_types", hint)
-    return g
+def _with_blocks(n, edges, block):
+    return replace(FiniteGraph.build(n, edges), _types=block)
 
 
 def test_type_hint_answers_as_the_graph_does():
-    """A sample's graph carries its types exactly when the kernel is a step
-    kernel.  A 0/1 kernel's sample is complete, the blow-up of its block
-    graph, and on a complete graph the types decide fvcn and connectivity
-    outright."""
+    """A sample's graph carries its blocks exactly when the kernel is a step
+    kernel.  A 0/1 kernel's sample is complete, the blow-up of its occupied
+    block graph, and on a complete graph the blocks decide fvcn and
+    connectivity outright."""
     for s in _hinted_samples():
         g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
-        hint = vars(g).get("_types")
-        assert (hint is None) == (s.type_block is None) and "_types" not in vars(ref)
+        assert g._types is s.type_block and ref._types is None
         _same_answers(g, ref)
-        cover, exact = _type_cover(g)
-        assert (cover is None) == (hint is None)
-        if hint is not None:
-            complete = _blocks(g).complete
+        cover, exact = g._type_cover
+        assert (cover is None) == (s.type_block is None)
+        if s.type_block is not None:
+            complete = g._blocks.complete
             assert complete or not _zero_one(s)
             assert exact == complete
             assert _type_connected(g) is not None or not complete
 
 
-@pytest.mark.parametrize("wrong", ["shuffled", "zero_to_one", "one_to_zero"])
+def _mutated(block, wrong, rng):
+    """A partition of the vertices that is not the sample's blocks."""
+    k = int(block.max()) + 1
+    if wrong == "shuffled":
+        return rng.permutation(block)
+    if wrong == "merged":  # block a joins block b; no change when k = 1
+        a, b = rng.choice(k, size=2, replace=k < 2)
+        return np.where(block == a, b, block)
+    if wrong == "one_moved":
+        block = block.copy()
+        v = rng.integers(len(block))
+        block[v] = (block[v] + rng.integers(1, k + 1)) % (k + 1)
+        return block
+    # "split": half of one block, every other vertex of it, takes a new label
+    members = np.flatnonzero(block == rng.choice(block))
+    block = block.copy()
+    block[members[::2]] = k
+    return block
+
+
+@pytest.mark.parametrize("wrong", ["shuffled", "merged", "one_moved", "split"])
 def test_wrong_type_hint_falls_back(wrong):
-    """A hint that misstates the types or the kernel fails its checks on the
-    graph, or passes them, and either way gives the graph's own answers."""
+    """A partition other than the sample's blocks fails its checks on the
+    graph, or passes them, and either way gives the graph's own answers.  A
+    split block is still a set of twins, so the split partition is never
+    wrong: its blocks keep E = F, and every 0/1-kernel sample stays exact."""
     rng = np.random.default_rng(7)
     fell_back = 0
     for s in _hinted_samples():
         if s.type_block is None:
             continue
-        block = s.type_block
-        positive = np.array([[d > 0 for d in row] for row in s.model.densities])
-        if wrong == "shuffled":
-            block = rng.permutation(block)
-        else:
-            cells = np.argwhere(positive == (wrong == "one_to_zero"))
-            if not len(cells):
-                continue
-            i, j = cells[rng.integers(len(cells))]
-            positive[i, j] = positive[j, i] = wrong == "zero_to_one"
-        g, ref = _with_hint(s.n, s.edges, _TypeHint(block, positive)), FiniteGraph.build(s.n, s.edges)
+        g, ref = _with_blocks(s.n, s.edges, _mutated(s.type_block, wrong, rng)), FiniteGraph.build(s.n, s.edges)
         _same_answers(g, ref)
-        cover, exact = _type_cover(g)
+        cover, exact = g._type_cover
         fell_back += cover is None or (_zero_one(s) and not exact)
-    assert fell_back >= 10
+    assert fell_back == 0 if wrong == "split" else fell_back >= 10
 
 
 def _cover_outcome(cover, g):
@@ -681,12 +691,12 @@ def _cover_outcome(cover, g):
     return None
 
 
-@pytest.mark.parametrize("hint", ["true", "one_vertex_mislabelled", "zero_to_one"])
+@pytest.mark.parametrize("hint", ["true", "one_vertex_mislabelled"])
 def test_block_cover_check_agrees_with_the_edges(hint):
-    """On a hinted graph `HalfCover.validate` accepts and rejects the covers
-    the per-edge check does, with its message.  A cover constant on the
-    blocks is decided from the block pairs that hold an edge: not from the
-    hint's positive pairs, which a wrong hint may set where no edge is."""
+    """On a graph with blocks `HalfCover.validate` accepts and rejects the
+    covers the per-edge check does, with its message.  A cover constant on
+    the blocks is decided from the block pairs that hold an edge: not from
+    the kernel's positive pairs, some of which draw no edge."""
     rng = random.Random(23)
     phantom = 0
     for s in _hinted_samples():
@@ -700,9 +710,7 @@ def test_block_cover_check_agrees_with_the_edges(hint):
                 continue
             v = rng.randrange(s.n)
             block[v] = (block[v] + rng.randrange(1, k)) % k
-        elif hint == "zero_to_one":
-            positive[:] = True
-        g, ref = _with_hint(s.n, s.edges, _TypeHint(block, positive)), FiniteGraph.build(s.n, s.edges)
+        g, ref = _with_blocks(s.n, s.edges, block), FiniteGraph.build(s.n, s.edges)
         occupied = {(int(block[u]), int(block[v])) for u, v in s.edges.tolist()}
         occupied |= {(b, a) for a, b in occupied}
         units = [np.array([rng.choice(UNITS) for _ in range(s.n)]) for _ in range(2)]
@@ -727,27 +735,70 @@ def test_block_cover_check_agrees_with_the_edges(hint):
             h = np.zeros(k, dtype=int)
             h[block] = x
             phantom += outcome is None and constant and bool((h[:, None] + h < 2)[positive].any())
-    assert phantom > 0 or hint != "zero_to_one"
+    assert phantom > 0 or hint != "true"
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_completeness_is_checked_not_declared(change):
     """A 0/1-kernel sample with one edge dropped or added keeps its sample's
-    hint but is not complete, and answers as the graph without a hint."""
+    blocks but is not complete, and answers as the graph without blocks."""
     rng = random.Random(5)
     for name in ("balanced-bipartite", "bipartite-plus-clique", "narrow-three-block"):
         for n in (10, 60):
             s = sample_graph(get_preset(name), n, 3, 0)
-            assert _zero_one(s) and _blocks(s.to_finite_graph()).complete
+            assert _zero_one(s) and s.to_finite_graph()._blocks.complete
             edges = s.edges.tolist()
             if change == "drop":
                 edges.pop(rng.randrange(len(edges)))
             else:
                 have = set(map(tuple, edges))
                 edges.append(rng.choice([(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in have]))
-            g, ref = _with_hint(n, edges, vars(s.to_finite_graph())["_types"]), FiniteGraph.build(n, edges)
-            assert not _blocks(g).complete and not _type_cover(g)[1]
+            g, ref = _with_blocks(n, edges, s.type_block), FiniteGraph.build(n, edges)
+            assert not g._blocks.complete and not g._type_cover[1]
             _same_answers(g, ref)
+
+
+def test_blocks_alone_decide_a_graph_read_from_a_file(tmp_path):
+    """The blocks are all a graph needs beside its edges: a sample written to
+    a file and read back, then handed its sample's blocks and no kernel, gets
+    the sample's own lifted cover and connectivity, both read off the blocks."""
+    from graphonham.sampler import load_graph, write_graph
+
+    s = sample_graph(get_preset("narrow-three-block"), 60, 0)
+    write_graph(s, str(tmp_path / "g.txt"))
+    back, g = replace(load_graph(str(tmp_path / "g.txt")), _types=s.type_block), s.to_finite_graph()
+    (cover, exact), (got, got_exact) = g._type_cover, back._type_cover
+    assert isinstance(cover, GraphPeninsula) and exact
+    assert np.array_equal(got.units, cover.units) and (got.weight, got_exact) == (cover.weight, exact)
+    assert is_connected(back) == is_connected(g)
+    assert "indptr" not in vars(back)
+
+
+def test_full_occupied_pairs_are_proved_exact_whatever_the_kernel():
+    """Completeness reads the edges, not the kernel: a sample of a kernel
+    with a density strictly between 0 and 1 that holds every vertex pair of
+    each block pair it drew an edge in, and no edge in some pair that its
+    kernel makes positive, is the blow-up of its occupied block graph, and
+    its lifted cover is proved exact."""
+    rng = random.Random(43)
+    for trial in range(400):
+        kernel = random_step_graphon(rng, rng.randint(2, 3), zero_prob=0.3)
+        s = sample_graph(kernel, rng.randint(4, 8), rng.randrange(1 << 30), trial)
+        g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
+        blocks = g._blocks
+        count = np.bincount(s.type_block, minlength=kernel.k)
+        pairs = np.outer(count, count) - np.diag(count * (count + 1) // 2)
+        positive = np.array([[d > 0 for d in row] for row in kernel.densities])
+        occupied = np.zeros((kernel.k, kernel.k), dtype=bool)
+        occupied[:len(blocks.count), :len(blocks.count)] = blocks.occupied
+        if len(s.edges) and not _zero_one(s) and blocks.complete and (positive & (pairs > 0) & ~occupied).any():
+            break
+    else:
+        pytest.fail("no sample full on its occupied pairs and empty on a positive one found")
+    cover, exact = g._type_cover
+    assert exact and cover.weight == fvcn_value(ref)
+    assert _type_connected(g) in (None, is_connected(ref))
+    _same_answers(g, ref)
 
 
 def test_complete_fractional_sample_is_proved_exact():
@@ -759,11 +810,11 @@ def test_complete_fractional_sample_is_proved_exact():
         kernel = random_step_graphon(rng, rng.randint(2, 3), zero_prob=0.4)
         s = sample_graph(kernel, rng.randint(3, 6), rng.randrange(1 << 30), trial)
         g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
-        if not _zero_one(s) and _blocks(g).complete:
+        if not _zero_one(s) and g._blocks.complete:
             break
     else:
         pytest.fail("no complete sample of a fractional kernel found")
-    cover, exact = _type_cover(g)
+    cover, exact = g._type_cover
     assert exact and cover.weight == fvcn_value(ref)
     assert _type_connected(g) == is_connected(ref)
     _same_answers(g, ref)

@@ -231,6 +231,24 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     assert [id(x) for x in counted] == [id(g), id(built[0])]
 
 
+def test_zero_budget_is_unknown_before_any_search():
+    """A budget below 1 stops backtracking at its first node, so the verdict
+    is `unknown` before the neighbour lists are built or the interpreter's
+    recursion limit is raised (to 2n + 200 = 252 at n = 26)."""
+    import random
+    import sys
+
+    g = random_graph(random.Random(26), 26, 0.3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert exact_hamilton(g, budget=0).status == "unknown"
+        assert sys.getrecursionlimit() == 250
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "_adjacency" not in vars(g)
+
+
 def test_heuristic_route_reads_the_csr():
     """A Hamiltonian verdict from the rotation heuristic carries a witness of
     plain ints (what `to_dict` and the CLI serialise) and builds no

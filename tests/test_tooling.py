@@ -190,3 +190,31 @@ def test_assertion_errors_only_check_caller_objects():
         if func not in allowed
     ]
     assert found == []
+
+
+def _foreign_state(tree):
+    """Line of each `object.__setattr__(x, ...)`, `vars(x)` or `x.__dict__`
+    under tree whose x is not `self`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("object.__setattr__", "vars"):
+            target = node.args[0] if node.args else None
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            target = node.value
+        else:
+            continue
+        if not (isinstance(target, ast.Name) and target.id == "self"):
+            yield node.lineno
+
+
+def test_instances_keep_only_declared_state():
+    """A frozen object's fields are declared and its caches are its own
+    `cached_property`s: the package reaches into an instance's attribute
+    dict only from that instance's own methods, never into an object it
+    was passed."""
+    package = Path(__file__).resolve().parents[1] / "src" / "graphonham"
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        for line in _foreign_state(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
