@@ -691,12 +691,13 @@ def _cover_outcome(cover, g):
     return None
 
 
-@pytest.mark.parametrize("hint", ["true", "one_vertex_mislabelled"])
+@pytest.mark.parametrize("hint", ["true", "one_vertex_mislabelled", "zero_to_one"])
 def test_block_cover_check_agrees_with_the_edges(hint):
     """On a graph with blocks `HalfCover.validate` accepts and rejects the
     covers the per-edge check does, with its message.  A cover constant on
     the blocks is decided from the block pairs that hold an edge: not from
-    the kernel's positive pairs, some of which draw no edge."""
+    the kernel's positive pairs, some of which draw no edge, nor from every
+    block pair (`zero_to_one`: each zero of the kernel read as positive)."""
     rng = random.Random(23)
     phantom = 0
     for s in _hinted_samples():
@@ -710,6 +711,8 @@ def test_block_cover_check_agrees_with_the_edges(hint):
                 continue
             v = rng.randrange(s.n)
             block[v] = (block[v] + rng.randrange(1, k)) % k
+        elif hint == "zero_to_one":
+            positive[:] = True
         g, ref = _with_blocks(s.n, s.edges, block), FiniteGraph.build(s.n, s.edges)
         occupied = {(int(block[u]), int(block[v])) for u, v in s.edges.tolist()}
         occupied |= {(b, a) for a, b in occupied}
@@ -735,7 +738,7 @@ def test_block_cover_check_agrees_with_the_edges(hint):
             h = np.zeros(k, dtype=int)
             h[block] = x
             phantom += outcome is None and constant and bool((h[:, None] + h < 2)[positive].any())
-    assert phantom > 0 or hint != "true"
+    assert phantom > 0 or hint == "one_vertex_mislabelled"
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
