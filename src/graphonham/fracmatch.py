@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import FormatError, InvariantViolation, _self_checked
-from .graphon import _cover_flow
+from .graphon import _cover_flow, _residual_reach
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +46,9 @@ class FiniteGraph:
     u < v, sorted and without repeats, built once.  A sample's graph is
     also handed its sampler's degrees (`_degrees`) and vertex blocks
     (`_types`).  All else is a `cached_property` derived on first use, such
-    as the CSR `indptr`/`indices` of the adjacency, rows ascending, which
-    the searches and the matching read and a trap decided from the blocks
-    never does.
+    as the CSR `indptr`/`indices` of the adjacency, rows ascending: the
+    graph's one adjacency index, which the searches, edge membership and
+    the matching read and a trap decided from the blocks never builds.
     """
 
     n: int
@@ -103,9 +103,8 @@ class FiniteGraph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour lists, ascending, sliced from the CSR on first use.
 
-        In the package only the budgeted backtracking search
-        (`hamilton._backtrack`) reads them; every other search reads
-        `indptr`/`indices` directly.
+        No search in the package reads them: every search, edge membership
+        included, reads `indptr`/`indices` directly.
         """
         return self._adjacency
 
@@ -115,13 +114,6 @@ class FiniteGraph:
         if self._degrees is not None:
             return self._degrees.tolist()
         return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
-
-    @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        """The sorted keys u*n + v of the edges, read-only (`_are_edges`)."""
-        key = self.edge_array[:, 0].astype(np.int64) * self.n + self.edge_array[:, 1]
-        key.flags.writeable = False
-        return key
 
     @cached_property
     def _matching(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -398,17 +390,22 @@ def _double_cover_csr(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
-    """Whether each pair (a[k], b[k]) is an edge of g, by binary search of the
-    sorted edge keys u*n + v; a pair off the vertex range is no edge.  The
-    keys are built on the first call and kept on `g`, so a later call costs
-    O(k log m) for k pairs."""
+    """Whether each pair (a[k], b[k]) is an edge of g, by binary search of
+    b[k] in the ascending CSR row a[k], every pair at once; a pair off the
+    vertex range is no edge.  No copy of the edge set is made, so once the
+    CSR is built a call costs O(k log d) for k pairs and d the top degree."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    key = g._edge_keys
-    q = lo * g.n + hi
-    pos = np.searchsorted(key, q)
-    hit = (lo >= 0) & (hi < g.n) & (pos < len(key))
-    hit[hit] = key[pos[hit]] == q[hit]
+    hit = (a >= 0) & (a < g.n) & (b >= 0) & (b < g.n)
+    want, ind = b[hit], g.indices
+    lo, hi = g.indptr[a[hit]].astype(np.int64), g.indptr[a[hit] + 1].astype(np.int64)
+    # b[k], if in row a[k], lies in ind[lo[k]:hi[k]]; each pass halves that span
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        right = ind.take(mid, mode="clip") <= want
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    found = lo < hi
+    found[found] = ind[lo[found]] == want[found]
+    hit[hit] = found
     return hit
 
 
@@ -560,9 +557,7 @@ def _type_connected(g: FiniteGraph) -> Optional[bool]:
     if blocks is None:
         return None
     nonempty = np.flatnonzero(blocks.count).tolist()
-    reached = nonempty[:1]
-    for a in reached:
-        reached += [b for b in nonempty if blocks.occupied[a, b] and b not in reached]
+    reached = _residual_reach(blocks.occupied.tolist(), nonempty[0])
     if len(reached) < len(nonempty) or (g.n > 1 and not blocks.occupied.any()):
         return False
     return True if blocks.complete else None

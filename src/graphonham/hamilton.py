@@ -10,6 +10,7 @@ search); `unknown` is a first-class outcome and is never coerced.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -174,16 +175,12 @@ def _exact_dp(g: FiniteGraph) -> HamiltonVerdict:
 
 
 def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
-    import sys
-
     n = g.n
-    adj = g.adjacency()
+    ptr, ind = g.indptr.tolist(), g.indices.tolist()
     in_path = [False] * n
     path = [0]
     in_path[0] = True
     nodes = 0
-    # recursion tracks the path, one frame per vertex
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
 
     def rec() -> Optional[bool]:
         # True = cycle found (path holds it), None = budget exhausted
@@ -192,9 +189,10 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
         if nodes > budget:
             return None
         v = path[-1]
+        row = ind[ptr[v]:ptr[v + 1]]
         if len(path) == n:
-            return 0 in adj[v]
-        for w in adj[v]:
+            return 0 in row
+        for w in row:
             if in_path[w]:
                 continue
             path.append(w)
@@ -208,7 +206,13 @@ def _backtrack(g: FiniteGraph, budget: int) -> HamiltonVerdict:
                 return None
         return False
 
-    res = rec()
+    # one frame per path vertex: the recursion limit is raised for this search only
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * n + 200))
+    try:
+        res = rec()
+    finally:
+        sys.setrecursionlimit(limit)
     if res is True:
         return HamiltonVerdict(STATUS_HAMILTONIAN, _checked_cycle(g, path))
     if res is False:

@@ -254,28 +254,35 @@ def test_adjacency_and_double_cover_solved_once_per_graph(rng, monkeypatch):
     assert len(calls) == 2
 
 
-def test_edge_keys_kept_after_the_first_membership_check():
-    """Edge membership reads the sorted keys u*n + v; they are built on the
-    first check and kept on the graph, so a later check pays only its
-    binary searches (`validate_cycle`, `odd_walk` and `PathSystem.validate`
-    each ask about a few pairs)."""
+def test_membership_searches_the_csr_rows(rng):
+    """Edge membership is a binary search in the CSR rows: it agrees with the
+    edge set on every pair, off the vertex range, on loops (v, v) and on
+    empty rows, and a check after the CSR is built copies no O(m) array
+    (`validate_cycle`, `odd_walk` and `PathSystem.validate` each ask about a
+    few pairs)."""
     import tracemalloc
 
     from graphonham.fracmatch import _are_edges
 
+    graphs = [random_graph(rng, n, p) for n, p in [(0, 0.5), (1, 0.5), (2, 1.0), (7, 0.0), (30, 0.3), (40, 0.9)]]
+    for g in graphs + [FiniteGraph.build(6, [(1, 4), (2, 4), (4, 5)])]:  # rows 0 and 3 empty
+        n, edges = g.n, set(edge_tuples(g))
+        a, b = np.meshgrid(np.arange(-2, n + 2), np.arange(-2, n + 2))
+        a, b = a.ravel(), b.ravel()
+        want = [(min(x, y), max(x, y)) in edges for x, y in zip(a.tolist(), b.tolist())]
+        assert _are_edges(g, a, b).tolist() == want
+        assert _are_edges(g, [], []).tolist() == []
+
     g = sample_graph(get_preset("constant-0.3"), 400, 0).to_finite_graph()
     (u, v), m = g.edge_array[7], len(g.edge_array)
     assert _are_edges(g, [u, v, 0, -1], [v, u, 0, 0]).tolist() == [True, True, False, False]
-    keys = g.__dict__["_edge_keys"]
-    assert not keys.flags.writeable
     tracemalloc.start()
     try:
         assert _are_edges(g, [v, u, 399], [u, u, 400]).tolist() == [True, False, False]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.__dict__["_edge_keys"] is keys
-    assert peak < 8 * m // 10  # rebuilding the keys would take 8 bytes per edge
+    assert peak < m // 4  # any copy of the edge set takes a byte or more per edge
 
 
 # ---------------------------------------------------------------------------

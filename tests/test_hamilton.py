@@ -194,16 +194,15 @@ class TestClassify:
 
 def test_trap_route_never_builds_edge_tuples(monkeypatch):
     """The narrow-trap route of a step-kernel sample reads the edge array
-    only, in one count of its block pairs: neither the adjacency lists of
-    budgeted backtracking, nor the CSR, nor the double-cover matching, nor
-    the edge keys of membership checks is built."""
+    only, in one count of its block pairs: neither adjacency lists, nor the
+    CSR, nor the double-cover matching is built."""
     from graphonham import ExperimentConfig, fracmatch, fvcn_value, get_preset, is_connected, run_trial, sample_graph
     from graphonham.sampler import SampledGraph
 
     counted = []
     type_blocks = fracmatch._type_blocks
     monkeypatch.setattr(fracmatch, "_type_blocks", lambda g: counted.append(g) or type_blocks(g))
-    unbuilt = {"_adjacency", "indptr", "indices", "_matching", "_edge_keys"}
+    unbuilt = {"_adjacency", "indptr", "indices", "_matching"}
 
     g = sample_graph(get_preset("narrow-three-block"), 200, 4, 0).to_finite_graph()
     assert len(g.edge_array) >= 4000  # a graph of trap-campaign size
@@ -233,8 +232,8 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
 
 def test_zero_budget_is_unknown_before_any_search():
     """A budget below 1 stops backtracking at its first node, so the verdict
-    is `unknown` before the neighbour lists are built or the interpreter's
-    recursion limit is raised (to 2n + 200 = 252 at n = 26)."""
+    is `unknown` before the CSR is built or the interpreter's recursion
+    limit is raised (to 2n + 200 = 252 at n = 26)."""
     import random
     import sys
 
@@ -246,7 +245,26 @@ def test_zero_budget_is_unknown_before_any_search():
         assert sys.getrecursionlimit() == 250
     finally:
         sys.setrecursionlimit(limit)
-    assert "_adjacency" not in vars(g)
+    assert "indptr" not in vars(g)
+
+
+def test_backtracking_restores_the_recursion_limit():
+    """Backtracking recurses once per path vertex, so it raises the
+    interpreter's recursion limit for its own search only: the caller's limit
+    is back after a search that ran out of budget, and after one that went
+    deeper than that limit allows."""
+    import sys
+
+    g = cycle(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert exact_hamilton(g, budget=5).status == "unknown"
+        assert sys.getrecursionlimit() == 250
+        assert exact_hamilton(g, budget=601).witness == tuple(range(600))
+        assert sys.getrecursionlimit() == 250
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_heuristic_route_reads_the_csr():

@@ -139,26 +139,16 @@ def test_no_bare_asserts_in_package():
     assert found == []
 
 
-def _adjacency_calls(node, func=None):
-    """(enclosing function name, line) of each `.adjacency()` call under node."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _adjacency_calls(child, child.name)
-            continue
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "adjacency":
-            yield func, child.lineno
-        yield from _adjacency_calls(child, func)
-
-
-def test_adjacency_lists_only_in_backtracking():
-    """The search code reads the CSR; Python neighbour lists are built only
-    for the budgeted backtracking search."""
+def test_no_adjacency_lists_in_the_package():
+    """Every search, edge membership and backtracking included, reads the
+    CSR: no code in the package calls `adjacency()` for Python neighbour
+    lists."""
     package = Path(__file__).resolve().parents[1] / "src" / "graphonham"
     found = [
-        f"{path.name}:{line} in {func}"
+        f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
-        for func, line in _adjacency_calls(ast.parse(path.read_text(encoding="utf-8")))
-        if (path.name, func) != ("hamilton.py", "_backtrack")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "adjacency"
     ]
     assert found == []
 
