@@ -44,16 +44,15 @@ class FiniteGraph:
 
     The edge set is `edge_array`, the (m, 2) int32 array of edges with
     u < v, sorted and without repeats, built once.  A sample's graph is
-    also handed its sampler's degrees (`_degrees`) and vertex blocks
-    (`_types`).  All else is a `cached_property` derived on first use, such
-    as the CSR `indptr`/`indices` of the adjacency, rows ascending: the
+    also handed its vertex blocks (`_types`), which can speed an answer but
+    not change it.  All else is a `cached_property` derived on first use,
+    such as the CSR `indptr`/`indices` of the adjacency, rows ascending: the
     graph's one adjacency index, which the searches, edge membership and
     the matching read and a trap decided from the blocks never builds.
     """
 
     n: int
     edge_array: np.ndarray
-    _degrees: Optional[np.ndarray] = field(default=None, repr=False)  # int64 per vertex
     _types: Optional[np.ndarray] = field(default=None, repr=False)  # block per vertex
 
     @staticmethod
@@ -109,11 +108,12 @@ class FiniteGraph:
         return self._adjacency
 
     def degrees(self) -> list[int]:
-        """Counted from `edge_array`, unless the sampler handed over the
-        degrees it counted while drawing the edges (`_degrees`)."""
-        if self._degrees is not None:
-            return self._degrees.tolist()
-        return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
+        """The CSR row lengths, or on a complete graph (E = F, `_type_blocks`), with no CSR,
+        the sizes of the blocks occupied pairs join a vertex's block to, less one on a loop."""
+        b = self._blocks
+        if b is not None and b.complete:
+            return (b.occupied @ b.count - b.occupied.diagonal())[self._types].tolist()
+        return np.diff(self.indptr).tolist()
 
     @cached_property
     def _matching(self) -> tuple[int, np.ndarray, np.ndarray]:

@@ -79,9 +79,9 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
         return OBSTRUCTION_DISCONNECTED
     if g.n == 0 or min(g.degrees()) < 2:
         return OBSTRUCTION_MIN_DEGREE
-    if g.n >= 3 and isinstance(g._type_cover[0], GraphPeninsula):
+    if isinstance(g._type_cover[0], GraphPeninsula):
         return OBSTRUCTION_NARROW
-    if g.n >= 3 and fvcn_value(g) < Fraction(g.n, 2):
+    if fvcn_value(g) < Fraction(g.n, 2):
         cert = graph_peninsula(g)
         if cert is None or cert.kind != "narrow":
             raise InvariantViolation("fvcn < n/2 but no narrow certificate was extracted")

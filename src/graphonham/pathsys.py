@@ -153,6 +153,17 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
 # low-degree covering system
 
 
+def _alpha(alpha) -> Fraction:
+    """alpha as a `Fraction` in (0, 1/2); any other value is bad input."""
+    try:
+        a = Fraction(alpha)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise FormatError(f"cannot parse {alpha!r} as a rational", "alpha") from None
+    if not 0 < a < Fraction(1, 2):
+        raise FormatError("alpha must lie in (0, 1/2)", "alpha")
+    return a
+
+
 def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     """Cover every vertex of degree < alpha*n by short disjoint paths whose
     endpoints have degree >= alpha*n.
@@ -170,9 +181,7 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
     construction is designed for, and is reported rather than masked.
     """
     n = g.n
-    alpha = Fraction(alpha)
-    if not 0 < alpha < Fraction(1, 2):
-        raise FormatError("alpha must lie in (0, 1/2)", "alpha")
+    alpha = _alpha(alpha)
     if n < 3:
         raise FormatError("need at least 3 vertices", "n")
     theta = ceil(alpha * n)  # integer degree threshold for "low"
@@ -255,8 +264,9 @@ class PathSystemCheck:
 
 
 def check_path_system(g: FiniteGraph, system: PathSystem, alpha) -> PathSystemCheck:
-    """Validate the covering-path-system contract against its host graph."""
-    alpha = Fraction(alpha)
+    """Validate the covering-path-system contract against its host graph,
+    for alpha in (0, 1/2) as `low_degree_path_system` takes it."""
+    alpha = _alpha(alpha)
     n = g.n
     deg = g.degrees()
     theta = ceil(alpha * n)

@@ -135,11 +135,11 @@ class SampledGraph:
         return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
-        """The graph of the edges, handed the sampler's degrees, so it need
-        not count them, and a step-kernel sample's vertex blocks, from which
-        traps, fvcn and connectivity are read off the edges and then checked
-        on the graph; no kernel is handed over."""
-        return replace(FiniteGraph.build(self.n, self.edges), _degrees=self._degrees, _types=self.type_block)
+        """The graph of the edges, handed only a step-kernel sample's vertex
+        blocks, which speed how its degrees, traps, fvcn and connectivity are
+        read off the edges but cannot change them; neither the kernel nor the
+        degrees counted here are handed over."""
+        return replace(FiniteGraph.build(self.n, self.edges), _types=self.type_block)
 
     def sidecar_dict(self) -> dict:
         d = {

@@ -781,6 +781,7 @@ def test_blocks_alone_decide_a_graph_read_from_a_file(tmp_path):
     assert isinstance(cover, GraphPeninsula) and exact
     assert np.array_equal(got.units, cover.units) and (got.weight, got_exact) == (cover.weight, exact)
     assert is_connected(back) == is_connected(g)
+    assert back.degrees() == s.degrees().tolist()
     assert "indptr" not in vars(back)
 
 

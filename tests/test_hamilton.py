@@ -280,6 +280,23 @@ def test_heuristic_route_reads_the_csr():
     assert "_adjacency" not in vars(g)
 
 
+@pytest.mark.parametrize("preset, wrong", [("constant-0.3", 1), ("narrow-three-block", 0)])
+def test_a_sample_hands_its_graph_no_fact_that_changes_a_verdict(preset, wrong):
+    """A sample's graph is handed its blocks and nothing else, so a corrupt
+    degree vector kept on the sample cannot reach a verdict: the graph
+    answers as the same edges read with no hint do."""
+    from dataclasses import fields
+
+    import numpy as np
+
+    from graphonham import get_preset, sample_graph
+
+    s = sample_graph(get_preset(preset), 200, 0)
+    object.__setattr__(s, "_degrees", np.full(s.n, wrong, dtype=np.int64))
+    assert classify(s.to_finite_graph()) == classify(FiniteGraph.build(s.n, s.edges))
+    assert [f.name for f in fields(FiniteGraph)] == ["n", "edge_array", "_types"]
+
+
 class TestInvariants:
     """Soundness checks are raises, not asserts, so `python -O` keeps them."""
 

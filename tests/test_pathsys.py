@@ -166,6 +166,14 @@ class TestLowDegreePathSystem:
             low_degree_path_system(FiniteGraph.build(2, [(0, 1)]), Fraction(1, 4))
         assert exc.value.position == "n"
 
+    @pytest.mark.parametrize("alpha", [0, Fraction(1, 2), -1, "x"])
+    def test_bad_alpha_is_bad_input_to_both_build_and_check(self, alpha):
+        g = cycle(6)
+        for call in (lambda: low_degree_path_system(g, alpha), lambda: check_path_system(g, PathSystem(()), alpha)):
+            with pytest.raises(FormatError) as exc:
+                call()
+            assert exc.value.position == "alpha"
+
     def test_validator_rejects_overlapping_paths(self):
         g = cycle(6)
         bad = PathSystem(((0, 1, 2), (2, 3, 4)))
