@@ -30,8 +30,6 @@ from .fracmatch import (
     fvcn_half,
     fvcn_value,
     graph_peninsula,
-    half_integral_perfect_matching,
-    is_bipartite,
     is_connected,
     uniquely_half_covered,
 )

@@ -45,7 +45,9 @@ class FiniteGraph:
     The edge set is `edge_array`, the (m, 2) int32 array of edges with
     u < v, sorted and without repeats, built once.  A sample's graph is
     also handed its vertex blocks (`_types`), which can speed an answer but
-    not change it.  All else is a `cached_property` derived on first use,
+    not change it: the cover lifted through them is checked like every
+    certificate the package builds, and proves fvcn only on a graph they
+    show complete.  All else is a `cached_property` derived on first use,
     such as the CSR `indptr`/`indices` of the adjacency, rows ascending: the
     graph's one adjacency index, which the searches, edge membership and
     the matching read and a trap decided from the blocks never builds.
@@ -138,7 +140,7 @@ class FiniteGraph:
         return _type_blocks(self)
 
     @cached_property
-    def _type_cover(self) -> tuple[Optional[HalfCover], bool]:
+    def _type_cover(self) -> Optional[HalfCover]:
         return _lifted_cover(self)
 
     @cached_property
@@ -506,44 +508,37 @@ def _covers_blocks(g: FiniteGraph, h: np.ndarray) -> bool:
     return bool((per[g._types] == h).all() and (per[:, None] + per >= 2)[blocks.occupied].all())
 
 
-def _lifted_cover(g: FiniteGraph) -> tuple[Optional[HalfCover], bool]:
+def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
     """The best half cover of g's occupied block graph lifted through its
-    blocks and validated on g (a `GraphPeninsula` when it weighs less than
-    n/2), and whether it is proved minimum; (None, False) when g carries no
-    blocks or the cover fails its check.  Kept on g as `g._type_cover`.
+    blocks, a certificate checked as it was built (a `GraphPeninsula` when
+    it weighs less than n/2); None only when g carries no blocks.  Kept on
+    g as `g._type_cover`.
 
     The cover is the least min cut of `graphon._cover_flow` on the block
     sizes and the occupied pairs; a diagonal is occupied only if its block
-    holds an edge, and so two vertices.  On a complete g (E = F,
-    `_type_blocks`) the proof is this module's sandwich, from O(k^2) checks
-    on the integer flow f(v, x) on the arcs v -> k + x, which are occupied
-    pairs: each row sum at most c_v, each column sum at most c_x, the total
-    the cover's half-units.  Then pair f(v, x) left copies of block v with
-    right copies of block x, a block giving its left copies in list order
-    and its right copies from the list rotated by one, its loop first on
-    both sides: no copy is used twice, and no pair is u+u-, as a loop's
+    holds an edge, and so two vertices.  Every edge lies in an occupied
+    pair, so the lift covers g whatever the partition, and a failed check
+    is a bug that raises `InvariantViolation`.  So is an integer flow
+    f(v, x) on the arcs v -> k + x, which are occupied pairs, with a row sum
+    above c_v, a column sum above c_x, or a total other than the cover's
+    half-units.  On a complete g (E = F, `_type_blocks`) the cover is then
+    minimum by this module's sandwich: pair f(v, x) left copies of block v
+    with right copies of block x, a block giving its left copies in list
+    order and its right copies from the list rotated by one, its loop first
+    on both sides: no copy is used twice, and no pair is u+u-, as a loop's
     block holds two vertices.  The pairs are edges of F = E, a double-cover
     matching as large as the cover.
     """
     blocks = g._blocks
     if blocks is None:
-        return None, False
+        return None
     count, k = blocks.count, len(blocks.count)
     flow, r, reach = _cover_flow(count.tolist(), blocks.occupied.tolist())
-    units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
-    cover = (GraphPeninsula if flow < g.n else HalfCover)(units[g._types], Fraction(flow, 2))
-    try:
-        cover.validate(g)
-    except AssertionError:
-        return None, False
     f = np.array([row[:k] for row in r[k:2 * k]]).T  # f[v, x] = r[k + x][v]
-    exact = bool(
-        blocks.complete
-        and (f.sum(axis=1) <= count).all()
-        and (f.sum(axis=0) <= count).all()
-        and f.sum() == flow
-    )
-    return cover, exact
+    if (f.sum(axis=1) > count).any() or (f.sum(axis=0) > count).any() or f.sum() != flow:
+        raise InvariantViolation(f"block flow {flow} exceeds a block or disagrees with its arcs")
+    units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
+    return _self_checked((GraphPeninsula if flow < g.n else HalfCover)(units[g._types], Fraction(flow, 2)), g)
 
 
 def _type_connected(g: FiniteGraph) -> Optional[bool]:
@@ -588,10 +583,10 @@ def fvcn_half(g: FiniteGraph) -> HalfCover:
 
 def fvcn_value(g: FiniteGraph) -> Fraction:
     """Exact fvcn without materializing the cover: the weight of the lifted
-    block cover when `_lifted_cover` proves it minimum, else half the size of
-    the double-cover matching."""
-    cover, exact = g._type_cover
-    if exact:
+    block cover when g's blocks prove g complete (E = F, `_lifted_cover`),
+    else half the size of the double-cover matching."""
+    cover = g._type_cover
+    if cover is not None and g._blocks.complete:
         return cover.weight
     size, _, _ = g._matching
     return Fraction(size, 2)
@@ -643,27 +638,6 @@ def graph_peninsula(g: FiniteGraph) -> Optional[GraphPeninsula]:
     peninsula (non-strict) <=> G is not uniquely half-covered.
     """
     return uniquely_half_covered(g)[1]
-
-
-def half_integral_perfect_matching(g: FiniteGraph) -> Optional[HalfMatching]:
-    """A half-integral matching of weight n/2, when one exists."""
-    m = fmn_half(g)
-    if m.weight != Fraction(g.n, 2):
-        return None
-    return m
-
-
-def is_bipartite(g: FiniteGraph) -> bool:
-    """Whether no v shares a component of the double cover with its other
-    copy (an odd closed walk through v is a path from v+ to v-).  The arcs are
-    symmetric: strong components are the components, and need no transpose."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    indptr, indices = _double_cover_csr(g)
-    arcs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(2 * g.n, 2 * g.n))
-    _, label = connected_components(arcs, connection="strong")
-    return not (label[:g.n] == label[g.n:]).any()
 
 
 def is_connected(g: FiniteGraph) -> bool:

@@ -79,7 +79,7 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
         return OBSTRUCTION_DISCONNECTED
     if g.n == 0 or min(g.degrees()) < 2:
         return OBSTRUCTION_MIN_DEGREE
-    if isinstance(g._type_cover[0], GraphPeninsula):
+    if isinstance(g._type_cover, GraphPeninsula):
         return OBSTRUCTION_NARROW
     if fvcn_value(g) < Fraction(g.n, 2):
         cert = graph_peninsula(g)

@@ -22,7 +22,7 @@ from .fracmatch import FiniteGraph, _are_edges, _bfs, _double_cover_csr, is_conn
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Vertex-disjoint paths over a host graph."""
+    """Vertex-disjoint paths over a host graph, every vertex one of the host's."""
 
     paths: tuple[tuple[int, ...], ...]
 
@@ -44,6 +44,9 @@ class PathSystem:
             for a, b in zip(p, p[1:]):
                 if not next(is_edge):
                     raise AssertionError(f"({a},{b}) is not a host edge")
+            # a pair off the vertex range is no edge, so only a one-vertex path gets here
+            if min(p) < 0 or max(p) >= host.n:
+                raise AssertionError(f"vertex {p[0]} is not in the host")
 
 
 # ---------------------------------------------------------------------------

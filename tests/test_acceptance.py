@@ -30,8 +30,6 @@ from graphonham import (
     fvcn_value,
     get_preset,
     graph_peninsula,
-    half_integral_perfect_matching,
-    is_bipartite,
     low_degree_path_system,
     odd_walk,
     posa_heuristic,
@@ -45,6 +43,7 @@ from oracles import (
     cut_norm_subset_oracle,
     exact_binomial_upper_tail,
     graph_peninsula_oracle,
+    is_bipartite_reference,
     max_half_matching_weight,
     min_half_cover_weight,
     min_odd_walk_length,
@@ -158,9 +157,9 @@ def test_criterion_04_uhc_implies_nonbipartite_and_perfect_matching():
             continue
         assert uniquely_half_covered_oracle(g)
         seen += 1
-        assert not is_bipartite(g)
-        m = half_integral_perfect_matching(g)
-        assert m is not None and m.weight == Fraction(g.n, 2)
+        assert not is_bipartite_reference(g)
+        m = fmn_half(g)
+        assert m.weight == Fraction(g.n, 2)
         m.validate(g)
     report("4 uniquely-half-covered consequences", True, f"500/500 graphs, {attempts} sampled")
 

@@ -21,8 +21,6 @@ from graphonham import (
     fvcn_value,
     get_preset,
     graph_peninsula,
-    half_integral_perfect_matching,
-    is_bipartite,
     is_connected,
     sample_graph,
     uniquely_half_covered,
@@ -177,15 +175,17 @@ class TestGraphPeninsula:
 
 
 class TestPerfectMatching:
+    """A half-integral perfect matching is a maximum one, `fmn_half`, of weight n/2."""
+
     def test_c5_perfect(self):
-        m = half_integral_perfect_matching(cycle(5))
-        assert m is not None and all(v == HALF for v in m.values)
+        m = fmn_half(cycle(5))
+        assert m.weight == Fraction(5, 2) and all(v == HALF for v in m.values)
 
     def test_k34_none(self):
-        assert half_integral_perfect_matching(complete_bipartite(3, 4)) is None
+        assert fmn_half(complete_bipartite(3, 4)).weight < Fraction(7, 2)
 
     def test_k2(self):
-        assert half_integral_perfect_matching(FiniteGraph.build(2, [(0, 1)])).weight == 1
+        assert fmn_half(FiniteGraph.build(2, [(0, 1)])).weight == 1
 
     def test_uhc_implies_nonbipartite_and_perfect(self, rng):
         seen = 0
@@ -194,33 +194,10 @@ class TestPerfectMatching:
             if not uniquely_half_covered(g)[0]:
                 continue
             seen += 1
-            assert not is_bipartite(g)
-            m = half_integral_perfect_matching(g)
-            assert m is not None
+            assert not is_bipartite_reference(g)
+            m = fmn_half(g)
+            assert m.weight == Fraction(g.n, 2)
             m.validate(g)
-
-    def test_bipartite_detector(self):
-        assert is_bipartite(complete_bipartite(3, 3))
-        assert not is_bipartite(cycle(5))
-
-    def test_bipartite_matches_two_colouring(self, rng):
-        shapes = set()
-        for _ in range(1500):
-            n = rng.randrange(0, 16)
-            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]))
-            want = is_bipartite_reference(g)
-            assert is_bipartite(g) == want, edge_tuples(g)
-            if n <= 1:
-                shapes.add(f"n={n}")
-                continue
-            if 0 in g.degrees():
-                shapes.add(f"isolated {want}")
-            if -1 in bfs_reference(g.indptr.tolist(), g.indices.tolist(), [0])[0]:
-                shapes.add(f"several components {want}")
-        # an odd cycle in one component only, beside a bipartite one
-        assert not is_bipartite(FiniteGraph.build(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]))
-        assert shapes == {"n=0", "n=1", "isolated True", "isolated False",
-                          "several components True", "several components False"}
 
 
 def test_fvcn_value_matches_cover(rng):
@@ -616,13 +593,13 @@ def _same_answers(g, ref):
     assert min(g.degrees(), default=None) == min(ref.degrees(), default=None)
     assert fvcn_value(g) == fvcn_value(ref)
     assert classify(g, budget=2000, posa_restarts=2) == classify(ref, budget=2000, posa_restarts=2)
-    cover, exact = g._type_cover
+    cover = g._type_cover
     if cover is not None:
         cover.validate(g)
         assert isinstance(cover, GraphPeninsula) == (2 * cover.weight < g.n)
         assert cover.weight >= fvcn_value(ref)
-    if exact:
-        assert cover.weight == fvcn_value(ref)
+        if g._blocks.complete:
+            assert cover.weight == fvcn_value(ref)
     assert _type_connected(g) in (None, is_connected(ref))
 
 
@@ -643,12 +620,10 @@ def test_type_hint_answers_as_the_graph_does():
         g, ref = s.to_finite_graph(), FiniteGraph.build(s.n, s.edges)
         assert g._types is s.type_block and ref._types is None
         _same_answers(g, ref)
-        cover, exact = g._type_cover
-        assert (cover is None) == (s.type_block is None)
+        assert (g._type_cover is None) == (s.type_block is None)
         if s.type_block is not None:
             complete = g._blocks.complete
             assert complete or not _zero_one(s)
-            assert exact == complete
             assert _type_connected(g) is not None or not complete
 
 
@@ -675,7 +650,8 @@ def _mutated(block, wrong, rng):
 @pytest.mark.parametrize("wrong", ["shuffled", "merged", "one_moved", "split"])
 def test_wrong_type_hint_falls_back(wrong):
     """A partition other than the sample's blocks fails its checks on the
-    graph, or passes them, and either way gives the graph's own answers.  A
+    graph, or passes them, and either way gives the graph's own answers.
+    Every partition lifts a cover, as every edge lies in an occupied pair.  A
     split block is still a set of twins, so the split partition is never
     wrong: its blocks keep E = F, and every 0/1-kernel sample stays exact."""
     rng = np.random.default_rng(7)
@@ -685,8 +661,8 @@ def test_wrong_type_hint_falls_back(wrong):
             continue
         g, ref = _with_blocks(s.n, s.edges, _mutated(s.type_block, wrong, rng)), FiniteGraph.build(s.n, s.edges)
         _same_answers(g, ref)
-        cover, exact = g._type_cover
-        fell_back += cover is None or (_zero_one(s) and not exact)
+        assert g._type_cover is not None
+        fell_back += _zero_one(s) and not g._blocks.complete
     assert fell_back == 0 if wrong == "split" else fell_back >= 10
 
 
@@ -764,7 +740,7 @@ def test_completeness_is_checked_not_declared(change):
                 have = set(map(tuple, edges))
                 edges.append(rng.choice([(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in have]))
             g, ref = _with_blocks(n, edges, s.type_block), FiniteGraph.build(n, edges)
-            assert not g._blocks.complete and not g._type_cover[1]
+            assert not g._blocks.complete
             _same_answers(g, ref)
 
 
@@ -777,9 +753,9 @@ def test_blocks_alone_decide_a_graph_read_from_a_file(tmp_path):
     s = sample_graph(get_preset("narrow-three-block"), 60, 0)
     write_graph(s, str(tmp_path / "g.txt"))
     back, g = replace(load_graph(str(tmp_path / "g.txt")), _types=s.type_block), s.to_finite_graph()
-    (cover, exact), (got, got_exact) = g._type_cover, back._type_cover
-    assert isinstance(cover, GraphPeninsula) and exact
-    assert np.array_equal(got.units, cover.units) and (got.weight, got_exact) == (cover.weight, exact)
+    cover, got = g._type_cover, back._type_cover
+    assert isinstance(cover, GraphPeninsula) and g._blocks.complete and back._blocks.complete
+    assert np.array_equal(got.units, cover.units) and got.weight == cover.weight
     assert is_connected(back) == is_connected(g)
     assert back.degrees() == s.degrees().tolist()
     assert "indptr" not in vars(back)
@@ -806,8 +782,7 @@ def test_full_occupied_pairs_are_proved_exact_whatever_the_kernel():
             break
     else:
         pytest.fail("no sample full on its occupied pairs and empty on a positive one found")
-    cover, exact = g._type_cover
-    assert exact and cover.weight == fvcn_value(ref)
+    assert g._blocks.complete and g._type_cover.weight == fvcn_value(ref)
     assert _type_connected(g) in (None, is_connected(ref))
     _same_answers(g, ref)
 
@@ -825,7 +800,34 @@ def test_complete_fractional_sample_is_proved_exact():
             break
     else:
         pytest.fail("no complete sample of a fractional kernel found")
-    cover, exact = g._type_cover
-    assert exact and cover.weight == fvcn_value(ref)
+    assert g._blocks.complete and g._type_cover.weight == fvcn_value(ref)
     assert _type_connected(g) == is_connected(ref)
     _same_answers(g, ref)
+
+
+@pytest.mark.parametrize("corrupt", ["reach_drops_a_right_copy", "phantom_flow"])
+def test_a_broken_block_flow_raises(monkeypatch, corrupt):
+    """The lifted cover is a certificate the package builds, so a corrupted
+    max flow is a bug, never a cover read as unproved: a least cut missing a
+    right copy lifts units that do not sum to the flow, and a phantom flow
+    of 10^6 on one arc overfills its blocks."""
+    from graphonham import InvariantViolation, fracmatch
+
+    g = sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph()
+    assert classify(g).obstruction == "narrow_graph_peninsula"
+    flow_of = fracmatch._cover_flow
+
+    def broken(weights, positive):
+        flow, r, reach = flow_of(weights, positive)
+        k = len(weights)
+        if corrupt == "reach_drops_a_right_copy":
+            right = min(x for x in reach if k <= x < 2 * k)
+            reach = {x: p for x, p in reach.items() if x != right}
+        else:
+            v, x = next((v, x) for v in range(k) for x in range(k) if positive[v][x])
+            r[k + x][v] += 10 ** 6
+        return flow, r, reach
+
+    monkeypatch.setattr(fracmatch, "_cover_flow", broken)
+    with pytest.raises(InvariantViolation):
+        classify(sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph())

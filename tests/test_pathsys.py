@@ -187,6 +187,20 @@ class TestLowDegreePathSystem:
         with pytest.raises(AssertionError, match="is not a host edge"):
             PathSystem((pair,)).validate(cycle(6))
 
+    @pytest.mark.parametrize("path", [(5,), (-1,), (0, 1, 2)])
+    def test_validator_keeps_paths_in_the_host(self, path):
+        """A one-vertex path has no edge to check, yet its vertex must be one
+        of the host's: off the range it is bad input, not an index into the
+        host's degrees."""
+        g, system = cycle(5), PathSystem((path,))
+        if path == (0, 1, 2):
+            system.validate(g)
+            assert check_path_system(g, system, Fraction(1, 4)).covered_vertex_count == 3
+            return
+        for call in (lambda: system.validate(g), lambda: check_path_system(g, system, Fraction(1, 4))):
+            with pytest.raises(AssertionError, match=f"vertex {path[0]} is not in the host"):
+                call()
+
 
 def test_path_system_reads_the_csr():
     from graphonham import get_preset, sample_graph

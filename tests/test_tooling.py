@@ -182,6 +182,27 @@ def test_assertion_errors_only_check_caller_objects():
     assert found == []
 
 
+def _catches_assertion_error(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "AssertionError" for t in caught)
+
+
+def test_no_failed_check_is_swallowed():
+    """A failed `validate` on the package's own output is a bug: every
+    handler in the package that catches AssertionError ends in a `raise`
+    (InvariantViolation, or FormatError for a payload's certificate), so no
+    failed check reads as an answer."""
+    package = Path(__file__).resolve().parents[1] / "src" / "graphonham"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and _catches_assertion_error(node)
+        and not isinstance(node.body[-1], ast.Raise)
+    ]
+    assert found == []
+
+
 def _foreign_state(tree):
     """Line of each `object.__setattr__(x, ...)`, `vars(x)` or `x.__dict__`
     under tree whose x is not `self`."""
