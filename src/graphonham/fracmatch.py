@@ -63,14 +63,15 @@ class FiniteGraph:
 
         An int32 array that one check shows to be canonical (0 <= u < v < n,
         the pairs strictly increasing in row-major order, as the sampler
-        writes them) becomes `edge_array` as it is, copied only if it is
-        writeable; any other input is first normalised to that form.
-        `edge_array` is read-only.
+        writes them) becomes `edge_array` as it is, in either memory layout,
+        copied column-major only if it is writeable; any other input is
+        first normalised to that form, column-major as the sampler's array
+        is.  `edge_array` is read-only.
         """
         if not 0 <= n < 1 << 31:
             raise FormatError("vertex count must be in [0, 2**31)", "n")
         if _is_canonical(n, edges):
-            e = edges.copy() if edges.flags.writeable else edges
+            e = edges.copy(order="F") if edges.flags.writeable else edges
         else:
             e = _canonical_pairs(n, edges)
         e.flags.writeable = False
@@ -193,8 +194,9 @@ def _vuv(e: np.ndarray) -> np.ndarray:
 
 def _is_canonical(n: int, edges) -> bool:
     """Whether edges is an int32 (m, 2) array with 0 <= u < v < n whose pairs
-    strictly increase in row-major order.  The check reads contiguous
-    copies of the columns u and v."""
+    strictly increase in row-major order.  The check reads the columns u
+    and v contiguously: a column-major array's as they are, a C-order
+    array's copied."""
     if not (isinstance(edges, np.ndarray) and edges.dtype == np.int32 and edges.shape[1:] == (2,)):
         return False
     if not len(edges):
@@ -210,9 +212,9 @@ def _is_canonical(n: int, edges) -> bool:
 
 
 def _canonical_pairs(n: int, edges) -> np.ndarray:
-    """Any edge input as a canonical int32 (m, 2) array: every endpoint an
-    integer in [0, n), no self-loop; each pair turned to u < v, sorted in
-    row-major order, repeats dropped."""
+    """Any edge input as a canonical int32 (m, 2) array, column-major: every
+    endpoint an integer in [0, n), no self-loop; each pair turned to u < v,
+    sorted in row-major order, repeats dropped."""
     e = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
     if e.size == 0:
         return np.empty((0, 2), dtype=np.int32)
@@ -238,9 +240,9 @@ def _canonical_pairs(n: int, edges) -> np.ndarray:
         raise FormatError(f"self-loop at {e[loop.argmax(), 0]} not allowed in edge list", "edges")
     key = np.sort(np.minimum(e[:, 0], e[:, 1]).astype(np.int64) * n + np.maximum(e[:, 0], e[:, 1]))
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique took 20x as long as this here
-    out = np.empty((len(key), 2), dtype=np.int32)
-    out[:, 0], out[:, 1] = np.divmod(key, n)
-    return out
+    out = np.empty((2, len(key)), dtype=np.int32)
+    out[0], out[1] = np.divmod(key, n)
+    return out.T
 
 
 def _edge_list_text(n: int, edge_array: np.ndarray) -> str:
@@ -289,7 +291,7 @@ class _HalfUnits:
         h = self.units
         if len(h) != length:
             raise AssertionError(f"{len(h)} units where {length} are due")
-        bad = ~np.isin(h, (0, 1, 2))
+        bad = (h < 0) | (h > 2)
         if bad.any():
             raise AssertionError(f"unit {h[bad.argmax()]} not in {{0, 1, 2}}")
         if Fraction(int(h.sum()), 2) != self.weight:
@@ -462,7 +464,10 @@ class _BlockCounts:
 def _block_pairs(block: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
     """The symmetric k x k count of edges per unordered pair of blocks, each
     edge once, in one pass that codes each edge's pair a*k + b in the least
-    unsigned dtype holding k*k - 1 (uint8 while k <= 16)."""
+    unsigned dtype holding k*k - 1 (uint8 while k <= 16); one block holds
+    every edge, with no pass."""
+    if k == 1:
+        return np.array([[len(edges)]])
     code = block.astype(np.min_scalar_type(k * k - 1))
     u, v = edges.T
     pairs = np.bincount(code.take(u) * k + code.take(v), minlength=k * k).reshape(k, k)

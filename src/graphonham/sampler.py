@@ -14,10 +14,11 @@ positioned at any coin, so each block opens the edge stream at its own first
 coin and the blocks run on every CPU the process has: the coins are those of
 one large draw, whatever the block size or the thread count, and no array
 holds every pair.  A sample keeps its blocks' int32 columns, half the edge
-array, which is assembled on one thread only when something reads it.  A
-step kernel whose densities are all 0 or 1 fixes every coin's outcome, so
-its edges come from the types alone and the edge stream is not drawn;
-`edge_coin` still replays every coin.
+array, which is assembled column-major on one thread only when something
+reads it: column 1 joined from the blocks, column 0 each row's id repeated
+once per hit, part by part.  A step kernel whose densities are all 0 or 1
+fixes every coin's outcome, so its edges come from the types alone and the
+edge stream is not drawn; `edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
@@ -111,22 +112,27 @@ class SampledGraph:
     @cached_property
     def edges(self) -> np.ndarray:
         """The (m, 2) int32 edges u < v, row-major, read-only, assembled on
-        first read: column 1 from the blocks, then column 0 in place, as a
-        running sum of ones at each row's first edge, with no temporary near
-        a block's size.  It is published before the parts are released, so
-        a reader that came meanwhile returns the same array."""
+        first read as the transpose of one (2, m) array, so each column is
+        contiguous: column 1 from the blocks, then column 0 part by part,
+        each row's id repeated once per hit, with no temporary beyond one
+        block's hits.  It is published before the parts are released, so a
+        reader that came meanwhile returns the same array."""
         parts = self._parts
         if parts is None:  # published by another reader
             return vars(self)["edges"]
         rowcount, columns = parts
-        e = np.zeros((int(rowcount.sum()), 2), dtype=np.int32)
+        e = np.empty((2, int(rowcount.sum())), dtype=np.int32)
         if columns:  # none at n = 1
-            np.concatenate(columns, out=e[:, 1])
-        first = np.cumsum(rowcount[:-1])  # the first edge of rows 1..n-1, ascending
-        np.add.at(e[:, 0], first[:np.searchsorted(first, len(e))], 1)  # rows after the last edge have none
-        np.cumsum(e[:, 0], out=e[:, 0])
+            np.concatenate(columns, out=e[1])
+        ends = np.cumsum(rowcount)  # the edges up to the end of each row
+        lo = a = 0
+        for part in columns:  # its rows: those whose edges end in a..b, empty ones included
+            b = a + len(part)
+            hi = int(np.searchsorted(ends, b, side="right"))
+            e[0, a:b] = np.repeat(np.arange(lo, hi, dtype=np.int32), rowcount[lo:hi])
+            lo, a = hi, b
         e.flags.writeable = False
-        e = vars(self).setdefault("edges", e)
+        e = vars(self).setdefault("edges", e.T)
         object.__setattr__(self, "_parts", None)
         return e
 

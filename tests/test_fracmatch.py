@@ -497,7 +497,8 @@ def test_build_reports_unsigned_endpoints_unwrapped(endpoint):
         FiniteGraph.build(5, np.array([(0, 1), (0, endpoint)], dtype=np.uint64))
 
 
-@pytest.mark.parametrize("pairs", [
+# int32 arrays of five vertices, each with one flaw
+FLAWED_INT32_PAIRS = [
     [(0, 1), (1, 2), (2, 5)],
     [(-1, 2), (0, 1)],
     [(0, 1), (3, 3)],
@@ -505,7 +506,10 @@ def test_build_reports_unsigned_endpoints_unwrapped(endpoint):
     [(0, 2), (0, 1)],
     [(1, 0), (2, 3)],
     [(0, 3), (1, 2), (0, 4)],
-])
+]
+
+
+@pytest.mark.parametrize("pairs", FLAWED_INT32_PAIRS)
 def test_build_checks_int32_arrays_in_order(pairs):
     """An int32 array kept as it is must be in range and strictly
     increasing; one flaw sends it to the normalising path."""
@@ -525,11 +529,74 @@ def test_build_keeps_a_canonical_array_and_copies_a_writeable_one():
     e = np.array([(0, 1), (0, 2), (1, 2)], dtype=np.int32)
     g = FiniteGraph.build(3, e)
     assert g.edge_array is not e and np.array_equal(g.edge_array, e)
+    assert g.edge_array.T.flags.c_contiguous
     assert e.flags.writeable and not g.edge_array.flags.writeable
     e.flags.writeable = False
     assert FiniteGraph.build(3, e).edge_array is e
     for edges in ([(0, 1)], np.array([(1, 0)], dtype=np.int64), np.zeros((0, 2), dtype=np.int32)):
         assert not FiniteGraph.build(3, edges).edge_array.flags.writeable
+
+
+def _column_major(e: np.ndarray) -> np.ndarray:
+    """A read-only copy of e laid out as the sampler lays its edges out."""
+    f = np.asfortranarray(e)
+    assert f.T.flags.c_contiguous or len(f) < 2
+    f.flags.writeable = False
+    return f
+
+
+def test_build_reads_both_layouts_alike(monkeypatch):
+    """A sample's edge array is column-major.  Canonical, it is kept as it
+    is; flawed, it takes the normalising path just as the C-order array
+    does, to the same graph or the same error.  The readers of the edge
+    array answer alike on either layout."""
+    from graphonham import fracmatch
+
+    routed = []
+    canonical_pairs = fracmatch._canonical_pairs
+    monkeypatch.setattr(fracmatch, "_canonical_pairs", lambda n, e: routed.append(e) or canonical_pairs(n, e))
+    for pairs in FLAWED_INT32_PAIRS:
+        c = np.array(pairs, dtype=np.int32)
+        c.flags.writeable = False
+        answers = []
+        for e in (c, _column_major(c)):
+            routed.clear()
+            try:
+                answers.append(FiniteGraph.build(5, e))
+            except FormatError as exc:
+                answers.append(str(exc))
+            assert len(routed) == 1 and routed[0] is e, pairs
+        if isinstance(answers[0], str):
+            assert answers[0] == answers[1]
+        else:
+            _same_graph(*answers)
+            assert all(g.edge_array.T.flags.c_contiguous for g in answers)
+    monkeypatch.undo()
+
+    rng = random.Random(5)
+    for n in (2, 5, 30):
+        c = np.array(sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}), dtype=np.int32)
+        c.flags.writeable = False
+        f = _column_major(c)
+        a, b = FiniteGraph.build(n, c), FiniteGraph.build(n, f)
+        assert a.edge_array is c and b.edge_array is f
+        _same_graph(a, b)
+        assert a.to_edge_list_text() == b.to_edge_list_text()
+        assert np.array_equal(fracmatch._vuv(c), fracmatch._vuv(f))
+        # a maximum matching passes on both; 1 on every edge overloads the same vertex on both
+        assert _rejection(fmn_half(a), b) is None and _rejection(fmn_half(b), a) is None
+        full = HalfMatching(np.full(len(c), 2), Fraction(len(c)))
+        rejected = _rejection(full, a)
+        assert rejected == _rejection(full, b) and (rejected is not None) == (n > 2)
+
+
+def _rejection(cert, g):
+    """The message of the check that `cert.validate(g)` fails, or None."""
+    try:
+        cert.validate(g)
+    except AssertionError as exc:
+        return str(exc)
+    return None
 
 
 def test_build_empty_graphs():
@@ -831,3 +898,57 @@ def test_a_broken_block_flow_raises(monkeypatch, corrupt):
     monkeypatch.setattr(fracmatch, "_cover_flow", broken)
     with pytest.raises(InvariantViolation):
         classify(sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph())
+
+
+def _per_edge_block_count(g) -> np.ndarray:
+    """The k x k count of g's edges per unordered pair of blocks, one edge at a time."""
+    k = int(g._types.max()) + 1
+    count = np.zeros((k, k), dtype=np.int64)
+    for u, v in edge_tuples(g):
+        a, b = g._types[u], g._types[v]
+        count[a, b] += 1
+        if a != b:
+            count[b, a] += 1
+    return count
+
+
+@pytest.mark.parametrize("edges", [
+    [(i, j) for i in range(6) for j in range(i + 1, 6)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    [],
+], ids=["complete", "path", "edgeless"])
+def test_one_block_is_counted_without_a_pass(edges):
+    """One block holds every edge, so its count is m and no edge is read:
+    the same count, occupancy and completeness as the per-edge count."""
+    from graphonham import fracmatch
+
+    g = replace(FiniteGraph.build(6, edges), _types=np.zeros(6, dtype=np.int64))
+    ref = _per_edge_block_count(g)
+    blocks = fracmatch._type_blocks(g)
+    assert blocks.count.tolist() == [6] and np.array_equal(blocks.occupied, ref > 0)
+    assert blocks.complete == (ref[0, 0] in (0, 15))
+    assert np.array_equal(fracmatch._block_pairs(g._types, 1, g.edge_array), ref)
+    # endpoints far off any block array: a pass over them would raise
+    assert fracmatch._block_pairs(g._types, 1, np.full((4, 2), 10 ** 6, dtype=np.int32)).tolist() == [[4]]
+
+
+@pytest.mark.parametrize("units, first_bad", [
+    (np.array([0, 2, -1, 3], dtype=np.int8), -1),
+    (np.array([1, 3, -1], dtype=np.int64), 3),
+    (np.array([2, 0, 255], dtype=np.uint8), 255),
+])
+def test_half_units_outside_0_to_2_are_named(units, first_bad):
+    """The range check that every certificate shares names the first unit outside it."""
+    from graphonham.fracmatch import _HalfUnits
+
+    with pytest.raises(AssertionError, match=rf"^unit {first_bad} not in \{{0, 1, 2\}}$"):
+        _HalfUnits(units, Fraction(int(units.sum()), 2)).validate(len(units))
+    with pytest.raises(AssertionError, match=rf"^unit {first_bad} not in"):
+        HalfCover(units, Fraction(int(units.sum()), 2)).validate(FiniteGraph.build(len(units), []))
+
+
+def test_half_units_0_to_2_pass_in_every_integer_type():
+    from graphonham.fracmatch import _HalfUnits
+
+    for dtype in set(np.typecodes["AllInteger"]):
+        _HalfUnits(np.array([0, 1, 2, 2, 1], dtype=dtype), Fraction(3)).validate(5)

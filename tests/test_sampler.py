@@ -456,6 +456,40 @@ def test_sample_assembly_holds_one_and_a_half_edge_arrays(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _assert_published_column_major(s, ref):
+    e = s.edges
+    assert np.array_equal(e, ref) and e.dtype == np.int32 and e.tobytes() == ref.tobytes()
+    assert not e.flags.writeable and e.T.flags.c_contiguous and s._parts is None
+
+
+def test_column_0_is_repeated_part_by_part(monkeypatch):
+    """Column 0 is written one part at a time, each row's id repeated once
+    per hit over the rows the part's hits end, so rows with no hit at a
+    part's edge and parts with no hit at all must leave it as the whole
+    draw's.  A sparse step kernel on one-row and few-row blocks has both."""
+    g = StepGraphon.build(["1/2", "1/2"], [["1/40", "0"], ["0", "1/20"]])
+    monkeypatch.setattr(sampler, "_sampling_threads", lambda: 1)
+    empty_part = quiet_edge = False
+    for n in (1, 2, 3, 60):
+        for coins in (sampler._BLOCK_COINS, 1, 2 * n):
+            monkeypatch.setattr(sampler, "_BLOCK_COINS", coins)
+            for trial in range(4):
+                s = sample_graph(g, n, 3, trial)
+                rowcount, columns = s._parts
+                ends = np.cumsum(rowcount).tolist()
+                bounds = np.cumsum([len(c) for c in columns]).tolist()
+                empty_part |= any(len(c) == 0 for c in columns)
+                # a row with no hit beside a part boundary ends where its neighbour does
+                quiet_edge |= any(ends.count(b) > 1 for b in bounds)
+                _assert_published_column_major(s, sample_graph_reference(g, n, 3, trial))
+    assert empty_part and quiet_edge
+    # a 0/1 kernel's one part
+    for n in (1, 2, 3, 60):
+        s = sample_graph(HALF_HALF, n, 3, 1)
+        assert len(s._parts[1]) == 1
+        _assert_published_column_major(s, sample_graph_reference(HALF_HALF, n, 3, 1))
+
+
 def test_degree_only_trial_never_assembles_edges():
     """A trial that reads only degrees keeps the blocks' int32 columns, half
     an edge array, and never allocates the (m, 2) one."""
