@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 from .errors import FormatError, GraphonHamError, InvariantViolation
 from .fracmatch import _edge_list_text, fmn_half, fvcn_half, graph_peninsula
-from .graphon import _frac, analyze, load_graphon_file
+from .graphon import analyze, load_graphon_file
 from .harness import ExperimentConfig, records_to_csv, run_experiment
 from .hamilton import DEFAULT_BACKTRACK_BUDGET, classify
 from .pathsys import check_path_system, low_degree_path_system
@@ -98,9 +98,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_pathsys(args) -> int:
     g = load_graph(args.graph)
-    alpha = _frac(args.alpha, "alpha")
-    system = low_degree_path_system(g, alpha)
-    chk = check_path_system(g, system, alpha)
+    system = low_degree_path_system(g, args.alpha)
+    chk = check_path_system(g, system, args.alpha)
     print(json.dumps({"paths": [list(p) for p in system.paths], "checks": asdict(chk)}, indent=1))
     return 0
 

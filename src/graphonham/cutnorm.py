@@ -158,10 +158,10 @@ def cut_norm_heuristic(
     for s in starts:
         s = s.copy()
         for _ in range(2 * k + 4):
-            colsum = w[s].sum(axis=0) if s.any() else np.zeros(k)
+            colsum = w[s].sum(axis=0)
             pos, neg = colsum[colsum > 0].sum(), -colsum[colsum < 0].sum()
             t = colsum > 0 if pos >= neg else colsum < 0
-            rowsum = w[:, t].sum(axis=1) if t.any() else np.zeros(k)
+            rowsum = w[:, t].sum(axis=1)
             rpos, rneg = rowsum[rowsum > 0].sum(), -rowsum[rowsum < 0].sum()
             s_new = rowsum > 0 if rpos >= rneg else rowsum < 0
             if (s_new == s).all():

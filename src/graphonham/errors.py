@@ -5,7 +5,9 @@ class GraphonHamError(Exception):
     """Base class for all package errors."""
 
     def as_dict(self) -> dict:
-        return {"type": type(self).__name__, "message": str(self)}
+        """Type, message, and the instance's own fields (`position`, `vertex`)."""
+        fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        return {"type": type(self).__name__, "message": str(self), **fields}
 
 
 class FormatError(GraphonHamError):
@@ -14,11 +16,6 @@ class FormatError(GraphonHamError):
     def __init__(self, message: str, position: str | None = None):
         self.position = position
         super().__init__(message if position is None else f"{position}: {message}")
-
-    def as_dict(self) -> dict:
-        d = super().as_dict()
-        d["position"] = self.position
-        return d
 
 
 class EnumerationCapExceeded(GraphonHamError):
@@ -35,11 +32,6 @@ class GreedyStuck(GraphonHamError):
     def __init__(self, vertex: int):
         self.vertex = vertex
         super().__init__(f"vertex {vertex} has fewer than 2 fresh neighbors")
-
-    def as_dict(self) -> dict:
-        d = super().as_dict()
-        d["vertex"] = self.vertex
-        return d
 
 
 class BipartiteOrDisconnected(GraphonHamError):

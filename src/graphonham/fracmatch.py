@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import FormatError, InvariantViolation, _self_checked
-from .graphon import _cover_flow, _residual_reach
+from .graphon import _cover_flow, _reach
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def _type_connected(g: FiniteGraph) -> Optional[bool]:
     if blocks is None:
         return None
     nonempty = np.flatnonzero(blocks.count).tolist()
-    reached = _residual_reach(blocks.occupied.tolist(), nonempty[0])
+    reached = _reach(blocks.occupied.tolist(), nonempty[0])
     if len(reached) < len(nonempty) or (g.n > 1 and not blocks.occupied.any()):
         return False
     return True if blocks.complete else None

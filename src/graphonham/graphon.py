@@ -202,6 +202,19 @@ class ConnectivityVerdict:
     split_block: Optional[int] = None
 
 
+def _reach(r, source: int) -> dict[int, int]:
+    """BFS over the arcs u -> w with r[u][w] > 0, a residual capacity or a
+    density: the BFS parent of each reached node, in BFS order."""
+    parent = {source: source}
+    queue = [source]
+    for u in queue:
+        for w, cap in enumerate(r[u]):
+            if cap > 0 and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
 def _components(g: StepGraphon) -> tuple[list[int], list[tuple[list[int], bool]]]:
     """Components of the block positivity graph, each 2-coloured by BFS from its highest block.
 
@@ -212,18 +225,12 @@ def _components(g: StepGraphon) -> tuple[list[int], list[tuple[list[int], bool]]
     colour: list = [None] * g.k
     comps = []
     for root in reversed(range(g.k)):
-        if colour[root] is not None:
-            continue
-        colour[root] = 0
-        blocks, bipartite = [root], True
-        for i in blocks:
-            for j, d in enumerate(g.densities[i]):
-                if d > 0 and colour[j] is None:
-                    colour[j] = 1 - colour[i]
-                    blocks.append(j)
-                elif d > 0 and colour[j] == colour[i]:
-                    bipartite = False
-        comps.append((blocks, bipartite))
+        if colour[root] is None:
+            parent = _reach(g.densities, root)
+            for i, p in parent.items():
+                colour[i] = 0 if i == root else 1 - colour[p]
+            edges = ((i, j) for i in parent for j, d in enumerate(g.densities[i]) if d > 0)
+            comps.append((list(parent), all(colour[i] != colour[j] for i, j in edges)))
     return colour, comps
 
 
@@ -463,18 +470,6 @@ def build_certificate(g: StepGraphon, zmask: int, kind: str) -> PeninsulaCertifi
     return _self_checked(PeninsulaCertificate(a, tuple(a_fr), tuple(b_fr), kind), g)
 
 
-def _residual_reach(r: list[list[int]], source: int) -> dict[int, int]:
-    """BFS over the arcs of positive residual capacity `r`: parent per reached node."""
-    parent = {source: source}
-    queue = [source]
-    for u in queue:
-        for w, cap in enumerate(r[u]):
-            if cap > 0 and w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return parent
-
-
 def _zero_set(closed, k: int) -> int:
     """Mask of the blocks whose left copy is in `closed` and right copy is not."""
     return sum(1 << v for v in range(k) if v in closed and k + v not in closed)
@@ -503,7 +498,7 @@ def _cover_flow(weights: list[int], positive) -> tuple[int, list[list[int]], dic
             if positive[v][w]:
                 r[v][k + w] = uncuttable
     flow = 0
-    while sink in (parent := _residual_reach(r, source)):
+    while sink in (parent := _reach(r, source)):
         path = [sink]
         while path[-1] != source:
             path.append(parent[path[-1]])
@@ -539,7 +534,7 @@ def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
     if flow < scale:
         return build_certificate(g, _zero_set(reach, k), "narrow")
     for v in range(k):
-        closed = _residual_reach(r, v)
+        closed = _reach(r, v)
         if k + v not in closed:
             return build_certificate(g, _zero_set(closed, k), "peninsula")
     return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 from typing import Optional
 
@@ -157,7 +158,7 @@ def decompose_binary_tree(t: FiniteGraph) -> PathSystem:
 
 
 def _alpha(alpha) -> Fraction:
-    """alpha as a `Fraction` in (0, 1/2); any other value is bad input."""
+    """alpha, a number or a string such as "1/4", as a `Fraction` in (0, 1/2)."""
     try:
         a = Fraction(alpha)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -216,25 +217,18 @@ def low_degree_path_system(g: FiniteGraph, alpha) -> PathSystem:
 
 def _merge_paths(g: FiniteGraph, paths: list[list[int]], theta: int) -> list[list[int]]:
     """First-fit merging through an unused degree->=theta common neighbor."""
+    free = np.diff(g.indptr) >= theta  # may join a merge: high degree, outside the system
+    free[[v for p in paths for v in p]] = False
     while True:
-        free = np.diff(g.indptr) >= theta  # may join a merge: high degree, outside the system
-        free[[v for p in paths for v in p]] = False
         paths.sort(key=len)
-        done = True
-        for ai in range(len(paths)):
-            for bi in range(ai + 1, len(paths)):
-                hit = _mergeable(g, paths[ai], paths[bi], free)
-                if hit is None:
-                    continue
-                pa, pb, w = hit
-                rest = [paths[k] for k in range(len(paths)) if k not in (ai, bi)]
-                paths = rest + [pa + [w] + pb]
-                done = False
-                break
-            if not done:
-                break
-        if done:
+        hits = ((ai, bi, _mergeable(g, paths[ai], paths[bi], free))
+                for ai, bi in combinations(range(len(paths)), 2))
+        hit = next((h for h in hits if h[2] is not None), None)
+        if hit is None:
             return paths
+        ai, bi, (pa, pb, w) = hit
+        free[w] = False
+        paths = [p for k, p in enumerate(paths) if k not in (ai, bi)] + [pa + [w] + pb]
 
 
 def _mergeable(g: FiniteGraph, pa, pb, free):

@@ -56,10 +56,6 @@ def _philox(seed: int, trial_index: int, channel: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-def _stream(seed: int, trial_index: int, channel: int) -> np.random.Generator:
-    return np.random.Generator(_philox(seed, trial_index, channel))
-
-
 def _edge_stream_at(seed: int, trial_index: int, pos: int) -> np.random.Philox:
     """The edge stream of a trial, positioned at its pos-th coin.
 
@@ -177,8 +173,7 @@ def sample_types(
     """
     if n < 1:
         raise FormatError("n must be at least 1", "n")
-    gen = _stream(seed, trial_index, _TYPE_CHANNEL)
-    u = gen.random(n)
+    u = np.random.Generator(_philox(seed, trial_index, _TYPE_CHANNEL)).random(n)
     if isinstance(g, PowerFamilyGraphon):
         return None, u
     cum = _cumulative_masses(g)

@@ -223,10 +223,10 @@ def sample_graph_reference(g, n: int, seed: int, trial_index: int = 0):
     """The edge array of `sample_graph` from one draw of all C(n, 2) coins."""
     import numpy as np
     from graphonham import StepGraphon, sample_types
-    from graphonham.sampler import _EDGE_CHANNEL, _stream
+    from graphonham.sampler import _EDGE_CHANNEL, _philox
 
     block, offset = sample_types(g, n, seed, trial_index)
-    gen = _stream(seed, trial_index, _EDGE_CHANNEL)
+    gen = np.random.Generator(_philox(seed, trial_index, _EDGE_CHANNEL))
     iu, ju = np.triu_indices(n, k=1)
     coins = gen.random(len(iu))
     if isinstance(g, StepGraphon):

@@ -286,6 +286,17 @@ def test_pathsys_bad_alpha_is_bad_input(tmp_path, capsys, alpha):
     assert error["type"] == "FormatError" and error["position"] == "alpha"
 
 
+def test_pathsys_greedy_stuck_names_the_vertex(tmp_path, capsys):
+    """A star's leaves are low-degree vertices with one neighbour each, so
+    the first leaf cannot be given two fresh neighbours."""
+    (tmp_path / "star.txt").write_text("8 7\n" + "".join(f"0 {v}\n" for v in range(1, 8)))
+    code, out, err = run(capsys, "pathsys", str(tmp_path / "star.txt"), "--alpha", "1/4")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "GreedyStuck", "message": "vertex 1 has fewer than 2 fresh neighbors", "vertex": 1,
+    }}
+
+
 @pytest.mark.parametrize("flag", ["--budget", "--restarts", "--seed"])
 def test_test_negative_count_is_bad_input(tmp_path, capsys, flag):
     (tmp_path / "g.txt").write_text("3 3\n0 1\n1 2\n0 2\n")

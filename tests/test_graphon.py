@@ -212,6 +212,16 @@ class TestPeninsula:
                 # the support the flow picked has the enumeration's best margin
                 assert trap_margin(g, supports[-1]) == best_trap_margin(g)
 
+    @pytest.mark.parametrize("g,zmask,a,A,B", [
+        # Z sees nothing and leaves room: a is half the smaller of mass(Z) and the rest
+        (StepGraphon.build(["1/4", "3/4"], [["0", "0"], ["0", "3/5"]]), 1, F(1, 8), (F(1, 8), F(0)), (F(1, 8), F(5, 8))),
+        # Z is the whole space and sees nothing: it splits in two halves
+        (StepGraphon.build(["1/2", "1/2"], [["0", "0"], ["0", "0"]]), 3, F(1, 2), (F(1, 2), F(0)), (F(0), F(0))),
+    ])
+    def test_peninsula_on_support_without_neighbours(self, g, zmask, a, A, B):
+        cert = build_certificate(g, zmask, "peninsula")
+        assert (cert.kind, cert.a, cert.A_fractions, cert.B_fractions) == ("peninsula", a, A, B)
+
     def test_cover_route_agrees(self, rng):
         for name, g, want in [
             ("balanced", U, "peninsula"),
@@ -306,3 +316,16 @@ class TestAnalyze:
         assert d["regime"] == "aas_not_hamiltonian"
         assert d["peninsula"]["kind"] == "peninsula"
         assert d["exact_bipartite_split"]["possible"] is True
+
+    def test_report_serializes_witness_and_split_blocks(self):
+        """The zero kernel splits inside its one block, both for
+        connectivity and for the balanced split; two components give a
+        block witness alone."""
+        zero = analyze(StepGraphon.constant("0")).to_dict()
+        assert zero["connectivity"] == {"connected": False, "witness": [[0], [0]], "split_block": 0}
+        assert zero["exact_bipartite_split"] == {
+            "possible": True, "S_blocks": [], "T_blocks": [], "split_block": [0, "1/2"],
+        }
+        two = analyze(StepGraphon.build(["1/2", "1/2"], [["1/2", "0"], ["0", "1/2"]])).to_dict()
+        assert two["connectivity"] == {"connected": False, "witness": [[0], [1]]}
+        assert "split_block" not in two["exact_bipartite_split"]

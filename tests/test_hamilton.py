@@ -43,6 +43,14 @@ def brute_hamiltonian(g) -> bool:
     return False
 
 
+def test_validate_cycle_rejects_short_and_repeating_cycles():
+    g = complete(4)
+    assert validate_cycle(g, [0, 1, 2, 3])
+    assert not validate_cycle(g, [0, 1, 2])
+    # every consecutive pair is an edge, but 2 and 3 are never visited
+    assert not validate_cycle(g, [0, 1, 0, 1])
+
+
 class TestExact:
     def test_c6(self):
         v = exact_hamilton(cycle(6))

@@ -73,6 +73,24 @@ class TestConfig:
             small_config(graphon="power-half", properties=["peninsula_counts"], certificate=cert)
         assert exc.value.position == "certificate"
 
+    @pytest.mark.parametrize("graphon,cert,match", [
+        ("balanced-bipartite", ("peninsula", "1/2", ["1/2"], ["0", "0"]), "one entry per block"),
+        ("balanced-bipartite", ("peninsula", "3/5", ["1/2", "0"], ["0", "0"]), r"a must lie in \(0, 1/2\]"),
+        ("balanced-bipartite", ("peninsula", "1/2", ["1/2", "0"], ["0", "-1/4"]), "nonnegative"),
+        ("balanced-bipartite", ("peninsula", "1/4", ["1/2", "0"], ["0", "0"]), r"mass\(A\) == a"),
+        ("balanced-bipartite", ("narrow", "1/2", ["1/2", "0"], ["0", "0"]), r"mass\(A\) > a"),
+        ("balanced-bipartite", ("wide", "1/2", ["1/2", "0"], ["0", "0"]), "unknown kind"),
+        ("balanced-bipartite", ("peninsula", "1/4", ["1/4", "0"], ["0", "0"]), r"mass\(B\) must equal 1 - 2a"),
+        ("bipartite-plus-clique", ("peninsula", "1/2", ["0", "1/2"], ["0", "0"]), "positive diagonal"),
+        ("balanced-bipartite", ("peninsula", "1/4", ["1/4", "0"], ["0", "1/2"]), "zero condition"),
+    ])
+    def test_invalid_certificate_rejected(self, graphon, cert, match):
+        kind, a, A, B = cert
+        payload = {"kind": kind, "a": a, "A_fractions": A, "B_fractions": B}
+        with pytest.raises(FormatError, match=match) as exc:
+            small_config(graphon=graphon, properties=["peninsula_counts"], certificate=payload)
+        assert exc.value.position == "certificate"
+
     def test_unknown_preset(self):
         with pytest.raises(FormatError, match="graphon"):
             small_config(graphon="not-a-preset")

@@ -33,6 +33,18 @@ def test_constant_one_gives_complete_graph():
     assert degree_concentration_report(g) == pytest.approx(0.1)
 
 
+def test_degree_concentration_on_power_kernel():
+    g = sample_graph(get_preset("power-two"), 300, seed=4)
+    deg = [0] * g.n
+    for u, v in g.edges.tolist():
+        deg[u] += 1
+        deg[v] += 1
+    expected = g.type_offset**2 / 3  # (x*y)**2 has degree x**2 / 3
+    want = max(abs(d / g.n - e) for d, e in zip(deg, expected.tolist()))
+    assert len(g.edges) > 0
+    assert degree_concentration_report(g) == pytest.approx(want, abs=1e-12)
+
+
 def test_constant_zero_gives_empty_graph():
     g = sample_graph(StepGraphon.constant("0"), 5, seed=0)
     assert len(g.edges) == 0

@@ -28,6 +28,24 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert all(vars(ns)[a] is old for (ns, a), old in zip(targets, originals))
 
 
+def test_spot_check_runs_on_every_workload(monkeypatch):
+    """The benchmark replays trials through the public API (`classify` with
+    `budget` and `posa_restarts`, `config.budget`, `graph_peninsula(...).A`,
+    `sampled.type_block`); running its spot check on each workload, shrunk to
+    n=60 and 4 trials, makes a dropped name fail here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+    from workloads import WORKLOADS
+
+    from graphonham import ExperimentConfig, run_experiment
+
+    for name, workload in WORKLOADS.items():
+        config = ExperimentConfig.from_dict({**workload.config, "n_values": [60], "trials": 4})
+        _, records = run_experiment(config, jobs=1)
+        assert [r.error for r in records] == [None] * 4, name
+        assert worker.spot_check(config, records) == [], name
+
+
 def test_readme_command_lines_parse():
     from graphonham.cli import build_parser
 
