@@ -17,8 +17,8 @@ runtime; every returned object is also re-validated against its definition.
 A step-kernel sample's graph carries its vertex blocks (`_types`), and no
 kernel: one count of its edges per block pair checks covers constant on the
 blocks, and on a graph it shows to be the blow-up of its occupied block graph,
-`fvcn_value` and `is_connected` are read off that block graph, before any CSR
-or matching is built.
+`fvcn_value`, `is_connected` and edge membership are read off that block
+graph, before any CSR or matching is built.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class FiniteGraph:
     show complete.  All else is a `cached_property` derived on first use,
     such as the CSR `indptr`/`indices` of the adjacency, rows ascending: the
     graph's one adjacency index, which the searches, edge membership and
-    the matching read and a trap decided from the blocks never builds.
+    the matching read, and which a graph its blocks show complete needs
+    for none of its answers but the heuristic's and the searches'.
     """
 
     n: int
@@ -139,6 +140,13 @@ class FiniteGraph:
     @cached_property
     def _blocks(self) -> Optional[_BlockCounts]:
         return _type_blocks(self)
+
+    @cached_property
+    def _block_flow(self) -> Optional[tuple[int, list[list[int]], dict[int, int]]]:
+        """`graphon._cover_flow` on the block sizes and the occupied pairs: its
+        value, residual capacities and least min cut; None without blocks."""
+        b = self._blocks
+        return None if b is None else _cover_flow(b.count.tolist(), b.occupied.tolist())
 
     @cached_property
     def _type_cover(self) -> Optional[HalfCover]:
@@ -394,12 +402,20 @@ def _double_cover_csr(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _are_edges(g: FiniteGraph, a, b) -> np.ndarray:
-    """Whether each pair (a[k], b[k]) is an edge of g, by binary search of
-    b[k] in the ascending CSR row a[k], every pair at once; a pair off the
-    vertex range is no edge.  No copy of the edge set is made, so once the
-    CSR is built a call costs O(k log d) for k pairs and d the top degree."""
+    """Whether each pair (a[k], b[k]) is an edge of g, every pair at once; a
+    pair off the vertex range is no edge.  On a graph its blocks prove
+    complete (E = F, `_type_blocks`) a pair is an edge exactly when its ends
+    differ and their blocks are occupied, read with no CSR.  Otherwise b[k]
+    is binary-searched in the ascending CSR row a[k].  No copy of the edge
+    set is made, so once the CSR is built a call costs O(k log d) for k
+    pairs and d the top degree."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     hit = (a >= 0) & (a < g.n) & (b >= 0) & (b < g.n)
+    blocks = g._blocks
+    if blocks is not None and blocks.complete:
+        u, v = a[hit], b[hit]
+        hit[hit] = (u != v) & blocks.occupied[g._types[u], g._types[v]]
+        return hit
     want, ind = b[hit], g.indices
     lo, hi = g.indptr[a[hit]].astype(np.int64), g.indptr[a[hit] + 1].astype(np.int64)
     # b[k], if in row a[k], lies in ind[lo[k]:hi[k]]; each pass halves that span
@@ -519,11 +535,11 @@ def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
     it weighs less than n/2); None only when g carries no blocks.  Kept on
     g as `g._type_cover`.
 
-    The cover is the least min cut of `graphon._cover_flow` on the block
-    sizes and the occupied pairs; a diagonal is occupied only if its block
-    holds an edge, and so two vertices.  Every edge lies in an occupied
-    pair, so the lift covers g whatever the partition, and a failed check
-    is a bug that raises `InvariantViolation`.  So is an integer flow
+    The cover is the least min cut of g's block flow (`g._block_flow`); a
+    diagonal is occupied only if its block holds an edge, and so two
+    vertices.  Every edge lies in an occupied pair, so the lift covers g
+    whatever the partition, and a failed check is a bug that raises
+    `InvariantViolation`.  So is an integer flow
     f(v, x) on the arcs v -> k + x, which are occupied pairs, with a row sum
     above c_v, a column sum above c_x, or a total other than the cover's
     half-units.  On a complete g (E = F, `_type_blocks`) the cover is then
@@ -534,11 +550,10 @@ def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
     block holds two vertices.  The pairs are edges of F = E, a double-cover
     matching as large as the cover.
     """
-    blocks = g._blocks
-    if blocks is None:
+    if g._block_flow is None:
         return None
-    count, k = blocks.count, len(blocks.count)
-    flow, r, reach = _cover_flow(count.tolist(), blocks.occupied.tolist())
+    count, k = g._blocks.count, len(g._blocks.count)
+    flow, r, reach = g._block_flow
     f = np.array([row[:k] for row in r[k:2 * k]]).T  # f[v, x] = r[k + x][v]
     if (f.sum(axis=1) > count).any() or (f.sum(axis=0) > count).any() or f.sum() != flow:
         raise InvariantViolation(f"block flow {flow} exceeds a block or disagrees with its arcs")

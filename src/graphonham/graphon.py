@@ -16,7 +16,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
+
+import numpy as np
 
 from .errors import EnumerationCapExceeded, FormatError, InvariantViolation, _self_checked
 
@@ -128,6 +131,26 @@ class StepGraphon:
             "densities": [[str(d) for d in row] for row in self.densities],
         }
 
+    @cached_property
+    def _report(self) -> ConditionReport:
+        return _condition_report(self)
+
+    @cached_property
+    def _float_densities(self) -> np.ndarray:
+        """The densities as read-only float64s, the sampler's table for every trial."""
+        dens = np.array([[float(d) for d in row] for row in self.densities])
+        dens.flags.writeable = False
+        return dens
+
+    @cached_property
+    def _cumulative_masses(self) -> np.ndarray:
+        """The cumulative block masses as read-only float64s, the last set to
+        1.0 against float drift, as a type u lies in [0, 1)."""
+        cum = np.cumsum(np.array([float(m) for m in self.block_masses], dtype=np.float64))
+        cum[-1] = 1.0
+        cum.flags.writeable = False
+        return cum
+
 
 @dataclass(frozen=True)
 class PowerFamilyGraphon:
@@ -154,6 +177,10 @@ class PowerFamilyGraphon:
 
     def to_dict(self) -> dict:
         return {"kind": "power", "beta": str(self.beta)}
+
+    @cached_property
+    def _report(self) -> ConditionReport:
+        return _condition_report(self)
 
 
 Graphon = Union[StepGraphon, PowerFamilyGraphon]
@@ -475,11 +502,15 @@ def _zero_set(closed, k: int) -> int:
     return sum(1 << v for v in range(k) if v in closed and k + v not in closed)
 
 
-def _cover_flow(weights: list[int], positive) -> tuple[int, list[list[int]], dict[int, int]]:
+def _cover_flow(
+    weights: list[int], positive, drains: Optional[list[int]] = None
+) -> tuple[int, list[list[int]], dict[int, int]]:
     """Max flow of the double cover of a weighted block graph (Nemhauser and
     Trotter 1975): left copy v is fed from the source and right copy k + v
     drained to the sink, both of capacity weights[v], with an uncuttable arc
-    v -> k + w wherever positive[v][w] (a loop when v == w).
+    v -> k + w wherever positive[v][w] (a loop when v == w).  Given `drains`,
+    right copy k + v is drained with capacity drains[v] instead, and only the
+    flow is meant: the cut no longer folds to a cover.
 
     The min cut is twice the least weight of a half-integral vertex cover of
     the block graph, and the least min cut, the source's residual reach,
@@ -493,7 +524,8 @@ def _cover_flow(weights: list[int], positive) -> tuple[int, list[list[int]], dic
     source, sink = 2 * k, 2 * k + 1
     r = [[0] * (2 * k + 2) for _ in range(2 * k + 2)]
     for v, cap in enumerate(weights):
-        r[source][v] = r[k + v][sink] = cap
+        r[source][v] = cap
+        r[k + v][sink] = cap if drains is None else drains[v]
         for w in range(k):
             if positive[v][w]:
                 r[v][k + w] = uncuttable
@@ -673,8 +705,13 @@ def analyze(g: Graphon) -> ConditionReport:
     ratio, narrow trap, exact balanced split) dominate; otherwise all three
     positive conditions give the almost-sure regime, a non-narrow trap caps
     the probability at one half, and a merely bounded-positive tail leaves
-    the verdict open.
+    the verdict open.  A graphon is frozen, so the report is computed on
+    the first call and kept on it.
     """
+    return g._report
+
+
+def _condition_report(g: Graphon) -> ConditionReport:
     conn = check_connected(g)
     tail = check_degree_tail(g)
     pen = find_peninsula(g)

@@ -1,5 +1,8 @@
-"""Hamiltonicity decisions: cheap certified obstructions, a rotation
-heuristic, and an exact bitmask dynamic program for small graphs.
+"""Hamiltonicity decisions, tried in this order by `classify`: cheap
+certified obstructions; on a graph its vertex blocks prove complete, a
+Hamilton cycle lifted from the block graph, else a tight trap, which proves
+that there is none; a rotation heuristic; an exact bitmask dynamic program
+for small graphs and budgeted backtracking above.
 
 Verdict soundness contract: a `hamiltonian` verdict always carries a witness
 cycle that is re-validated edge by edge; a `not_hamiltonian` verdict carries
@@ -19,6 +22,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantViolation
 from .fracmatch import FiniteGraph, GraphPeninsula, _are_edges, fvcn_value, graph_peninsula, is_connected
+from .graphon import _cover_flow, _reach
 
 STATUS_HAMILTONIAN = "hamiltonian"
 STATUS_NOT_HAMILTONIAN = "not_hamiltonian"
@@ -86,6 +90,134 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
         if cert is None or cert.kind != "narrow":
             raise InvariantViolation("fvcn < n/2 but no narrow certificate was extracted")
         return OBSTRUCTION_NARROW
+    return None
+
+
+# ---------------------------------------------------------------------------
+# a complete blow-up, decided from its block graph
+#
+# On a graph its blocks prove complete (E = F, `fracmatch._type_blocks`) the
+# vertices of a block are twins.  A Hamilton cycle then projects to a closed
+# walk on the occupied block graph that visits each block a exactly c_a
+# times.  Conversely, a connected multigraph x on the occupied pairs (loops
+# on looped blocks) in which each nonempty block a has degree 2 c_a has an
+# Euler circuit (Hierholzer 1873) visiting a exactly c_a times; giving the
+# i-th visit of a to the i-th vertex of a lifts it to a Hamilton cycle for
+# n >= 3.  So g is Hamiltonian exactly when such an x exists.
+
+
+def _euler_walk(x: list[list[int]], start: int) -> list[int]:
+    """The blocks of an Euler circuit of the connected multigraph x (x[a][b]
+    edges a-b, x[a][a] loops at a) from `start`, in order; the edge back to
+    `start` closes it.  Hierholzer's stack, each block scanning on from the
+    first block it may still have an edge to."""
+    k = len(x)
+    left, first = [row[:] for row in x], [0] * k
+    stack, walk = [start], []
+    while stack:
+        a = stack[-1]
+        row, b = left[a], first[a]
+        while b < k and not row[b]:
+            b += 1
+        first[a] = b
+        if b == k:
+            walk.append(stack.pop())
+            continue
+        row[b] -= 1
+        if b != a:
+            left[b][a] -= 1
+        stack.append(b)
+    return walk[:-1]
+
+
+def _lift(types: np.ndarray, walk: list[int]) -> np.ndarray:
+    """The walk with its i-th visit of block a replaced by the i-th vertex of
+    a: two stable sorts group the visits (in walk order) and the vertices (in
+    id order) by block, and the groups have the same sizes."""
+    cycle = np.empty(len(types), dtype=np.int64)
+    cycle[np.argsort(walk, kind="stable")] = np.argsort(types, kind="stable")
+    return cycle
+
+
+def _block_cycle(g: FiniteGraph) -> Optional[tuple[int, ...]]:
+    """A validated Hamilton cycle of a complete g lifted from its block
+    graph, or None when none was found (which proves nothing).
+
+    g's block flow f (`g._block_flow`, f[a][b] on the arc from a's left
+    copy to b's right copy) totals n exactly when fvcn = n/2, and
+    then x = f + f^T (x[a][a] = f[a][a]) gives block a degree 2 c_a.  When
+    the support of x is disconnected, one unit is forced onto an occupied
+    pair that joins two of its parts, the one with the most capacity left,
+    and the flow is run again on what is left; each forced unit joins two
+    parts for good, so at most (nonempty blocks - 1) are forced.
+    """
+    blocks = g._blocks
+    count, occupied = blocks.count.tolist(), blocks.occupied.tolist()
+    k, nonempty = len(count), np.flatnonzero(blocks.count).tolist()
+    flow, r, _ = g._block_flow
+    rows, cols = count[:], count[:]  # the capacities the forced units leave
+    forced = [[0] * k for _ in range(k)]
+    for _ in nonempty:
+        if flow < sum(rows):
+            return None
+        f = [[r[k + b][a] + forced[a][b] for b in range(k)] for a in range(k)]
+        x = [[f[a][b] + f[b][a] if a != b else f[a][a] for b in range(k)] for a in range(k)]
+        part: dict[int, int] = {}  # block -> the first block of its part
+        for a in nonempty:
+            if a not in part:
+                part.update(dict.fromkeys(_reach(x, a), a))
+        if len(set(part.values())) == 1:
+            return _checked_cycle(g, _lift(g._types, _euler_walk(x, nonempty[0])).tolist())
+        joins = [(a, b) for a in nonempty for b in nonempty
+                 if occupied[a][b] and part[a] != part[b] and rows[a] and cols[b]]
+        if not joins:
+            return None
+        a, b = max(joins, key=lambda ab: rows[ab[0]] + cols[ab[1]])
+        forced[a][b] += 1
+        rows[a] -= 1
+        cols[b] -= 1
+        flow, r, _ = _cover_flow(rows, occupied, cols)
+    return None
+
+
+def _is_tight_trap(g: FiniteGraph, h: np.ndarray) -> bool:
+    """Whether units h (0 on A, 1 on B, 2 on R) are a tight trap of g, read
+    off its edge array: A is nonempty, every edge at A ends in R, |A| >= |R|
+    and B = V \\ (A u R) is nonempty.  Then G - R has each vertex of A alone
+    and B besides, more than |R| components, so g is not 1-tough and not
+    Hamiltonian (Chvatal, Discrete Math. 5, 1973)."""
+    u, v = g.edge_array.T
+    hu, hv = h.take(u), h.take(v)
+    size = np.bincount(h, minlength=3)
+    at_a = (hu == 0) | (hv == 0)
+    return bool(size[0] and size[1] and size[0] >= size[2] and ((hu + hv)[at_a] == 2).all())
+
+
+def _tight_trap(g: FiniteGraph) -> Optional[np.ndarray]:
+    """A tight trap of a complete g, as the units of `_is_tight_trap`
+    checked on g's edges, or None when the block graph shows none.
+
+    With fvcn = n/2 the block flow is perfect, and each closed set of its
+    residual graph is a min cut (`graphon.find_peninsula` at flow 1): the
+    least one holding block v's left copy lifts to a half cover of weight
+    n/2, 0 on A (left copy in, right copy out), 2 on R (the reverse) and 1
+    on B, so |A| = |R|.  The first v, ascending, that puts v in A and leaves
+    B nonempty gives the trap.
+    """
+    flow, r, _ = g._block_flow
+    k = len(g._blocks.count)
+    if flow < g.n:
+        return None
+    for v in np.flatnonzero(g._blocks.count).tolist():
+        closed = _reach(r, v)
+        if k + v in closed:
+            continue
+        units = np.array([(a not in closed) + (k + a in closed) for a in range(k)], dtype=np.int8)[g._types]
+        if not (units == 1).any():
+            continue
+        if not _is_tight_trap(g, units):
+            raise InvariantViolation("a tight trap read off the block graph fails its check on the edges")
+        return units
     return None
 
 
@@ -310,7 +442,17 @@ def classify(
     seed: int = 0,
     posa_restarts: int = 20,
 ) -> HamiltonVerdict:
-    """cheap obstructions -> rotation heuristic -> exact search -> unknown."""
+    """cheap obstructions -> block cycle -> tight trap -> rotation heuristic
+    -> exact search -> unknown.
+
+    The block cycle and the tight trap run only on a graph its blocks prove
+    complete (a sample of a 0/1 kernel), where the cheap obstructions leave
+    fvcn = n/2.  A cycle lifted from the block graph (`_block_cycle`) is the
+    answer.  A tight trap (`_tight_trap`) proves that no cycle exists, so
+    with a budget below 1 above `DP_VERTEX_CAP` it answers `unknown` at once,
+    as the heuristic and the search would; it is not yet reported as an
+    obstruction.  Every other case keeps the order after it.
+    """
     if seed < 0:
         raise FormatError("must be nonnegative", "seed")
     if g.n < 3:
@@ -318,6 +460,13 @@ def classify(
     obs = cheap_obstructions(g)
     if obs is not None:
         return HamiltonVerdict(STATUS_NOT_HAMILTONIAN, obstruction=obs)
+    blocks = g._blocks
+    if blocks is not None and blocks.complete:
+        cycle = _block_cycle(g)
+        if cycle is not None:
+            return HamiltonVerdict(STATUS_HAMILTONIAN, cycle)
+        if budget < 1 and g.n > DP_VERTEX_CAP and _tight_trap(g) is not None:
+            return HamiltonVerdict(STATUS_UNKNOWN)
     cycle = posa_heuristic(g, seed=seed, restarts=posa_restarts)
     if cycle is not None:
         return HamiltonVerdict(STATUS_HAMILTONIAN, cycle)

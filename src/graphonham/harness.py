@@ -412,7 +412,7 @@ def run_experiment(
         with open(os.path.join(out_dir, "trials.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write(records_to_csv(records))
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     return report, records
 
 

@@ -156,12 +156,6 @@ class SampledGraph:
         return d
 
 
-def _cumulative_masses(g: StepGraphon) -> np.ndarray:
-    cum = np.cumsum(np.array([float(m) for m in g.block_masses], dtype=np.float64))
-    cum[-1] = 1.0  # guard against float drift; u lives in [0, 1)
-    return cum
-
-
 def sample_types(
     g: Graphon, n: int, seed: int, trial_index: int = 0
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
@@ -176,7 +170,7 @@ def sample_types(
     u = np.random.Generator(_philox(seed, trial_index, _TYPE_CHANNEL)).random(n)
     if isinstance(g, PowerFamilyGraphon):
         return None, u
-    cum = _cumulative_masses(g)
+    cum = g._cumulative_masses
     block = np.searchsorted(cum, u, side="right").astype(np.int64)
     low = np.concatenate([[0.0], cum[:-1]])
     width = cum[block] - low[block]
@@ -196,9 +190,7 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     in row-major order, so `to_finite_graph` can keep that array.
     """
     block, offset = sample_types(g, n, seed, trial_index)
-    dens = None
-    if isinstance(g, StepGraphon):
-        dens = np.array([[float(d) for d in row] for row in g.densities])
+    dens = g._float_densities if isinstance(g, StepGraphon) else None
     if dens is not None and ((dens == 0) | (dens == 1)).all():
         parts, deg = _type_edges(dens == 1, block)
     else:

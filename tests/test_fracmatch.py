@@ -24,6 +24,7 @@ from graphonham import (
     is_connected,
     sample_graph,
     uniquely_half_covered,
+    validate_cycle,
 )
 from conftest import random_graph, random_step_graphon
 from graphonham.fracmatch import _covers_blocks, _type_connected
@@ -655,11 +656,14 @@ def _hinted_samples():
 
 def _same_answers(g, ref):
     """g decides as ref, the same edges with no blocks, and whatever g's
-    blocks produced validates on g."""
+    blocks produced validates on g; a cycle found from the blocks may differ
+    from ref's, and validates on ref's edges."""
     assert is_connected(g) == is_connected(ref)
     assert min(g.degrees(), default=None) == min(ref.degrees(), default=None)
     assert fvcn_value(g) == fvcn_value(ref)
-    assert classify(g, budget=2000, posa_restarts=2) == classify(ref, budget=2000, posa_restarts=2)
+    verdict, want = classify(g, budget=2000, posa_restarts=2), classify(ref, budget=2000, posa_restarts=2)
+    assert (verdict.status, verdict.obstruction) == (want.status, want.obstruction)
+    assert verdict.witness is None or validate_cycle(ref, verdict.witness)
     cover = g._type_cover
     if cover is not None:
         cover.validate(g)
@@ -898,6 +902,24 @@ def test_a_broken_block_flow_raises(monkeypatch, corrupt):
     monkeypatch.setattr(fracmatch, "_cover_flow", broken)
     with pytest.raises(InvariantViolation):
         classify(sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph())
+
+
+def test_edge_membership_on_a_complete_graph_reads_the_blocks():
+    """On a graph its blocks prove complete, a pair is an edge exactly when
+    its ends differ and their blocks are occupied: membership agrees with
+    the edge set on every pair, off the vertex range and on loops included,
+    and builds no CSR."""
+    from graphonham.fracmatch import _are_edges
+
+    for name in ("narrow-three-block", "bipartite-plus-clique", "balanced-bipartite"):
+        g = sample_graph(get_preset(name), 40, 5).to_finite_graph()
+        assert g._blocks.complete
+        edges = set(edge_tuples(g))
+        a, b = np.meshgrid(np.arange(-2, 42), np.arange(-2, 42))
+        a, b = a.ravel(), b.ravel()
+        want = [(min(x, y), max(x, y)) in edges for x, y in zip(a.tolist(), b.tolist())]
+        assert _are_edges(g, a, b).tolist() == want
+        assert "indptr" not in vars(g)
 
 
 def _per_edge_block_count(g) -> np.ndarray:

@@ -1,15 +1,21 @@
 import itertools
+import random
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from graphonham import (
     FiniteGraph,
+    HamiltonVerdict,
     cheap_obstructions,
     classify,
     exact_hamilton,
     posa_heuristic,
     validate_cycle,
 )
+from graphonham.hamilton import _block_cycle, _exact_dp, _tight_trap
 from conftest import random_graph
 from oracles import edge_tuples
 
@@ -303,6 +309,155 @@ def test_a_sample_hands_its_graph_no_fact_that_changes_a_verdict(preset, wrong):
     object.__setattr__(s, "_degrees", np.full(s.n, wrong, dtype=np.int64))
     assert classify(s.to_finite_graph()) == classify(FiniteGraph.build(s.n, s.edges))
     assert [f.name for f in fields(FiniteGraph)] == ["n", "edge_array", "_types"]
+
+
+# ---------------------------------------------------------------------------
+# complete blow-ups, decided from their block graphs
+
+BIPARTITE = ((0, 1), (1, 0))
+BIPARTITE_PLUS_CLIQUE = ((0, 1), (1, 1))
+NARROW_THREE_BLOCK = ((0, 0, 1), (0, 1, 1), (1, 1, 1))
+# K_{k,k} on blocks A and R, and a clique Q joined to R
+BIPARTITE_AND_CLIQUE_ON_R = ((0, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+def blowup(count, occupied) -> FiniteGraph:
+    """The complete blow-up of a block graph, handed its blocks as a sample's
+    graph is: count[a] vertices in block a, numbered block by block, and an
+    edge between any two distinct vertices whose blocks are occupied."""
+    types = np.repeat(np.arange(len(count)), count)
+    n = len(types)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if occupied[types[u]][types[v]]]
+    return replace(FiniteGraph.build(n, edges), _types=types)
+
+
+def assert_block_cycle(g):
+    """g is decided Hamiltonian from its blocks: the cycle validates on the
+    same edges with no blocks, and g built no CSR and solved no matching."""
+    v = classify(g)
+    assert v.status == "hamiltonian"
+    assert validate_cycle(FiniteGraph.build(g.n, g.edge_array), v.witness)
+    assert all(type(x) is int for x in v.witness)
+    assert not {"indptr", "indices", "_matching"} & set(vars(g))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 40])
+def test_complete_bipartite_blowups(k):
+    assert_block_cycle(blowup([k, k], BIPARTITE))
+    g = blowup([k, k + 1], BIPARTITE)
+    assert _block_cycle(g) is None
+    assert classify(g).obstruction == "narrow_graph_peninsula"
+
+
+@pytest.mark.parametrize("k", [2, 5, 30])
+def test_bipartite_plus_clique_blowups(k):
+    assert_block_cycle(blowup([k, k], BIPARTITE_PLUS_CLIQUE))
+    assert _block_cycle(blowup([k + 1, k], BIPARTITE_PLUS_CLIQUE)) is None
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (5, 3), (30, 20)])
+def test_narrow_three_block_blowups(a, b):
+    """|A| = |C| - 1 gives a cycle.  |A| = |C| with B nonempty has
+    fvcn = n/2 and no cycle, the first flow routing B to itself: the trap
+    is tight, with A, B and C its A, B and R."""
+    assert_block_cycle(blowup([a, b, a + 1], NARROW_THREE_BLOCK))
+    g = blowup([a, b, a], NARROW_THREE_BLOCK)
+    assert cheap_obstructions(g) is None and _block_cycle(g) is None
+    assert _tight_trap(g).tolist() == [0] * a + [1] * b + [2] * a
+
+
+def test_forced_unit_takes_the_pair_with_most_capacity_left():
+    """Two 2-cliques joined through two lone vertices: the first flow keeps
+    one clique to itself, and a unit forced onto the pair with the least
+    capacity left would leave no flow that closes."""
+    two_cliques_and_two_bridges = ((1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))
+    assert_block_cycle(blowup([2, 2, 1, 1], two_cliques_and_two_bridges))
+
+
+def test_bipartite_and_a_clique_on_one_side_is_tight():
+    """K_{k,k} is Hamiltonian and its half cover of weight n/2 has no B, so
+    it is no tight trap; a clique joined to its R side makes one."""
+    for k in (2, 3, 20):
+        assert _tight_trap(blowup([k, k], BIPARTITE)) is None
+        g = blowup([k, k, 3], BIPARTITE_AND_CLIQUE_ON_R)
+        assert cheap_obstructions(g) is None and _block_cycle(g) is None
+        assert _tight_trap(g).tolist() == [0] * k + [2] * k + [1] * 3
+
+
+def test_tight_trap_above_the_dp_cap_is_unknown_at_once():
+    """With no budget above `DP_VERTEX_CAP` a tight trap answers `unknown`
+    before the heuristic, with no CSR, as today's order answers after it;
+    with a budget, or at the DP's sizes, the order after it decides."""
+    g = blowup([10, 6, 10], NARROW_THREE_BLOCK)
+    assert classify(g, budget=0) == HamiltonVerdict("unknown")
+    assert "indptr" not in vars(g)
+    g = blowup([10, 6, 10], NARROW_THREE_BLOCK)
+    assert classify(g, budget=5000, posa_restarts=1).status == "unknown"
+    assert "indptr" in vars(g)  # the heuristic and backtracking ran
+    small = blowup([8, 6, 8], NARROW_THREE_BLOCK)
+    assert classify(small, budget=0).obstruction == "exact_search_exhausted"
+
+
+def test_block_route_agrees_with_the_exact_dp():
+    """On seeded complete blow-ups with k <= 4 blocks and 3 <= n <= 12 that
+    pass the cheap obstructions, a lifted cycle is a cycle of the graph, a
+    tight trap is a graph with none, and `classify` answers as the DP."""
+    rng = random.Random(11)
+    found = Counter()
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        count = [rng.randint(0, 4) for _ in range(k)]
+        if not 3 <= sum(count) <= 12:
+            continue
+        occupied = [[False] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a, k):
+                on = count[a] and count[b] and (a != b or count[a] > 1) and rng.random() < 0.6
+                occupied[a][b] = occupied[b][a] = bool(on)
+        g = blowup(count, occupied)
+        ref = FiniteGraph.build(g.n, g.edge_array)
+        want = _exact_dp(ref).status
+        assert classify(g).status == want
+        if cheap_obstructions(g) is not None:
+            continue
+        cycle, tight = _block_cycle(g), _tight_trap(g)
+        if cycle is not None:
+            assert want == "hamiltonian" and validate_cycle(ref, cycle)
+        if tight is not None:
+            assert want == "not_hamiltonian"
+        found[want, cycle is not None, tight is not None] += 1
+    assert found["hamiltonian", True, False] >= 100 and found["not_hamiltonian", False, True] >= 5
+
+
+def test_a_lift_off_by_one_raises(monkeypatch):
+    """The lifted cycle is validated like every cycle the package finds: an
+    off-by-one in the visit rank (the i-th visit of a block given its
+    (i+1)-th vertex) repeats a vertex and raises `InvariantViolation`."""
+    from graphonham import InvariantViolation, hamilton
+
+    def off_by_one(types, walk):
+        cycle = np.empty(len(types), dtype=np.int64)
+        rank = np.minimum(np.arange(len(types)) + 1, len(types) - 1)
+        cycle[np.argsort(walk, kind="stable")] = np.argsort(types, kind="stable")[rank]
+        return cycle
+
+    g = blowup([4, 2, 5], NARROW_THREE_BLOCK)
+    assert_block_cycle(g)
+    monkeypatch.setattr(hamilton, "_lift", off_by_one)
+    with pytest.raises(InvariantViolation):
+        classify(blowup([4, 2, 5], NARROW_THREE_BLOCK))
+
+
+def test_a_tight_trap_that_fails_its_check_raises(monkeypatch):
+    """A tight trap is checked on the edge array: a closure that keeps only
+    block v's left copy puts all of C's neighbours of A into B, which the
+    check rejects as a bug."""
+    from graphonham import InvariantViolation, hamilton
+
+    g = blowup([10, 6, 10], NARROW_THREE_BLOCK)
+    monkeypatch.setattr(hamilton, "_reach", lambda r, v: {v: v})
+    with pytest.raises(InvariantViolation):
+        _tight_trap(g)
 
 
 class TestInvariants:

@@ -240,6 +240,22 @@ def test_aggregate_frequencies_exclude_errored_trials():
     assert summary["hamiltonian"]["found_wilson"] == wilson_interval(2, 2)
 
 
+def test_campaign_analyzes_its_graphon_once(monkeypatch):
+    """The condition report is kept on the graphon, which is frozen: batches
+    of one config (the same graphon, other seeds) analyze it once."""
+    from dataclasses import replace
+
+    from graphonham import analyze, graphon
+
+    calls = []
+    report_of = graphon._condition_report
+    monkeypatch.setattr(graphon, "_condition_report", lambda g: calls.append(g) or report_of(g))
+    cfg = small_config(trials=2)
+    reports = [run_experiment(replace(cfg, seed=seed))[0] for seed in (1, 2, 3)]
+    assert len(calls) == 1 and analyze(cfg.graphon) is analyze(cfg.graphon)
+    assert {r.predicted_regime for r in reports} == {"aas_hamiltonian"}
+
+
 def test_campaign_past_the_analysis_cap_keeps_its_trials(tmp_path):
     def config(k, densities):
         return ExperimentConfig.from_dict({

@@ -576,6 +576,20 @@ def test_samples_compare_by_identity():
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
+def test_float_tables_are_built_once_per_graphon():
+    """A step graphon is frozen, so the float densities and cumulative
+    masses every trial reads are built from its fractions once, read-only."""
+    g = get_preset("narrow-three-block")
+    sample_graph(g, 30, 0, 0)
+    dens, cum = g._float_densities, g._cumulative_masses
+    sample_graph(g, 30, 0, 1)
+    sample_types(g, 30, 0, 2)
+    assert g._float_densities is dens and g._cumulative_masses is cum
+    assert not dens.flags.writeable and not cum.flags.writeable
+    assert dens.tolist() == [[float(d) for d in row] for row in g.densities]
+    assert cum.tolist() == [0.4, 0.7, 1.0]
+
+
 def test_degrees_counted_once():
     s = sample_graph(HALF_HALF, 40, seed=3)
     deg = s.degrees()

@@ -104,8 +104,8 @@ def test_sampling_leaves_scipy_unloaded(tmp_path):
 def test_trap_trial_leaves_scipy_unloaded():
     """A narrow-three-block trap trial is decided from the sample's types on
     its edge array alone, with no CSR and no matching, so scipy stays
-    unloaded; a trial with fvcn = n/2 goes on to the rotation heuristic,
-    which reads the CSR and loads it."""
+    unloaded; a trial with fvcn = n/2 is decided from the block graph, its
+    cycle validated on the blocks, so scipy stays unloaded there too."""
     code = (
         "import sys\n"
         "import graphonham\n"
@@ -116,7 +116,30 @@ def test_trap_trial_leaves_scipy_unloaded():
         "    o = run_trial(config, 400, index).outcomes\n"
         "    print(o['ham_obstruction'], o['fvcn'] == 200, 'scipy' in sys.modules)\n"
     )
-    assert _python_output(code).splitlines() == ["narrow_graph_peninsula False False", "None True True"]
+    assert _python_output(code).splitlines() == ["narrow_graph_peninsula False False", "None True False"]
+
+
+#: `campaign_digest` of the trap-campaign config below, before the block
+#: route: the rows it writes must not move.
+TRAP_CAMPAIGN_2000_HASH = "270cfdfb2419b4f00f749c7627086434d53abcb33d2d2263fc1c5aff43d9a248"
+
+
+def test_trap_campaign_leaves_scipy_unloaded(tmp_path):
+    """The benchmark's trap-campaign config run for trials 0-1999 at seed 0
+    decides every trial from the block graph: scipy never loads, the one
+    tight trial (1854) is still `unknown`, and no row moved."""
+    from conftest import campaign_digest
+
+    code = (
+        "import sys\n"
+        "from graphonham import ExperimentConfig, run_experiment\n"
+        "config = ExperimentConfig.from_dict({'graphon': 'narrow-three-block', 'n_values': [400], 'trials': 2000,\n"
+        "    'seed': 0, 't': 4, 'properties': ['connected', 'min_degree_ge_2', 'hamiltonian', 'fvcn_ge_half']})\n"
+        "_, records = run_experiment(config, out_dir=sys.argv[1])\n"
+        "print([r.trial_index for r in records if r.outcomes['ham_status'] == 'unknown'], 'scipy' in sys.modules)\n"
+    )
+    assert _python_output(code, str(tmp_path)).splitlines() == ["[1854] False"]
+    assert campaign_digest(str(tmp_path)) == TRAP_CAMPAIGN_2000_HASH
 
 
 def test_no_thread_outlives_import_or_sampling():
