@@ -14,11 +14,13 @@ sandwich
 
 proves both folded objects optimal, so no external LP theory is trusted at
 runtime; every returned object is also re-validated against its definition.
-A step-kernel sample's graph carries its vertex blocks (`_types`), and no
-kernel: one count of its edges per block pair checks covers constant on the
-blocks, and on a graph it shows to be the blow-up of its occupied block graph,
-`fvcn_value`, `is_connected` and edge membership are read off that block
-graph, before any CSR or matching is built.
+A step-kernel sample's graph carries its vertex blocks (`_types`): one count
+of its edges per block pair checks covers constant on the blocks, and on a
+graph it shows to be the blow-up of its occupied block graph, `fvcn_value`,
+`is_connected` and edge membership are read off that block graph, before any
+CSR or matching is built.  A 0/1 kernel's sample is that blow-up by
+definition, its blocks and the kernel's 0/1 table (`_ones`), so no edge is
+counted, and its edge array is built only when read.
 """
 
 from __future__ import annotations
@@ -43,20 +45,24 @@ class FiniteGraph:
     """A finite simple graph: no weights, no self-loops, no repeated edges.
 
     The edge set is `edge_array`, the (m, 2) int32 array of edges with
-    u < v, sorted and without repeats, built once.  A sample's graph is
-    also handed its vertex blocks (`_types`), which can speed an answer but
-    not change it: the cover lifted through them is checked like every
-    certificate the package builds, and proves fvcn only on a graph they
-    show complete.  All else is a `cached_property` derived on first use,
-    such as the CSR `indptr`/`indices` of the adjacency, rows ascending: the
-    graph's one adjacency index, which the searches, edge membership and
-    the matching read, and which a graph its blocks show complete needs
-    for none of its answers but the heuristic's and the searches'.
+    u < v, sorted and without repeats, read-only: given (`build`), or on a
+    0/1 kernel's sample built on first read from the graph's definition,
+    its vertex blocks (`_types`) and the table `_ones` of the block pairs
+    joined.  A graph given edges may also be handed its sample's vertex
+    blocks, which can speed an answer but not change it: the cover lifted
+    through them is checked like every certificate the package builds, and
+    proves fvcn only on a graph they show complete.  All else is a
+    `cached_property` derived on first use, such as the CSR
+    `indptr`/`indices` of the adjacency, rows ascending: the graph's one
+    adjacency index, which the searches, edge membership and the matching
+    read, and which a complete graph (E = F, `_type_blocks`) needs for none
+    of its answers but the heuristic's and the searches'.
     """
 
     n: int
-    edge_array: np.ndarray
+    _edges: Optional[np.ndarray]  # the edge array as given, None on a blow-up
     _types: Optional[np.ndarray] = field(default=None, repr=False)  # block per vertex
+    _ones: Optional[np.ndarray] = field(default=None, repr=False)  # bool k x k: block pairs joined
 
     @staticmethod
     def build(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "FiniteGraph":
@@ -77,6 +83,25 @@ class FiniteGraph:
             e = _canonical_pairs(n, edges)
         e.flags.writeable = False
         return FiniteGraph(n, e)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as given, or those of the blow-up `_types` and `_ones`
+        define, an edge between two distinct vertices whose blocks the table
+        joins, built on first read and held to that definition: canonical as
+        `build` checks it, with every vertex pair of each occupied pair of
+        blocks and none of any other, or `InvariantViolation`.  Published
+        before it is returned, so a reader that came meanwhile returns the
+        same array."""
+        if self._edges is not None:
+            return self._edges
+        e = _blowup_edges(self._ones, self._types)
+        b = self._blocks
+        due = np.where(b.occupied, _vertex_pairs(b.count), 0)
+        if not (_is_canonical(self.n, e) and np.array_equal(_block_pairs(self._types, len(b.count), e), due)):
+            raise InvariantViolation("the blow-up's edges disagree with its blocks and 0/1 table")
+        e.flags.writeable = False
+        return vars(self).setdefault("edge_array", e)
 
     @cached_property
     def indptr(self) -> np.ndarray:
@@ -477,6 +502,35 @@ class _BlockCounts:
     complete: bool  # whether E = F (see `_type_blocks`)
 
 
+def _blowup_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The edge array of the blow-up of the block graph `ones` over the
+    blocks `block`: (m, 2) int32, u < v, row-major, column-major.
+
+    Block a's partners are the ids j, ascending, with ones[a, block[j]];
+    row i's upper neighbours are the suffix of its block's list after i.
+    All lists lie in one array keyed a*n + j, so one `searchsorted` finds
+    every row's suffix, and one gather from the lists' int32 ids gives
+    column 1; column 0 repeats each row's id once per upper neighbour.
+    """
+    n = len(block)
+    part_block, part = np.nonzero(ones[:, block])
+    key = part_block * n + part
+    first = np.searchsorted(key, block * n + np.arange(n), side="right")
+    count = np.searchsorted(key, (block + 1) * n) - first
+    at = np.repeat(first - (np.cumsum(count) - count), count)
+    at += np.arange(len(at))
+    e = np.empty((2, len(at)), dtype=np.int32)
+    e[0] = np.repeat(np.arange(n, dtype=np.int32), count)
+    e[1] = part.astype(np.int32)[at]
+    return e.T
+
+
+def _vertex_pairs(count: np.ndarray) -> np.ndarray:
+    """The k x k count of vertex pairs per pair of blocks of sizes count:
+    c_a*c_b, and C(c_a, 2) on the diagonal."""
+    return np.outer(count, count) - np.diag(count * (count + 1) // 2)
+
+
 def _block_pairs(block: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
     """The symmetric k x k count of edges per unordered pair of blocks, each
     edge once, in one pass that codes each edge's pair a*k + b in the least
@@ -491,8 +545,8 @@ def _block_pairs(block: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
-    """g's edges counted per pair of its blocks, k of them for k - 1 the
-    largest label; None when g carries no blocks or they do not label its
+    """g's blocks, k of them for k - 1 the largest label, their sizes and
+    occupied pairs; None when g carries no blocks or they do not label its
     vertices.
 
     A pair of blocks is occupied when it holds an edge.  Let F be the
@@ -502,17 +556,23 @@ def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
     for c the block sizes: then E is a subset of F holding as many edges as
     F in each pair, and as g's edges never repeat, E = F.  Each block is
     then a twin class (Grohe, Kersting, Mladenov and Selman, ESA 2014): an
-    independent set or a clique with one set of outside neighbours.  No
-    kernel enters: the blocks are a partition of the vertices, and the rest
-    is read off the edges.
+    independent set or a clique with one set of outside neighbours.
+
+    A graph defined as a blow-up (`_ones`) is complete by definition, and
+    a pair is occupied when the table joins it and it holds a vertex pair;
+    no edge is read.  Any other graph's edges are counted per pair.  No
+    kernel enters: the blocks partition the vertices, and `_ones` is the
+    graph's own definition.
     """
     block = g._types
     if block is None or len(block) != g.n or g.n == 0 or block.min() < 0:
         return None
     k = int(block.max()) + 1
     count = np.bincount(block, minlength=k)
+    full = _vertex_pairs(count)
+    if g._ones is not None:
+        return _BlockCounts(count, g._ones[:k, :k] & (full > 0), True)
     pairs = _block_pairs(block, k, g.edge_array)
-    full = np.outer(count, count) - np.diag(count * (count + 1) // 2)
     return _BlockCounts(count, pairs > 0, bool(((pairs == 0) | (pairs == full)).all()))
 
 

@@ -17,8 +17,10 @@ holds every pair.  A sample keeps its blocks' int32 columns, half the edge
 array, which is assembled column-major on one thread only when something
 reads it: column 1 joined from the blocks, column 0 each row's id repeated
 once per hit, part by part.  A step kernel whose densities are all 0 or 1
-fixes every coin's outcome, so its edges come from the types alone and the
-edge stream is not drawn; `edge_coin` still replays every coin.
+fixes every coin's outcome: the sample's graph is then the blow-up of the
+kernel's 0/1 table over the types, defined by the two alone (see
+`FiniteGraph`), the edge stream is not drawn and no edge is built until
+something reads one; `edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def _sampling_threads() -> int:
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One sampled graph together with its latent types and replay key.  Its
-    edges stay as the sampler's blocks drew them until `edges` is read."""
+    edges stay as the sampler's blocks drew them until `edges` is read; a
+    0/1 kernel's sample keeps its graph instead (`_graph`, defined by its
+    blocks and the kernel's 0/1 table), whose edge array `edges` is."""
 
     model: Graphon
     n: int
@@ -102,17 +106,22 @@ class SampledGraph:
     seed: int
     trial_index: int
     _degrees: np.ndarray = field(repr=False, compare=False)  # int64 per vertex, read-only
-    # (int64 hits per row, int32 columns of each block), None once `edges` is published
+    # (int64 hits per row, int32 columns of each block), None once `edges` is
+    # published and on a 0/1 kernel, whose sample keeps its graph instead
     _parts: Optional[tuple] = field(repr=False, compare=False)
+    _graph: Optional[FiniteGraph] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """The (m, 2) int32 edges u < v, row-major, read-only, assembled on
-        first read as the transpose of one (2, m) array, so each column is
-        contiguous: column 1 from the blocks, then column 0 part by part,
-        each row's id repeated once per hit, with no temporary beyond one
-        block's hits.  It is published before the parts are released, so a
-        reader that came meanwhile returns the same array."""
+        """The (m, 2) int32 edges u < v, row-major, read-only, column-major.
+        A 0/1 kernel's are its graph's `edge_array`, built there on the first
+        read of either.  Others are assembled on first read as the transpose
+        of one (2, m) array: column 1 from the blocks, then column 0 part by
+        part, each row's id repeated once per hit, with no temporary beyond
+        one block's hits.  They are published before the parts are released,
+        so a reader that came meanwhile returns the same array."""
+        if self._graph is not None:
+            return self._graph.edge_array
         parts = self._parts
         if parts is None:  # published by another reader
             return vars(self)["edges"]
@@ -137,10 +146,14 @@ class SampledGraph:
         return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
-        """The graph of the edges, handed only a step-kernel sample's vertex
-        blocks, which speed how its degrees, traps, fvcn and connectivity are
-        read off the edges but cannot change them; neither the kernel nor the
+        """A 0/1 kernel's sample's own graph, the blow-up its blocks and the
+        kernel's 0/1 table define; any other sample's, the graph of its
+        edges, handed only a step-kernel sample's vertex blocks, which speed
+        how its degrees, traps, fvcn and connectivity are read off the edges
+        but cannot change them.  Neither the kernel's densities nor the
         degrees counted here are handed over."""
+        if self._graph is not None:
+            return self._graph
         return replace(FiniteGraph.build(self.n, self.edges), _types=self.type_block)
 
     def sidecar_dict(self) -> dict:
@@ -184,42 +197,26 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
 
     A step kernel whose every density is 0 or 1 draws no edge coin: a coin
     lies in [0, 1), so it always falls below 1 and never below 0, and the
-    edges are read off the types (`_type_edges`).  Every other kernel draws
-    exactly C(n, 2) coins (`_coin_edges`).  Both return the parts from which
+    graph is the blow-up of the kernel's 0/1 table over the types, kept as
+    that definition; its edges are built only when read (`FiniteGraph`), and
+    a degree is the size of every block the vertex's block joins, less one
+    on a loop, with no pass over the edges.  Every other kernel draws
+    exactly C(n, 2) coins (`_coin_edges`), which return the parts from which
     the sample assembles its read-only int32 (m, 2) `edges` when first read,
     in row-major order, so `to_finite_graph` can keep that array.
     """
     block, offset = sample_types(g, n, seed, trial_index)
     dens = g._float_densities if isinstance(g, StepGraphon) else None
+    graph = None
     if dens is not None and ((dens == 0) | (dens == 1)).all():
-        parts, deg = _type_edges(dens == 1, block)
+        ones = dens == 1
+        ones.flags.writeable = False
+        graph, parts = FiniteGraph(n, None, block, ones), None
+        deg = ((ones @ np.bincount(block, minlength=len(ones))) - np.diagonal(ones))[block]
     else:
         parts, deg = _coin_edges(g, dens, block, offset, seed, trial_index)
     deg.flags.writeable = False
-    return SampledGraph(g, n, block, offset, seed, trial_index, deg, parts)
-
-
-def _type_edges(ones: np.ndarray, block: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The edges of a 0/1 step kernel, where ones[a, b] says density 1, as
-    the parts `SampledGraph` keeps (each row's count of upper neighbours and
-    one block of every row's int32 columns), and the degree of every vertex.
-
-    Block a's partners are the ids j, ascending, with ones[a, block[j]];
-    row i's upper neighbours are the suffix of its block's list after i.
-    All lists lie in one array keyed a*n + j, so one `searchsorted` finds
-    every row's suffix, and one gather from the lists' int32 ids gives the
-    columns.  A degree is the size of every block the vertex's block joins,
-    less one on a loop: no pass over the edges.
-    """
-    n = len(block)
-    part_block, part = np.nonzero(ones[:, block])
-    key = part_block * n + part
-    first = np.searchsorted(key, block * n + np.arange(n), side="right")
-    count = np.searchsorted(key, (block + 1) * n) - first
-    at = np.repeat(first - (np.cumsum(count) - count), count)
-    at += np.arange(len(at))
-    sizes = np.bincount(block, minlength=len(ones))
-    return (count, [part.astype(np.int32)[at]]), ((ones @ sizes) - np.diagonal(ones))[block]
+    return SampledGraph(g, n, block, offset, seed, trial_index, deg, parts, graph)
 
 
 def _coin_edges(

@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -813,6 +814,127 @@ def test_completeness_is_checked_not_declared(change):
             g, ref = _with_blocks(n, edges, s.type_block), FiniteGraph.build(n, edges)
             assert not g._blocks.complete
             _same_answers(g, ref)
+
+
+def _zero_one_kernel(rng, k):
+    """A random 0/1 step kernel on k blocks.  A kernel's masses are positive,
+    so about one block in three is made so light (1/2000 of the heaviest's
+    weight) that it draws no vertex or one even at n = 400; each diagonal is
+    joined or empty at random, so such a one-vertex block may be looped."""
+    weights = [Fraction(1, 2000) if rng.random() < 0.35 else Fraction(rng.randint(1, 4)) for _ in range(k)]
+    masses = tuple(w / sum(weights) for w in weights)
+    dens = [[Fraction(0)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            dens[a][b] = dens[b][a] = Fraction(rng.random() < 0.6)
+    return StepGraphon(masses, tuple(map(tuple, dens)))
+
+
+def test_blowup_agrees_with_its_edges():
+    """A 0/1 kernel's sample is defined by its blocks and the kernel's 0/1
+    table.  Its block counts, read off that definition, equal those counted
+    on the edges of the reference sampler's whole draw handed the same
+    blocks; it answers as that copy does; every witness validates on the
+    edges alone; and its edge array, once read, is the reference's."""
+    from graphonham.fracmatch import _type_blocks
+    from graphonham.hamilton import _is_tight_trap, _tight_trap
+    from oracles import sample_graph_reference
+
+    rng = random.Random(32)
+    seen = Counter()
+    for trial in range(40):
+        kernel = _zero_one_kernel(rng, rng.randint(1, 6))
+        seed = rng.randrange(1 << 30)
+        for n in (1, 2, 3, 7, 40, 400):
+            s = sample_graph(kernel, n, seed, trial)
+            g, edges = s.to_finite_graph(), sample_graph_reference(kernel, n, seed, trial)
+            copy, bare = _with_blocks(n, edges, s.type_block), FiniteGraph.build(n, edges)
+            blocks, counted = g._blocks, _type_blocks(copy)
+            assert "edge_array" not in vars(g) and copy._ones is None
+            assert np.array_equal(blocks.count, counted.count) and blocks.complete and counted.complete
+            assert np.array_equal(blocks.occupied, counted.occupied)
+            loops, size = blocks.occupied.diagonal(), blocks.count
+            ones = np.array([[d == 1 for d in row] for row in kernel.densities])[:len(size), :len(size)]
+            seen["empty block"] += (size == 0).any() or len(size) < kernel.k
+            seen["one-vertex looped block"] += (ones.diagonal() & (size == 1)).any()
+            seen["empty diagonal"] += (~ones.diagonal() & (size >= 2)).any()
+            assert not (loops & (size < 2)).any()
+
+            assert is_connected(g) == is_connected(copy) and g.degrees() == copy.degrees() == s.degrees().tolist()
+            assert fvcn_value(g) == fvcn_value(copy) == fvcn_value(bare)
+            verdict = classify(g, budget=0, posa_restarts=1)
+            assert verdict == classify(copy, budget=0, posa_restarts=1)
+            assert verdict.witness is None or validate_cycle(bare, verdict.witness)
+            if g._type_cover is not None:
+                g._type_cover.validate(bare)
+            trap = _tight_trap(g) if verdict.status == "unknown" else None
+            assert trap is None or _is_tight_trap(bare, trap)
+            assert np.array_equal(g.edge_array, edges) and g.edge_array is s.edges
+    assert seen["empty block"] and seen["one-vertex looped block"] and seen["empty diagonal"], seen
+
+
+@pytest.mark.parametrize("corrupt", ["drop_an_edge", "swap_two_rows"])
+def test_a_blowup_built_against_its_definition_raises(monkeypatch, corrupt):
+    """The edge array of a graph defined as a blow-up is held to that
+    definition when built: one dropped edge changes a block pair's count,
+    two swapped rows the canonical order.  Either raises
+    `InvariantViolation` on every read of the edges, and no route that
+    reads them returns a verdict; the routes that read only the blocks
+    still answer."""
+    from graphonham import InvariantViolation, fracmatch, posa_heuristic
+    from graphonham.sampler import write_graph
+
+    build = fracmatch._blowup_edges
+
+    def broken(ones, block):
+        e = build(ones, block)
+        return e[1:] if corrupt == "drop_an_edge" else np.asfortranarray(e[[1, 0, *range(2, len(e))]])
+
+    monkeypatch.setattr(fracmatch, "_blowup_edges", broken)
+    s = sample_graph(get_preset("bipartite-plus-clique"), 60, 0)
+    g = s.to_finite_graph()
+    assert classify(g).status == "hamiltonian"  # the block cycle reads no edge
+    for read in (lambda: g.edge_array, lambda: s.edges, lambda: posa_heuristic(g),
+                 lambda: write_graph(s, "/dev/null")):
+        with pytest.raises(InvariantViolation):
+            read()
+    assert "edge_array" not in vars(g) and "edges" not in vars(s)
+
+
+def test_a_blowup_sample_has_one_edge_array():
+    """A 0/1 kernel's sample and its graph share one edge array, whichever
+    of the two is read first."""
+    kernel = get_preset("narrow-three-block")
+    first = sample_graph(kernel, 60, 5)
+    e = first.edges
+    assert first.to_finite_graph().edge_array is e and first.edges is e
+    second = sample_graph(kernel, 60, 5)
+    e = second.to_finite_graph().edge_array
+    assert second.edges is e and second.to_finite_graph().edge_array is e
+    assert np.array_equal(first.edges, second.edges) and not e.flags.writeable and e.T.flags.c_contiguous
+
+
+def test_a_narrow_trial_allocates_under_one_int32_column():
+    """A trap-campaign trial on a 0/1 kernel builds no edge array: its
+    traced allocation peak stays below 4 m bytes, one int32 column."""
+    import tracemalloc
+
+    from graphonham import ExperimentConfig, run_trial
+
+    config = ExperimentConfig.from_dict({
+        "graphon": "narrow-three-block", "n_values": [400], "trials": 1, "seed": 0, "t": 4,
+        "properties": ["connected", "min_degree_ge_2", "hamiltonian", "fvcn_ge_half"],
+    })
+    run_trial(config, 400, 1)  # imports and the kernel's kept tables
+    tracemalloc.start()
+    try:
+        rec = run_trial(config, 400, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
+    m = int(sample_graph(config.graphon, 400, 0).degrees().sum()) // 2
+    assert m > 40_000 and peak < 4 * m
 
 
 def test_blocks_alone_decide_a_graph_read_from_a_file(tmp_path):

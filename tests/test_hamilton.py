@@ -207,41 +207,50 @@ class TestClassify:
 
 
 def test_trap_route_never_builds_edge_tuples(monkeypatch):
-    """The narrow-trap route of a step-kernel sample reads the edge array
-    only, in one count of its block pairs: neither adjacency lists, nor the
-    CSR, nor the double-cover matching is built."""
+    """A 0/1 kernel's sample is decided off its blocks alone on the narrow
+    trap, block cycle and fvcn routes: neither its edge array, nor the
+    sample's edges, nor adjacency lists, nor the CSR, nor the double-cover
+    matching is built."""
     from graphonham import ExperimentConfig, fracmatch, fvcn_value, get_preset, is_connected, run_trial, sample_graph
     from graphonham.sampler import SampledGraph
 
     counted = []
     type_blocks = fracmatch._type_blocks
     monkeypatch.setattr(fracmatch, "_type_blocks", lambda g: counted.append(g) or type_blocks(g))
-    unbuilt = {"_adjacency", "indptr", "indices", "_matching"}
+    unbuilt = {"edge_array", "_adjacency", "indptr", "indices", "_matching"}
 
-    g = sample_graph(get_preset("narrow-three-block"), 200, 4, 0).to_finite_graph()
-    assert len(g.edge_array) >= 4000  # a graph of trap-campaign size
+    s = sample_graph(get_preset("narrow-three-block"), 200, 4, 0)
+    g = s.to_finite_graph()
+    assert sum(g.degrees()) >= 2 * 4000  # a graph of trap-campaign size
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
-    assert not unbuilt & set(vars(g))
+    assert not unbuilt & set(vars(g)) and "edges" not in vars(s)
 
     built = []
     to_finite_graph = SampledGraph.to_finite_graph
 
     def keep_graph(sampled):
-        built.append(to_finite_graph(sampled))
-        return built[-1]
+        built.append((sampled, to_finite_graph(sampled)))
+        return built[-1][1]
 
     monkeypatch.setattr(SampledGraph, "to_finite_graph", keep_graph)
-    config = ExperimentConfig.from_dict({
-        "graphon": "narrow-three-block", "n_values": [200], "trials": 1, "seed": 4,
-        "properties": ["connected", "hamiltonian"],
-    })
-    rec = run_trial(config, 200, 0)
-    assert rec.error is None and rec.outcomes["ham_obstruction"] == "narrow_graph_peninsula"
-    assert len(built) == 1
-    assert not unbuilt & set(vars(built[0]))
-    assert [id(x) for x in counted] == [id(g), id(built[0])]
+    routes = [
+        ("narrow-three-block", 4, ["connected", "hamiltonian"], ("ham_obstruction", "narrow_graph_peninsula")),
+        ("bipartite-plus-clique", 0, ["connected", "hamiltonian"], ("ham_status", "hamiltonian")),
+        ("narrow-three-block", 4, ["fvcn_ge_half"], ("fvcn_ge_half", False)),
+    ]
+    for preset, seed, properties, (key, value) in routes:
+        config = ExperimentConfig.from_dict({
+            "graphon": preset, "n_values": [200], "trials": 1, "seed": seed, "properties": properties,
+        })
+        rec = run_trial(config, 200, 0)
+        assert rec.error is None and rec.outcomes[key] == value, preset
+    assert len(built) == len(routes)
+    for sampled, graph in built:
+        assert graph is to_finite_graph(sampled)
+        assert not unbuilt & set(vars(graph)) and "edges" not in vars(sampled)
+    assert [id(x) for x in counted] == [id(g)] + [id(graph) for _, graph in built]
 
 
 def test_zero_budget_is_unknown_before_any_search():
@@ -296,9 +305,11 @@ def test_heuristic_route_reads_the_csr():
 
 @pytest.mark.parametrize("preset, wrong", [("constant-0.3", 1), ("narrow-three-block", 0)])
 def test_a_sample_hands_its_graph_no_fact_that_changes_a_verdict(preset, wrong):
-    """A sample's graph is handed its blocks and nothing else, so a corrupt
-    degree vector kept on the sample cannot reach a verdict: the graph
-    answers as the same edges read with no hint do."""
+    """A sample's graph is handed its blocks and either its edges or, on a
+    0/1 kernel, the kernel's 0/1 table, the graph's own definition, and
+    nothing else, so a corrupt degree vector kept on the sample cannot
+    reach a verdict: the graph answers as the same edges read with no hint
+    do."""
     from dataclasses import fields
 
     import numpy as np
@@ -307,8 +318,10 @@ def test_a_sample_hands_its_graph_no_fact_that_changes_a_verdict(preset, wrong):
 
     s = sample_graph(get_preset(preset), 200, 0)
     object.__setattr__(s, "_degrees", np.full(s.n, wrong, dtype=np.int64))
-    assert classify(s.to_finite_graph()) == classify(FiniteGraph.build(s.n, s.edges))
-    assert [f.name for f in fields(FiniteGraph)] == ["n", "edge_array", "_types"]
+    g = s.to_finite_graph()
+    assert classify(g) == classify(FiniteGraph.build(s.n, s.edges))
+    assert [f.name for f in fields(FiniteGraph)] == ["n", "_edges", "_types", "_ones"]
+    assert (g._ones is None) == (preset == "constant-0.3") and (g._edges is None) == (preset != "constant-0.3")
 
 
 # ---------------------------------------------------------------------------

@@ -495,10 +495,10 @@ def test_column_0_is_repeated_part_by_part(monkeypatch):
                 quiet_edge |= any(ends.count(b) > 1 for b in bounds)
                 _assert_published_column_major(s, sample_graph_reference(g, n, 3, trial))
     assert empty_part and quiet_edge
-    # a 0/1 kernel's one part
+    # a 0/1 kernel keeps no parts, only its graph, whose edge array it publishes
     for n in (1, 2, 3, 60):
         s = sample_graph(HALF_HALF, n, 3, 1)
-        assert len(s._parts[1]) == 1
+        assert s._parts is None and "edge_array" not in vars(s._graph)
         _assert_published_column_major(s, sample_graph_reference(HALF_HALF, n, 3, 1))
 
 
