@@ -144,6 +144,18 @@ class FiniteGraph:
             return (b.occupied @ b.count - b.occupied.diagonal())[self._types].tolist()
         return np.diff(self.indptr).tolist()
 
+    def _min_degree(self) -> int:
+        """min(degrees()) of a graph with a vertex; on a complete graph the
+        least block degree of `degrees()` over the nonempty blocks, on ints."""
+        b = self._blocks
+        if b is None or not b.complete:
+            return min(self.degrees())
+        count = b.count.tolist()
+        return min(
+            sum(c for c, joined in zip(count, row) if joined) - row[a]
+            for a, row in enumerate(b.occupied.tolist()) if count[a]
+        )
+
     @cached_property
     def _matching(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Maximum matching in the bipartite double cover, whose biadjacency is
@@ -324,8 +336,8 @@ class _HalfUnits:
         h = self.units
         if len(h) != length:
             raise AssertionError(f"{len(h)} units where {length} are due")
-        bad = (h < 0) | (h > 2)
-        if bad.any():
+        if len(h) and (h.min() < 0 or h.max() > 2):
+            bad = (h < 0) | (h > 2)
             raise AssertionError(f"unit {h[bad.argmax()]} not in {{0, 1, 2}}")
         if Fraction(int(h.sum()), 2) != self.weight:
             raise AssertionError("stored weight disagrees with recomputed sum")
@@ -383,7 +395,8 @@ class GraphPeninsula(HalfCover):
 
     def validate(self, g: FiniteGraph) -> None:
         _validate_cover(self, g)
-        if not (self.units == 0).any():
+        # the units lie in {0, 1, 2} once the cover is checked
+        if not len(self.units) or self.units.min() > 0:
             raise AssertionError("A must be nonempty")
         if 2 * self.weight > g.n:
             raise AssertionError(f"trap weight {self.weight} exceeds n/2")
@@ -528,7 +541,9 @@ def _blowup_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
 def _vertex_pairs(count: np.ndarray) -> np.ndarray:
     """The k x k count of vertex pairs per pair of blocks of sizes count:
     c_a*c_b, and C(c_a, 2) on the diagonal."""
-    return np.outer(count, count) - np.diag(count * (count + 1) // 2)
+    full = count[:, None] * count
+    full.flat[::len(count) + 1] = count * (count - 1) // 2
+    return full
 
 
 def _block_pairs(block: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
@@ -567,8 +582,8 @@ def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
     block = g._types
     if block is None or len(block) != g.n or g.n == 0 or block.min() < 0:
         return None
-    k = int(block.max()) + 1
-    count = np.bincount(block, minlength=k)
+    count = np.bincount(block)
+    k = len(count)
     full = _vertex_pairs(count)
     if g._ones is not None:
         return _BlockCounts(count, g._ones[:k, :k] & (full > 0), True)
@@ -586,7 +601,12 @@ def _covers_blocks(g: FiniteGraph, h: np.ndarray) -> bool:
         return False
     per = np.zeros(len(blocks.count), dtype=np.int64)
     per[g._types] = h
-    return bool((per[g._types] == h).all() and (per[:, None] + per >= 2)[blocks.occupied].all())
+    if not (per[g._types] == h).all():
+        return False
+    per = per.tolist()
+    return all(
+        per[a] + per[b] >= 2 for a, row in enumerate(blocks.occupied.tolist()) for b, joined in enumerate(row) if joined
+    )
 
 
 def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
@@ -612,10 +632,13 @@ def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
     """
     if g._block_flow is None:
         return None
-    count, k = g._blocks.count, len(g._blocks.count)
+    count = g._blocks.count.tolist()
+    k = len(count)
     flow, r, reach = g._block_flow
-    f = np.array([row[:k] for row in r[k:2 * k]]).T  # f[v, x] = r[k + x][v]
-    if (f.sum(axis=1) > count).any() or (f.sum(axis=0) > count).any() or f.sum() != flow:
+    into = [row[:k] for row in r[k:2 * k]]  # into[x][v] = f(v, x), the flow on v -> k + x
+    out_of, into_of = [sum(col) for col in zip(*into)], [sum(row) for row in into]
+    over = any(s > c for s, c in zip(out_of, count)) or any(s > c for s, c in zip(into_of, count))
+    if over or sum(into_of) != flow:
         raise InvariantViolation(f"block flow {flow} exceeds a block or disagrees with its arcs")
     units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
     return _self_checked((GraphPeninsula if flow < g.n else HalfCover)(units[g._types], Fraction(flow, 2)), g)
@@ -631,9 +654,9 @@ def _type_connected(g: FiniteGraph) -> Optional[bool]:
     blocks = g._blocks
     if blocks is None:
         return None
-    nonempty = np.flatnonzero(blocks.count).tolist()
-    reached = _reach(blocks.occupied.tolist(), nonempty[0])
-    if len(reached) < len(nonempty) or (g.n > 1 and not blocks.occupied.any()):
+    occupied = blocks.occupied.tolist()
+    nonempty = [a for a, c in enumerate(blocks.count.tolist()) if c]
+    if len(_reach(occupied, nonempty[0])) < len(nonempty) or (g.n > 1 and not any(map(any, occupied))):
         return False
     return True if blocks.complete else None
 

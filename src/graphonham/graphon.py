@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Optional, Union
 
 import numpy as np
@@ -151,6 +152,37 @@ class StepGraphon:
         cum.flags.writeable = False
         return cum
 
+    @cached_property
+    def _block_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's lower end in [0, 1) and its width, the widths not
+        above 0 (float drift) set to 1.0: read-only float64s, the tables
+        that turn a type u in a block into its offset within it."""
+        cum = self._cumulative_masses
+        low = np.concatenate([[0.0], cum[:-1]])
+        width = cum - low
+        width = np.where(width > 0, width, 1.0)
+        low.flags.writeable = width.flags.writeable = False
+        return low, width
+
+    @cached_property
+    def _zero_one_table(self) -> Optional[np.ndarray]:
+        """The read-only bool table of the block pairs whose float density is
+        1 when every float density is 0 or 1, else None: the table whose
+        blow-up over the types is every sample's graph."""
+        dens = self._float_densities
+        if not ((dens == 0) | (dens == 1)).all():
+            return None
+        ones = dens == 1
+        ones.flags.writeable = False
+        return ones
+
+    @cached_property
+    def _float_block_degrees(self) -> np.ndarray:
+        """`block_degrees()` as read-only float64s, each from its `Fraction`."""
+        deg = np.array([float(d) for d in self.block_degrees()])
+        deg.flags.writeable = False
+        return deg
+
 
 @dataclass(frozen=True)
 class PowerFamilyGraphon:
@@ -231,12 +263,19 @@ class ConnectivityVerdict:
 
 def _reach(r, source: int) -> dict[int, int]:
     """BFS over the arcs u -> w with r[u][w] > 0, a residual capacity or a
-    density: the BFS parent of each reached node, in BFS order."""
+    density, in the square table r: the BFS parent of each reached node, in
+    BFS order.
+
+    Each row is scanned at C speed by `itertools.compress`, which keeps the
+    columns whose entry is truthy.  That is the test r[u][w] > 0 only
+    because every entry is nonnegative (an int capacity, a `Fraction`
+    density or a bool), as each caller's is."""
     parent = {source: source}
     queue = [source]
+    columns = range(len(r))
     for u in queue:
-        for w, cap in enumerate(r[u]):
-            if cap > 0 and w not in parent:
+        for w in compress(columns, r[u]):
+            if w not in parent:
                 parent[w] = u
                 queue.append(w)
     return parent
@@ -526,9 +565,7 @@ def _cover_flow(
     for v, cap in enumerate(weights):
         r[source][v] = cap
         r[k + v][sink] = cap if drains is None else drains[v]
-        for w in range(k):
-            if positive[v][w]:
-                r[v][k + w] = uncuttable
+        r[v][k:2 * k] = [uncuttable if p else 0 for p in positive[v]]
     flow = 0
     while sink in (parent := _reach(r, source)):
         path = [sink]

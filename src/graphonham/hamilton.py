@@ -81,7 +81,7 @@ def cheap_obstructions(g: FiniteGraph) -> Optional[str]:
     """
     if not is_connected(g):
         return OBSTRUCTION_DISCONNECTED
-    if g.n == 0 or min(g.degrees()) < 2:
+    if g.n == 0 or g._min_degree() < 2:
         return OBSTRUCTION_MIN_DEGREE
     if isinstance(g._type_cover, GraphPeninsula):
         return OBSTRUCTION_NARROW

@@ -183,12 +183,11 @@ def sample_types(
     u = np.random.Generator(_philox(seed, trial_index, _TYPE_CHANNEL)).random(n)
     if isinstance(g, PowerFamilyGraphon):
         return None, u
-    cum = g._cumulative_masses
-    block = np.searchsorted(cum, u, side="right").astype(np.int64)
-    low = np.concatenate([[0.0], cum[:-1]])
-    width = cum[block] - low[block]
-    offset = np.where(width > 0, (u - low[block]) / np.where(width > 0, width, 1.0), 0.0)
-    return block, offset
+    block = g._cumulative_masses.searchsorted(u, side="right").astype(np.int64, copy=False)
+    # the search puts u in the block b with cum[b - 1] <= u < cum[b], so its
+    # float width cum[b] - cum[b - 1] is positive and no guard is read
+    low, width = g._block_spans
+    return block, (u - low[block]) / width[block]
 
 
 def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> SampledGraph:
@@ -206,15 +205,14 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     in row-major order, so `to_finite_graph` can keep that array.
     """
     block, offset = sample_types(g, n, seed, trial_index)
-    dens = g._float_densities if isinstance(g, StepGraphon) else None
+    step = isinstance(g, StepGraphon)
+    ones = g._zero_one_table if step else None
     graph = None
-    if dens is not None and ((dens == 0) | (dens == 1)).all():
-        ones = dens == 1
-        ones.flags.writeable = False
+    if ones is not None:
         graph, parts = FiniteGraph(n, None, block, ones), None
-        deg = ((ones @ np.bincount(block, minlength=len(ones))) - np.diagonal(ones))[block]
+        deg = ((ones @ np.bincount(block, minlength=len(ones))) - ones.diagonal())[block]
     else:
-        parts, deg = _coin_edges(g, dens, block, offset, seed, trial_index)
+        parts, deg = _coin_edges(g, g._float_densities if step else None, block, offset, seed, trial_index)
     deg.flags.writeable = False
     return SampledGraph(g, n, block, offset, seed, trial_index, deg, parts, graph)
 
@@ -330,8 +328,7 @@ def degree_concentration_report(graph: SampledGraph) -> float:
     deg = graph.degrees() / n
     g = graph.model
     if isinstance(g, StepGraphon):
-        block_deg = np.array([float(d) for d in g.block_degrees()])
-        expected = block_deg[graph.type_block]
+        expected = g._float_block_degrees[graph.type_block]
     else:
         expected = g.degree_at(graph.type_offset)
     return float(np.max(np.abs(deg - expected)))

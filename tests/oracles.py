@@ -16,7 +16,9 @@ labelling replaced, and
 `uniquely_half_covered_reference` is the per-vertex loop of matching solves
 that the reachability test on one double-cover matching replaced, and
 `sample_graph_reference` is the whole-draw sampler, one array entry per
-vertex pair, that the row-block draw replaced.  `build_reference` derives
+vertex pair, that the row-block draw replaced, and
+`sample_types_reference` its type stage with the block ends and guarded
+widths formed on every draw, as before the kernel kept them as tables.  `build_reference` derives
 the arrays of `FiniteGraph.build` from a sorted set of oriented pairs, and
 `classify_types_reference` is the per-vertex loop that `classify_types`
 replaced with array comparisons.  `posa_heuristic_reference` is the rotation
@@ -25,7 +27,10 @@ heuristic as it ran on Python neighbour sets, before it read the CSR.
 `cutnorm._refine` replaced with cumulative cuts, and
 `empirical_step_function_reference` the per-cell loop that array arithmetic
 replaced.  `edge_tuples` is the tuple view of a graph's edges that
-`FiniteGraph` once carried for text I/O and tests.
+`FiniteGraph` once carried for text I/O and tests.  `reach_reference` is
+the block-graph BFS that tested every entry of a row in Python before the
+row scan moved to `itertools.compress`, and `cover_flow_reference` the
+block flow built on it.
 """
 
 from fractions import Fraction
@@ -219,13 +224,32 @@ def classify_types_reference(cert, g, block, offset) -> tuple[int, int, int]:
     return n_a, n_b, n_c
 
 
+def sample_types_reference(g, n: int, seed: int, trial_index: int = 0):
+    """The (block, offset) of `sample_types` for a step kernel, each block's
+    lower end and width formed per draw, a width not above 0 guarded."""
+    import numpy as np
+    from graphonham.sampler import _TYPE_CHANNEL, _philox
+
+    u = np.random.Generator(_philox(seed, trial_index, _TYPE_CHANNEL)).random(n)
+    cum = np.cumsum(np.array([float(m) for m in g.block_masses], dtype=np.float64))
+    cum[-1] = 1.0
+    block = np.searchsorted(cum, u, side="right").astype(np.int64)
+    low = np.concatenate([[0.0], cum[:-1]])
+    width = cum[block] - low[block]
+    offset = np.where(width > 0, (u - low[block]) / np.where(width > 0, width, 1.0), 0.0)
+    return block, offset
+
+
 def sample_graph_reference(g, n: int, seed: int, trial_index: int = 0):
     """The edge array of `sample_graph` from one draw of all C(n, 2) coins."""
     import numpy as np
     from graphonham import StepGraphon, sample_types
     from graphonham.sampler import _EDGE_CHANNEL, _philox
 
-    block, offset = sample_types(g, n, seed, trial_index)
+    if isinstance(g, StepGraphon):
+        block, offset = sample_types_reference(g, n, seed, trial_index)
+    else:
+        block, offset = sample_types(g, n, seed, trial_index)
     gen = np.random.Generator(_philox(seed, trial_index, _EDGE_CHANNEL))
     iu, ju = np.triu_indices(n, k=1)
     coins = gen.random(len(iu))
@@ -676,3 +700,41 @@ def exact_binomial_upper_tail(n: int, threshold: int) -> Fraction:
 
     total = sum(comb(n, k) for k in range(threshold, n + 1))
     return Fraction(total, 2**n)
+
+
+def reach_reference(r, source: int) -> dict[int, int]:
+    """BFS over the arcs u -> w with r[u][w] > 0, every entry tested in
+    Python: the BFS parent of each reached node, in BFS order."""
+    parent = {source: source}
+    queue = [source]
+    for u in queue:
+        for w, cap in enumerate(r[u]):
+            if cap > 0 and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def cover_flow_reference(weights, positive, drains=None):
+    """`graphon._cover_flow` as it ran on `reach_reference`: the flow, the
+    residual capacities and the least min cut's reach."""
+    k, uncuttable = len(weights), sum(weights) + 1
+    source, sink = 2 * k, 2 * k + 1
+    r = [[0] * (2 * k + 2) for _ in range(2 * k + 2)]
+    for v, cap in enumerate(weights):
+        r[source][v] = cap
+        r[k + v][sink] = cap if drains is None else drains[v]
+        for w in range(k):
+            if positive[v][w]:
+                r[v][k + w] = uncuttable
+    flow = 0
+    while sink in (parent := reach_reference(r, source)):
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        push = min(r[u][w] for w, u in zip(path, path[1:]))
+        for w, u in zip(path, path[1:]):
+            r[u][w] -= push
+            r[w][u] += push
+        flow += push
+    return flow, r, parent

@@ -998,12 +998,13 @@ def test_complete_fractional_sample_is_proved_exact():
     _same_answers(g, ref)
 
 
-@pytest.mark.parametrize("corrupt", ["reach_drops_a_right_copy", "phantom_flow"])
+@pytest.mark.parametrize("corrupt", ["reach_drops_a_right_copy", "phantom_flow", "arc_loses_a_unit"])
 def test_a_broken_block_flow_raises(monkeypatch, corrupt):
     """The lifted cover is a certificate the package builds, so a corrupted
     max flow is a bug, never a cover read as unproved: a least cut missing a
-    right copy lifts units that do not sum to the flow, and a phantom flow
-    of 10^6 on one arc overfills its blocks."""
+    right copy lifts units that do not sum to the flow, a phantom flow of
+    10^6 on one arc overfills its blocks, and an arc that loses a unit
+    leaves arcs that no longer total the flow."""
     from graphonham import InvariantViolation, fracmatch
 
     g = sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph()
@@ -1016,6 +1017,9 @@ def test_a_broken_block_flow_raises(monkeypatch, corrupt):
         if corrupt == "reach_drops_a_right_copy":
             right = min(x for x in reach if k <= x < 2 * k)
             reach = {x: p for x, p in reach.items() if x != right}
+        elif corrupt == "arc_loses_a_unit":
+            v, x = next((v, x) for v in range(k) for x in range(k) if r[k + x][v])
+            r[k + x][v] -= 1
         else:
             v, x = next((v, x) for v in range(k) for x in range(k) if positive[v][x])
             r[k + x][v] += 10 ** 6
@@ -1024,6 +1028,76 @@ def test_a_broken_block_flow_raises(monkeypatch, corrupt):
     monkeypatch.setattr(fracmatch, "_cover_flow", broken)
     with pytest.raises(InvariantViolation):
         classify(sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph())
+
+
+#: A step kernel with a density strictly between 0 and 1, so its samples
+#: take the coin route and carry their blocks: occupied pairs (0, 1),
+#: (0, 2), (1, 1) and (2, 2) at n = 60.
+COIN_BLOCKS = StepGraphon.build(
+    ["2/5", "3/10", "3/10"], [["0", "1/2", "1/2"], ["1/2", "1/2", "0"], ["1/2", "0", "1"]]
+)
+
+
+@pytest.mark.parametrize("route", ["blowup", "coins"])
+def test_cover_checks_reject_bad_units_on_a_graph_with_blocks(route):
+    """On a 0/1 kernel's blow-up and on a coin sample that carries its
+    blocks, the cover checks still reject bad units: `_covers_blocks` units
+    constant on the blocks that leave one occupied pair under 2 half-units
+    (the edge check then names an edge of that pair) and units not constant
+    on a block; `_HalfUnits.validate` a unit of 3, a unit of -1 and a wrong
+    weight; `GraphPeninsula.validate` an empty A and a weight above n/2."""
+    kernel = get_preset("narrow-three-block") if route == "blowup" else COIN_BLOCKS
+    g = sample_graph(kernel, 60, 0).to_finite_graph()
+    block, occupied = g._types, g._blocks.occupied
+    assert block is not None and (g._ones is not None) == (route == "blowup")
+    k = len(occupied)
+    pairs = [(a, b) for a in range(k) for b in range(a, k) if occupied[a, b]]
+    assert len(pairs) >= 3
+    for per in (np.ones(k, dtype=np.int64), np.full(k, 2)):
+        assert _covers_blocks(g, per[block])
+    checked = 0
+    for a, b in pairs:
+        per = np.full(k, 2)
+        if a == b:
+            per[a] = 0
+        elif not occupied[a, a]:
+            per[a], per[b] = 0, 1
+        elif not occupied[b, b]:
+            per[a], per[b] = 1, 0
+        else:
+            continue  # both blocks looped: units constant on them cover (a, b)
+        checked += 1
+        under = [(x, y) for x, y in pairs if per[x] + per[y] < 2]
+        assert under == [(a, b)]
+        units = per[block]
+        assert not _covers_blocks(g, units)
+        with pytest.raises(AssertionError, match="uncovered") as err:
+            HalfCover(units, Fraction(int(units.sum()), 2)).validate(g)
+        u, v = map(int, str(err.value).split("(")[1].split(")")[0].split(","))
+        assert {int(block[u]), int(block[v])} == {a, b}
+    assert checked >= 3
+    # not constant on a block: a valid cover (checked edge by edge) and an invalid one
+    v = int(np.flatnonzero(np.asarray(g.degrees()) > 0)[0])
+    for base, changed in ((2, 1), (1, 0)):
+        units = np.full(g.n, base)
+        units[v] = changed
+        assert not _covers_blocks(g, units)
+        outcome = _cover_outcome(HalfCover(units, Fraction(int(units.sum()), 2)), g)
+        assert (outcome is None) == (base == 2)
+    cover = g._type_cover
+    for bad, message in ((3, "unit 3 not in"), (-1, "unit -1 not in")):
+        units = cover.units.copy()
+        units[g.n // 2] = bad
+        with pytest.raises(AssertionError, match=message):
+            HalfCover(units, Fraction(int(units.sum()), 2)).validate(g)
+    with pytest.raises(AssertionError, match="stored weight disagrees"):
+        HalfCover(cover.units, cover.weight + HALF).validate(g)
+    with pytest.raises(AssertionError, match="A must be nonempty"):
+        GraphPeninsula(np.ones(g.n, dtype=np.int64), Fraction(g.n, 2)).validate(g)
+    heavy = np.full(g.n, 2)
+    heavy[v] = 0  # a valid cover with A = {v}, weighing n - 1
+    with pytest.raises(AssertionError, match="exceeds n/2"):
+        GraphPeninsula(heavy, Fraction(g.n - 1)).validate(g)
 
 
 def test_edge_membership_on_a_complete_graph_reads_the_blocks():

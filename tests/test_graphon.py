@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from conftest import random_step_graphon
 from oracles import (
     best_trap_margin,
     bipartite_split_reference,
+    cover_flow_reference,
     peninsula_kind_via_cover,
+    reach_reference,
     step_peninsula_oracle_labels,
     step_peninsula_oracle_sets,
     trap_margin,
@@ -329,3 +332,38 @@ class TestAnalyze:
         two = analyze(StepGraphon.build(["1/2", "1/2"], [["1/2", "0"], ["0", "1/2"]])).to_dict()
         assert two["connectivity"] == {"connected": False, "witness": [[0], [1]]}
         assert "split_block" not in two["exact_bipartite_split"]
+
+
+def _random_table(rng, k: int, kind: str) -> list[list]:
+    """A k x k table of nonnegative entries, about half of them zero: int
+    capacities, `Fraction` densities (symmetric) or bools."""
+    if kind == "int":
+        return [[rng.choice((0, rng.randrange(1, 20))) for _ in range(k)] for _ in range(k)]
+    if kind == "fraction":
+        table = [[F(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                table[i][j] = table[j][i] = rng.choice((F(0), F(rng.randrange(1, 9), 8)))
+        return table
+    return [[rng.random() < 0.5 for _ in range(k)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "bool"])
+def test_block_bfs_matches_the_python_scan(kind):
+    """`_reach` scans rows with `itertools.compress` and `_cover_flow` runs on
+    it: on seeded random tables with k <= 8 both return what the per-entry
+    Python scan returned, the parents in the same insertion order, and the
+    flow the same value, residual table and least cut, with and without
+    drains."""
+    rng = random.Random(f"block-bfs-{kind}")
+    for _ in range(300):
+        k = rng.randrange(1, 9)
+        table = _random_table(rng, k, kind)
+        source = rng.randrange(k)
+        assert list(graphon._reach(table, source).items()) == list(reach_reference(table, source).items())
+        weights = [rng.choice((0, rng.randrange(1, 12))) for _ in range(k)]
+        drains = rng.choice((None, [rng.choice((0, rng.randrange(1, 12))) for _ in range(k)]))
+        flow, r, reach = graphon._cover_flow(weights, table, drains)
+        ref_flow, ref_r, ref_reach = cover_flow_reference(weights, table, drains)
+        assert (flow, r) == (ref_flow, ref_r)
+        assert list(reach.items()) == list(ref_reach.items())

@@ -21,7 +21,7 @@ from graphonham import (
 from graphonham import sampler
 from graphonham.presets import PRESET_NAMES
 from graphonham.sampler import write_graph, load_graph
-from oracles import edge_tuples, sample_graph_reference
+from oracles import edge_tuples, sample_graph_reference, sample_types_reference
 
 HALF_HALF = StepGraphon.build(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 
@@ -577,17 +577,52 @@ def test_samples_compare_by_identity():
 
 
 def test_float_tables_are_built_once_per_graphon():
-    """A step graphon is frozen, so the float densities and cumulative
-    masses every trial reads are built from its fractions once, read-only."""
+    """A step graphon is frozen, so the float tables every trial reads (the
+    densities, cumulative masses, block spans, the 0/1 table and the float
+    block degrees) are built from its fractions once, read-only."""
     g = get_preset("narrow-three-block")
     sample_graph(g, 30, 0, 0)
-    dens, cum = g._float_densities, g._cumulative_masses
+    degree_concentration_report(sample_graph(g, 30, 0, 0))
+    names = ("_float_densities", "_cumulative_masses", "_block_spans", "_zero_one_table", "_float_block_degrees")
+    tables = [getattr(g, name) for name in names]
     sample_graph(g, 30, 0, 1)
     sample_types(g, 30, 0, 2)
-    assert g._float_densities is dens and g._cumulative_masses is cum
-    assert not dens.flags.writeable and not cum.flags.writeable
+    degree_concentration_report(sample_graph(g, 30, 0, 3))
+    assert all(getattr(g, name) is table for name, table in zip(names, tables))
+    dens, cum, (low, width), ones, deg = tables
+    assert not any(a.flags.writeable for a in (dens, cum, low, width, ones, deg))
     assert dens.tolist() == [[float(d) for d in row] for row in g.densities]
     assert cum.tolist() == [0.4, 0.7, 1.0]
+    assert low.tolist() == [0.0, 0.4, 0.7] and width.tolist() == [0.4, 0.7 - 0.4, 1.0 - 0.7]
+    assert ones.dtype == bool and ones.tolist() == [[d == 1 for d in row] for row in g.densities]
+    assert deg.tolist() == [float(d) for d in g.block_degrees()]
+    assert get_preset("constant-0.3")._zero_one_table is None
+    assert get_preset("isolated-block")._zero_one_table is None
+
+
+@pytest.mark.parametrize("name", [p for p in PRESET_NAMES if not p.startswith("power")] + ["tiny-block"])
+def test_type_stage_reads_the_kernel_tables_bit_for_bit(name):
+    """The types read through the kernel's block spans are bit for bit those
+    of `oracles.sample_graph_reference`'s type stage, which forms the block
+    ends and guarded widths on every draw, on every step preset and on a
+    kernel whose block of mass 10^-30 has float width 0, so its guard is
+    read."""
+    from fractions import Fraction
+
+    if name == "tiny-block":
+        tiny = Fraction(1, 10**30)
+        g = StepGraphon((Fraction(1, 2), tiny, Fraction(1, 2) - tiny), ((Fraction(3, 10),) * 3,) * 3)
+        cum = g._cumulative_masses
+        assert cum[1] - cum[0] == 0 and g._block_spans[1].tolist() == [0.5, 1.0, 0.5]
+    else:
+        g = get_preset(name)
+    for n, trial in [(1, 0), (7, 1), (400, 2), (400, 3)]:
+        block, offset = sample_types(g, n, 11, trial)
+        ref_block, ref_offset = sample_types_reference(g, n, 11, trial)
+        assert block.dtype == ref_block.dtype and block.tobytes() == ref_block.tobytes()
+        assert offset.dtype == ref_offset.dtype and offset.tobytes() == ref_offset.tobytes()
+        s = sample_graph(g, n, 11, trial)
+        assert s.type_block.tobytes() == block.tobytes() and s.type_offset.tobytes() == offset.tobytes()
 
 
 def test_degrees_counted_once():
