@@ -20,7 +20,9 @@ graph it shows to be the blow-up of its occupied block graph, `fvcn_value`,
 `is_connected` and edge membership are read off that block graph, before any
 CSR or matching is built.  A 0/1 kernel's sample is that blow-up by
 definition, its blocks and the kernel's 0/1 table (`_ones`), so no edge is
-counted, and its edge array is built only when read.
+counted.  Every sample's graph is made when it is sampled, and its edge
+array, a blow-up's or the rows a coin sample drew (`_rows`), is built and
+checked against that definition only when read.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ class FiniteGraph:
 
     The edge set is `edge_array`, the (m, 2) int32 array of edges with
     u < v, sorted and without repeats, read-only: given (`build`), or on a
-    0/1 kernel's sample built on first read from the graph's definition,
-    its vertex blocks (`_types`) and the table `_ones` of the block pairs
-    joined.  A graph given edges may also be handed its sample's vertex
-    blocks, which can speed an answer but not change it: the cover lifted
-    through them is checked like every certificate the package builds, and
-    proves fvcn only on a graph they show complete.  All else is a
+    sample's graph built on first read from the graph's definition.  A 0/1
+    kernel's sample is defined by its vertex blocks (`_types`) and the
+    table `_ones` of the block pairs joined; any other sample by the rows
+    its coins drew (`_rows`), and may also carry its vertex blocks, which
+    can speed an answer but not change it: the cover lifted through them is
+    checked like every certificate the package builds, and proves fvcn only
+    on a graph they show complete.  All else is a
     `cached_property` derived on first use, such as the CSR
     `indptr`/`indices` of the adjacency, rows ascending: the graph's one
     adjacency index, which the searches, edge membership and the matching
@@ -60,20 +63,24 @@ class FiniteGraph:
     """
 
     n: int
-    _edges: Optional[np.ndarray]  # the edge array as given, None on a blow-up
+    _edges: Optional[np.ndarray]  # the edge array as given, None on a sample
     _types: Optional[np.ndarray] = field(default=None, repr=False)  # block per vertex
     _ones: Optional[np.ndarray] = field(default=None, repr=False)  # bool k x k: block pairs joined
+    # a coin sample's (int64 hits per row, int32 columns of each block), None
+    # once `edge_array` is published
+    _rows: Optional[tuple] = field(default=None, repr=False)
 
     @staticmethod
     def build(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "FiniteGraph":
         """Validate and normalise an (m, 2) integer array or iterable of pairs.
 
         An int32 array that one check shows to be canonical (0 <= u < v < n,
-        the pairs strictly increasing in row-major order, as the sampler
-        writes them) becomes `edge_array` as it is, in either memory layout,
-        copied column-major only if it is writeable; any other input is
-        first normalised to that form, column-major as the sampler's array
-        is.  `edge_array` is read-only.
+        the pairs strictly increasing in row-major order), such as a
+        sample's `edges`, becomes `edge_array` as it is, in either memory
+        layout, copied column-major only if it is writeable; any other input
+        is first normalised to that form, column-major as a sample's array
+        is.  `edge_array` is read-only.  A sample's own graph is not built
+        here: it is made at sampling time from the sample's definition.
         """
         if not 0 <= n < 1 << 31:
             raise FormatError("vertex count must be in [0, 2**31)", "n")
@@ -86,22 +93,33 @@ class FiniteGraph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """The edges as given, or those of the blow-up `_types` and `_ones`
-        define, an edge between two distinct vertices whose blocks the table
-        joins, built on first read and held to that definition: canonical as
-        `build` checks it, with every vertex pair of each occupied pair of
-        blocks and none of any other, or `InvariantViolation`.  Published
-        before it is returned, so a reader that came meanwhile returns the
-        same array."""
+        """The edges as given, or those the graph's definition gives, built
+        on first read: a blow-up's, an edge between two distinct vertices
+        whose blocks `_ones` joins, or a coin sample's, its `_rows` joined
+        (`_row_edges`).  Either is held to its definition: canonical as
+        `build` checks it, and a blow-up's with every vertex pair of each
+        occupied pair of blocks and none of any other, or
+        `InvariantViolation`.  Published before the rows are released, so a
+        reader that came meanwhile returns the same array."""
         if self._edges is not None:
             return self._edges
-        e = _blowup_edges(self._ones, self._types)
-        b = self._blocks
-        due = np.where(b.occupied, _vertex_pairs(b.count), 0)
-        if not (_is_canonical(self.n, e) and np.array_equal(_block_pairs(self._types, len(b.count), e), due)):
-            raise InvariantViolation("the blow-up's edges disagree with its blocks and 0/1 table")
+        rows = self._rows
+        if self._ones is not None:
+            e = _blowup_edges(self._ones, self._types)
+            b = self._blocks
+            due = np.where(b.occupied, _vertex_pairs(b.count), 0)
+            held = _is_canonical(self.n, e) and np.array_equal(_block_pairs(self._types, len(b.count), e), due)
+        elif rows is not None:
+            e = _row_edges(*rows)
+            held = _is_canonical(self.n, e)
+        else:  # published by another reader
+            return vars(self)["edge_array"]
+        if not held:
+            raise InvariantViolation("the edges built disagree with the graph's definition")
         e.flags.writeable = False
-        return vars(self).setdefault("edge_array", e)
+        e = vars(self).setdefault("edge_array", e)
+        object.__setattr__(self, "_rows", None)
+        return e
 
     @cached_property
     def indptr(self) -> np.ndarray:
@@ -523,7 +541,7 @@ def _blowup_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
     row i's upper neighbours are the suffix of its block's list after i.
     All lists lie in one array keyed a*n + j, so one `searchsorted` finds
     every row's suffix, and one gather from the lists' int32 ids gives
-    column 1; column 0 repeats each row's id once per upper neighbour.
+    column 1, which `_row_edges` completes as one part.
     """
     n = len(block)
     part_block, part = np.nonzero(ones[:, block])
@@ -532,9 +550,26 @@ def _blowup_edges(ones: np.ndarray, block: np.ndarray) -> np.ndarray:
     count = np.searchsorted(key, (block + 1) * n) - first
     at = np.repeat(first - (np.cumsum(count) - count), count)
     at += np.arange(len(at))
-    e = np.empty((2, len(at)), dtype=np.int32)
-    e[0] = np.repeat(np.arange(n, dtype=np.int32), count)
-    e[1] = part.astype(np.int32)[at]
+    return _row_edges(count, [part.astype(np.int32)[at]])
+
+
+def _row_edges(rowcount: np.ndarray, columns: list) -> np.ndarray:
+    """The (m, 2) int32 edge array, column-major, of rows 0..n-1 holding
+    rowcount[i] edges each, whose columns, in row-major order, are the
+    parts `columns` laid end to end.  Column 1 is the parts joined, and
+    column 0 is written part by part, each row's id repeated once per edge
+    over the rows whose edges end in the part, so no temporary is larger
+    than one part."""
+    e = np.empty((2, int(rowcount.sum())), dtype=np.int32)
+    if columns:  # none at n = 1
+        np.concatenate(columns, out=e[1])
+    ends = np.cumsum(rowcount)  # the edges up to the end of each row
+    lo = a = 0
+    for part in columns:  # its rows: those whose edges end in a..b, empty ones included
+        b = a + len(part)
+        hi = int(np.searchsorted(ends, b, side="right"))
+        e[0, a:b] = np.repeat(np.arange(lo, hi, dtype=np.int32), rowcount[lo:hi])
+        lo, a = hi, b
     return e.T
 
 

@@ -265,23 +265,16 @@ def _evaluate_properties(
 ) -> None:
     o = rec.outcomes
     props = config.properties
-    fg = None
-
-    def finite():
-        nonlocal fg
-        if fg is None:
-            fg = graph.to_finite_graph()
-        return fg
-
+    fg = None if graph is None else graph.to_finite_graph()
     if "connected" in props:
-        o["connected"] = is_connected(finite())
+        o["connected"] = is_connected(fg)
     if "min_degree_ge_2" in props:
         mindeg = int(graph.degrees().min()) if graph.n else 0
         o["min_degree"] = mindeg
         o["min_degree_ge_2"] = mindeg >= 2
     if "hamiltonian" in props:
         verdict = classify(
-            finite(),
+            fg,
             budget=config.budget,
             seed=(config.seed ^ rec.trial_index),
             posa_restarts=config.posa_restarts,
@@ -289,7 +282,7 @@ def _evaluate_properties(
         o["ham_status"] = verdict.status
         o["ham_obstruction"] = verdict.obstruction
     if "fvcn_ge_half" in props:
-        value = fvcn_value(finite())
+        value = fvcn_value(fg)
         o["fvcn"] = value
         o["fvcn_ge_half"] = value >= Fraction(graph.n - config.t, 2)
     if "peninsula_counts" in props:

@@ -13,21 +13,19 @@ thresholds and never form the doubles.  A counter-based stream can be
 positioned at any coin, so each block opens the edge stream at its own first
 coin and the blocks run on every CPU the process has: the coins are those of
 one large draw, whatever the block size or the thread count, and no array
-holds every pair.  A sample keeps its blocks' int32 columns, half the edge
-array, which is assembled column-major on one thread only when something
-reads it: column 1 joined from the blocks, column 0 each row's id repeated
-once per hit, part by part.  A step kernel whose densities are all 0 or 1
+holds every pair.  A sample is its graph, one `FiniteGraph` made when it is
+sampled and defined by what the sampler drew: the blocks' row counts and
+int32 columns, half the edge array, from which the graph assembles its
+edge array on first read.  A step kernel whose densities are all 0 or 1
 fixes every coin's outcome: the sample's graph is then the blow-up of the
-kernel's 0/1 table over the types, defined by the two alone (see
-`FiniteGraph`), the edge stream is not drawn and no edge is built until
-something reads one; `edge_coin` still replays every coin.
+kernel's 0/1 table over the types, defined by the two alone, and the edge
+stream is not drawn; `edge_coin` still replays every coin.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -94,10 +92,10 @@ def _sampling_threads() -> int:
 
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """One sampled graph together with its latent types and replay key.  Its
-    edges stay as the sampler's blocks drew them until `edges` is read; a
-    0/1 kernel's sample keeps its graph instead (`_graph`, defined by its
-    blocks and the kernel's 0/1 table), whose edge array `edges` is."""
+    """One sampled graph together with its latent types and replay key.  The
+    graph is `_graph`, made at sampling time: the blow-up of a 0/1 kernel's
+    table over the blocks, or the rows any other kernel's coins drew, with
+    a step kernel's blocks.  Its edge array is built on first read."""
 
     model: Graphon
     n: int
@@ -106,55 +104,24 @@ class SampledGraph:
     seed: int
     trial_index: int
     _degrees: np.ndarray = field(repr=False, compare=False)  # int64 per vertex, read-only
-    # (int64 hits per row, int32 columns of each block), None once `edges` is
-    # published and on a 0/1 kernel, whose sample keeps its graph instead
-    _parts: Optional[tuple] = field(repr=False, compare=False)
-    _graph: Optional[FiniteGraph] = field(default=None, repr=False, compare=False)
+    _graph: FiniteGraph = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def edges(self) -> np.ndarray:
-        """The (m, 2) int32 edges u < v, row-major, read-only, column-major.
-        A 0/1 kernel's are its graph's `edge_array`, built there on the first
-        read of either.  Others are assembled on first read as the transpose
-        of one (2, m) array: column 1 from the blocks, then column 0 part by
-        part, each row's id repeated once per hit, with no temporary beyond
-        one block's hits.  They are published before the parts are released,
-        so a reader that came meanwhile returns the same array."""
-        if self._graph is not None:
-            return self._graph.edge_array
-        parts = self._parts
-        if parts is None:  # published by another reader
-            return vars(self)["edges"]
-        rowcount, columns = parts
-        e = np.empty((2, int(rowcount.sum())), dtype=np.int32)
-        if columns:  # none at n = 1
-            np.concatenate(columns, out=e[1])
-        ends = np.cumsum(rowcount)  # the edges up to the end of each row
-        lo = a = 0
-        for part in columns:  # its rows: those whose edges end in a..b, empty ones included
-            b = a + len(part)
-            hi = int(np.searchsorted(ends, b, side="right"))
-            e[0, a:b] = np.repeat(np.arange(lo, hi, dtype=np.int32), rowcount[lo:hi])
-            lo, a = hi, b
-        e.flags.writeable = False
-        e = vars(self).setdefault("edges", e.T)
-        object.__setattr__(self, "_parts", None)
-        return e
+        """The (m, 2) int32 edges u < v, row-major, read-only, column-major:
+        the graph's `edge_array`, built there on the first read of either."""
+        return self._graph.edge_array
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, counted while the edges were drawn."""
         return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
-        """A 0/1 kernel's sample's own graph, the blow-up its blocks and the
-        kernel's 0/1 table define; any other sample's, the graph of its
-        edges, handed only a step-kernel sample's vertex blocks, which speed
-        how its degrees, traps, fvcn and connectivity are read off the edges
-        but cannot change them.  Neither the kernel's densities nor the
-        degrees counted here are handed over."""
-        if self._graph is not None:
-            return self._graph
-        return replace(FiniteGraph.build(self.n, self.edges), _types=self.type_block)
+        """The sample's one graph, handed only its definition and, on a step
+        kernel, its vertex blocks, which speed how its degrees, traps, fvcn
+        and connectivity are read but cannot change them.  Neither the
+        kernel's densities nor the degrees counted here are handed over."""
+        return self._graph
 
     def sidecar_dict(self) -> dict:
         d = {
@@ -200,21 +167,21 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     that definition; its edges are built only when read (`FiniteGraph`), and
     a degree is the size of every block the vertex's block joins, less one
     on a loop, with no pass over the edges.  Every other kernel draws
-    exactly C(n, 2) coins (`_coin_edges`), which return the parts from which
-    the sample assembles its read-only int32 (m, 2) `edges` when first read,
-    in row-major order, so `to_finite_graph` can keep that array.
+    exactly C(n, 2) coins (`_coin_edges`), whose rows define the graph, so
+    either way the sample's one `FiniteGraph` is made here and builds its
+    read-only int32 (m, 2) edge array, row-major, only when first read.
     """
     block, offset = sample_types(g, n, seed, trial_index)
     step = isinstance(g, StepGraphon)
     ones = g._zero_one_table if step else None
-    graph = None
     if ones is not None:
-        graph, parts = FiniteGraph(n, None, block, ones), None
+        graph = FiniteGraph(n, None, block, ones)
         deg = ((ones @ np.bincount(block, minlength=len(ones))) - ones.diagonal())[block]
     else:
-        parts, deg = _coin_edges(g, g._float_densities if step else None, block, offset, seed, trial_index)
+        rows, deg = _coin_edges(g, g._float_densities if step else None, block, offset, seed, trial_index)
+        graph = FiniteGraph(n, None, block, _rows=rows)
     deg.flags.writeable = False
-    return SampledGraph(g, n, block, offset, seed, trial_index, deg, parts, graph)
+    return SampledGraph(g, n, block, offset, seed, trial_index, deg, graph)
 
 
 def _coin_edges(
@@ -226,7 +193,8 @@ def _coin_edges(
     trial_index: int,
 ) -> tuple[tuple, np.ndarray]:
     """The edges from C(n, 2) coins drawn in row-major i < j order, as the
-    parts `SampledGraph` keeps, and the degree of every vertex.
+    rows that define the sample's graph (`FiniteGraph._rows`), and the
+    degree of every vertex.
 
     Rows i..i+r-1, w = n-1-i cells long, are drawn together as one flat run
     of r*w - r(r-1)/2 raw words for their upper cells, row t starting at
@@ -242,8 +210,9 @@ def _coin_edges(
     int32 columns in its slot of `parts` and returns how often each column
     occurs, so the blocks may run in any order; on several threads each
     spans about `_BLOCK_COINS // threads` coins, so as many coins are in
-    flight as on one.  The parts, half the size of the edge array, are all
-    that is kept: the array itself is assembled only when read.
+    flight as on one.  The row counts and parts, half the size of the edge
+    array, are all that is kept: the graph assembles the array only when it
+    is read (`fracmatch._row_edges`).
     """
     n = len(offset)
     step = dens is not None

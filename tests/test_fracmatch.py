@@ -898,7 +898,31 @@ def test_a_blowup_built_against_its_definition_raises(monkeypatch, corrupt):
                  lambda: write_graph(s, "/dev/null")):
         with pytest.raises(InvariantViolation):
             read()
-    assert "edge_array" not in vars(g) and "edges" not in vars(s)
+    assert "edge_array" not in vars(g) and "edge_array" not in vars(s.to_finite_graph())
+
+
+@pytest.mark.parametrize("preset", ["constant-0.3", "power-half"])
+@pytest.mark.parametrize("corrupt", ["swap_two_rows", "repeat_an_edge"])
+def test_coin_rows_built_against_their_definition_raise(monkeypatch, preset, corrupt):
+    """A coin sample's edge array, joined from the rows its coins drew, is
+    held to the canonical form when built, as a given array is by `build`:
+    two swapped rows or a repeated edge raise `InvariantViolation` on every
+    read of the edges, and the rows are kept, never published."""
+    from graphonham import InvariantViolation, fracmatch, posa_heuristic
+
+    join = fracmatch._row_edges
+
+    def broken(rowcount, columns):
+        e = join(rowcount, columns)
+        return np.asfortranarray(e[[1, 0, *range(2, len(e))]] if corrupt == "swap_two_rows" else e[[0, *range(len(e))]])
+
+    monkeypatch.setattr(fracmatch, "_row_edges", broken)
+    s = sample_graph(get_preset(preset), 60, 0)
+    g = s.to_finite_graph()
+    for read in (lambda: s.edges, lambda: s.to_finite_graph().edge_array, lambda: posa_heuristic(g)):
+        with pytest.raises(InvariantViolation):
+            read()
+    assert "edge_array" not in vars(g) and g._rows is not None
 
 
 def test_a_blowup_sample_has_one_edge_array():

@@ -225,7 +225,7 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     assert is_connected(g) and min(g.degrees()) >= 2
     assert classify(g).obstruction == "narrow_graph_peninsula"
     assert fvcn_value(g) < g.n / 2
-    assert not unbuilt & set(vars(g)) and "edges" not in vars(s)
+    assert not unbuilt & set(vars(g)) and "edge_array" not in vars(s.to_finite_graph())
 
     built = []
     to_finite_graph = SampledGraph.to_finite_graph
@@ -249,7 +249,7 @@ def test_trap_route_never_builds_edge_tuples(monkeypatch):
     assert len(built) == len(routes)
     for sampled, graph in built:
         assert graph is to_finite_graph(sampled)
-        assert not unbuilt & set(vars(graph)) and "edges" not in vars(sampled)
+        assert not unbuilt & set(vars(graph)) and "edge_array" not in vars(to_finite_graph(sampled))
     assert [id(x) for x in counted] == [id(g)] + [id(graph) for _, graph in built]
 
 
@@ -319,9 +319,9 @@ def test_a_sample_hands_its_graph_no_fact_that_changes_a_verdict(preset, wrong):
     s = sample_graph(get_preset(preset), 200, 0)
     object.__setattr__(s, "_degrees", np.full(s.n, wrong, dtype=np.int64))
     g = s.to_finite_graph()
+    assert [f.name for f in fields(FiniteGraph)] == ["n", "_edges", "_types", "_ones", "_rows"]
+    assert (g._ones is None) == (g._rows is not None) == (preset == "constant-0.3") and g._edges is None
     assert classify(g) == classify(FiniteGraph.build(s.n, s.edges))
-    assert [f.name for f in fields(FiniteGraph)] == ["n", "_edges", "_types", "_ones"]
-    assert (g._ones is None) == (preset == "constant-0.3") and (g._edges is None) == (preset != "constant-0.3")
 
 
 # ---------------------------------------------------------------------------

@@ -332,15 +332,16 @@ def test_pool_workers_sample_on_one_thread():
         assert pool.submit(sampler._sampling_threads).result() == 1
 
 
-@pytest.mark.parametrize("preset", FIVE_PRESETS)
+@pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_finite_graph_keeps_sampled_edges(preset, tmp_path):
-    """The sampler's edges are already in `FiniteGraph` form, so building
-    the graph keeps them as they are and `write_graph` can print them."""
+    """A sample is its one graph, whose edge array is the sample's edges,
+    so `write_graph` prints what the graph holds."""
     for n in (1, 2, 3, 60, 400):
         s = sample_graph(get_preset(preset), n, 5, 1)
         g = s.to_finite_graph()
+        assert s.to_finite_graph() is g
         assert g.edge_array.dtype == np.int32 and np.array_equal(g.edge_array, s.edges)
-        assert g.edge_array is s.edges  # kept, not copied
+        assert s.edges is g.edge_array  # kept, not copied
         for edges in (s.edges, g.edge_array):
             with pytest.raises(ValueError):
                 edges[...] = 0
@@ -433,7 +434,7 @@ def test_sample_assembly_holds_one_and_a_half_edge_arrays(monkeypatch):
     # 8 bytes for each of the coins in flight, their buffers or one
     # block's temporaries, whichever is held at the peak
     assert peak <= 1.5 * edges.nbytes + 8 * sampler._BLOCK_COINS
-    assert s.edges is edges and s._parts is None
+    assert s.edges is edges and s.to_finite_graph()._rows is None
     with pytest.raises(ValueError):
         edges[0, 0] = 1
     assert s.to_finite_graph().edge_array is edges
@@ -447,7 +448,7 @@ def test_sample_assembly_holds_one_and_a_half_edge_arrays(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for read in [lambda s: s.edges, sampler.SampledGraph.edges.func] * 10:
+        for read in [lambda s: s.edges, lambda s: FiniteGraph.edge_array.func(s.to_finite_graph())] * 10:
             s = sample_graph(g, n, 4, 1)
             barrier = threading.Barrier(4)
             got = [None] * 4
@@ -471,7 +472,7 @@ def test_sample_assembly_holds_one_and_a_half_edge_arrays(monkeypatch):
 def _assert_published_column_major(s, ref):
     e = s.edges
     assert np.array_equal(e, ref) and e.dtype == np.int32 and e.tobytes() == ref.tobytes()
-    assert not e.flags.writeable and e.T.flags.c_contiguous and s._parts is None
+    assert not e.flags.writeable and e.T.flags.c_contiguous and s.to_finite_graph()._rows is None
 
 
 def test_column_0_is_repeated_part_by_part(monkeypatch):
@@ -487,7 +488,7 @@ def test_column_0_is_repeated_part_by_part(monkeypatch):
             monkeypatch.setattr(sampler, "_BLOCK_COINS", coins)
             for trial in range(4):
                 s = sample_graph(g, n, 3, trial)
-                rowcount, columns = s._parts
+                rowcount, columns = s.to_finite_graph()._rows
                 ends = np.cumsum(rowcount).tolist()
                 bounds = np.cumsum([len(c) for c in columns]).tolist()
                 empty_part |= any(len(c) == 0 for c in columns)
@@ -498,7 +499,8 @@ def test_column_0_is_repeated_part_by_part(monkeypatch):
     # a 0/1 kernel keeps no parts, only its graph, whose edge array it publishes
     for n in (1, 2, 3, 60):
         s = sample_graph(HALF_HALF, n, 3, 1)
-        assert s._parts is None and "edge_array" not in vars(s._graph)
+        g = s.to_finite_graph()
+        assert g._rows is None and "edge_array" not in vars(g)
         _assert_published_column_major(s, sample_graph_reference(HALF_HALF, n, 3, 1))
 
 
@@ -513,7 +515,7 @@ def test_degree_only_trial_never_assembles_edges():
     rec = harness.TrialRecord(n=2000, trial_index=0, seed=0)
     harness._evaluate_properties(config, s, (s.type_block, s.type_offset), rec)
     assert rec.outcomes["min_degree_ge_2"] and rec.outcomes["degree_concentration"] > 0
-    assert "edges" not in vars(s)
+    assert "edge_array" not in vars(s.to_finite_graph())
 
     sample_graph(g, 200, 0)
     tracemalloc.start()
@@ -523,7 +525,7 @@ def test_degree_only_trial_never_assembles_edges():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "edges" not in vars(s)
+    assert "edge_array" not in vars(s.to_finite_graph())
     # the (m, 2) int32 array would be 8m bytes on its own
     assert peak <= 0.75 * 8 * m
 

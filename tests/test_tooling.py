@@ -81,8 +81,8 @@ def test_import_leaves_scipy_unloaded():
 
 def test_sampling_leaves_scipy_unloaded(tmp_path):
     """Sampling (by coins or, for a 0/1 kernel, from the types), degree
-    properties, `write_graph` and `graphonham sample` build no FiniteGraph,
-    so none of them loads scipy."""
+    properties, `write_graph` and `graphonham sample` build no CSR or
+    matching, so none of them loads scipy."""
     code = (
         "import sys\n"
         "from graphonham import ExperimentConfig, degree_concentration_report, get_preset, run_trial, sample_graph\n"
