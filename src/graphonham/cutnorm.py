@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationCapExceeded, InvariantViolation, TypesMissing, _self_checked
-from .fracmatch import _block_pairs
+from .fracmatch import _vertex_pairs
 from .graphon import ENUMERATION_CAP, StepGraphon, _check_step
 from .sampler import SampledGraph
 
@@ -194,22 +194,22 @@ class DistanceEstimate:
 def empirical_step_function(graph: SampledGraph) -> StepFunction:
     """Type-aligned empirical block densities of a sampled graph.
 
-    Blocks are the latent type classes (empty classes drop out); densities
-    are exact edge-count ratios, loopless on the diagonal.
+    Blocks are the model's k latent type classes (an empty one has mass and
+    densities 0); densities are exact ratios of edges to vertex pairs,
+    loopless on the diagonal.  Both counts are the graph's own
+    (`FiniteGraph._blocks`), padded to k where the top classes drew no
+    vertex: a 0/1 kernel's sample reads them off its definition, with no
+    edge array, and any other's edges are counted once.
     """
     if graph.type_block is None:
         raise TypesMissing("sampled graph does not carry block types")
-    k = graph.model.k
-    counts = np.bincount(graph.type_block, minlength=k)
-    # ordered pairs: a within-block edge counts twice on the diagonal
-    pairs = _block_pairs(graph.type_block, k, graph.edges)
-    pairs += np.diag(pairs.diagonal())
-    # ordered vertex pairs per cell, loopless on the diagonal
-    denoms = np.outer(counts, counts) - np.diag(counts)
+    blocks = graph.to_finite_graph()._blocks
+    pad = (0, graph.model.k - len(blocks.count))
+    counts, pairs = np.pad(blocks.count, pad), np.pad(blocks.pairs, pad)
     masses = tuple(Fraction(c, graph.n) for c in counts.tolist())
     dens = tuple(
         tuple(Fraction(p, d) if d else Fraction(0) for p, d in zip(prow, drow))
-        for prow, drow in zip(pairs.tolist(), denoms.tolist())
+        for prow, drow in zip(pairs.tolist(), _vertex_pairs(counts).tolist())
     )
     return StepFunction(masses, dens)
 

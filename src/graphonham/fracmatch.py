@@ -107,8 +107,7 @@ class FiniteGraph:
         if self._ones is not None:
             e = _blowup_edges(self._ones, self._types)
             b = self._blocks
-            due = np.where(b.occupied, _vertex_pairs(b.count), 0)
-            held = _is_canonical(self.n, e) and np.array_equal(_block_pairs(self._types, len(b.count), e), due)
+            held = _is_canonical(self.n, e) and np.array_equal(_block_pairs(self._types, len(b.count), e), b.pairs)
         elif rows is not None:
             e = _row_edges(*rows)
             held = _is_canonical(self.n, e)
@@ -154,25 +153,24 @@ class FiniteGraph:
         """
         return self._adjacency
 
-    def degrees(self) -> list[int]:
-        """The CSR row lengths, or on a complete graph (E = F, `_type_blocks`), with no CSR,
-        the sizes of the blocks occupied pairs join a vertex's block to, less one on a loop."""
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        """The degree of every vertex, read-only: on a complete graph (E = F,
+        `_type_blocks`), with no CSR, the sizes of the blocks occupied pairs
+        join its block to, less one on a loop; else the CSR row lengths."""
         b = self._blocks
-        if b is not None and b.complete:
-            return (b.occupied @ b.count - b.occupied.diagonal())[self._types].tolist()
-        return np.diff(self.indptr).tolist()
+        complete = b is not None and b.complete
+        deg = (b.occupied @ b.count - b.occupied.diagonal())[self._types] if complete else np.diff(self.indptr)
+        deg.flags.writeable = False
+        return deg
+
+    def degrees(self) -> list[int]:
+        """The degree of every vertex (`_degrees`), as a list."""
+        return self._degrees.tolist()
 
     def _min_degree(self) -> int:
-        """min(degrees()) of a graph with a vertex; on a complete graph the
-        least block degree of `degrees()` over the nonempty blocks, on ints."""
-        b = self._blocks
-        if b is None or not b.complete:
-            return min(self.degrees())
-        count = b.count.tolist()
-        return min(
-            sum(c for c, joined in zip(count, row) if joined) - row[a]
-            for a, row in enumerate(b.occupied.tolist()) if count[a]
-        )
+        """The least degree of a graph with a vertex."""
+        return int(self._degrees.min())
 
     @cached_property
     def _matching(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -197,9 +195,10 @@ class FiniteGraph:
         return _type_blocks(self)
 
     @cached_property
-    def _block_flow(self) -> Optional[tuple[int, list[list[int]], dict[int, int]]]:
+    def _block_flow(self) -> Optional[tuple[int, list[list[int]], list[int], list[list[int]]]]:
         """`graphon._cover_flow` on the block sizes and the occupied pairs: its
-        value, residual capacities and least min cut; None without blocks."""
+        value, flow per arc, least min cut folded to half-units per block and
+        residual table; None without blocks."""
         b = self._blocks
         return None if b is None else _cover_flow(b.count.tolist(), b.occupied.tolist())
 
@@ -255,22 +254,22 @@ def _vuv(e: np.ndarray) -> np.ndarray:
     return np.concatenate([e[:, 1], e[:, 0], e[:, 1]])
 
 
+#: Rows `_is_canonical` checks at a time, so its temporaries stay small whatever m is.
+_CANONICAL_ROWS = 1 << 16
+
+
 def _is_canonical(n: int, edges) -> bool:
     """Whether edges is an int32 (m, 2) array with 0 <= u < v < n whose pairs
-    strictly increase in row-major order.  The check reads the columns u
-    and v contiguously: a column-major array's as they are, a C-order
-    array's copied."""
+    strictly increase in row-major order.  The rows are checked in runs of
+    `_CANONICAL_ROWS`, each with the row after it, so the order holds across
+    the seams too."""
     if not (isinstance(edges, np.ndarray) and edges.dtype == np.int32 and edges.shape[1:] == (2,)):
         return False
-    if not len(edges):
-        return True
-    u, v = np.ascontiguousarray(edges.T)
-    return bool(
-        u[0] >= 0
-        and v.max() < n
-        and (u < v).all()
-        and (u[1:] >= u[:-1]).all()
+    runs = (edges[lo:lo + _CANONICAL_ROWS + 1].T for lo in range(0, len(edges), _CANONICAL_ROWS))
+    return all(
+        u[0] >= 0 and v.max() < n and (u < v).all() and (u[1:] >= u[:-1]).all()
         and ((u[1:] > u[:-1]) | (v[1:] > v[:-1])).all()
+        for u, v in runs
     )
 
 
@@ -529,6 +528,7 @@ def _folded_cover(
 @dataclass(frozen=True, eq=False)
 class _BlockCounts:
     count: np.ndarray  # vertices per block
+    pairs: np.ndarray  # k x k, read-only: edges per unordered pair of blocks
     occupied: np.ndarray  # k x k: whether some edge joins the two blocks
     complete: bool  # whether E = F (see `_type_blocks`)
 
@@ -595,9 +595,9 @@ def _block_pairs(block: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
-    """g's blocks, k of them for k - 1 the largest label, their sizes and
-    occupied pairs; None when g carries no blocks or they do not label its
-    vertices.
+    """g's blocks, k of them for k - 1 the largest label, their sizes, edge
+    counts per pair and occupied pairs; None when g carries no blocks or
+    they do not label its vertices.
 
     A pair of blocks is occupied when it holds an edge.  Let F be the
     blow-up of the occupied block graph: an edge between any two distinct
@@ -608,11 +608,11 @@ def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
     then a twin class (Grohe, Kersting, Mladenov and Selman, ESA 2014): an
     independent set or a clique with one set of outside neighbours.
 
-    A graph defined as a blow-up (`_ones`) is complete by definition, and
-    a pair is occupied when the table joins it and it holds a vertex pair;
-    no edge is read.  Any other graph's edges are counted per pair.  No
-    kernel enters: the blocks partition the vertices, and `_ones` is the
-    graph's own definition.
+    A graph defined as a blow-up (`_ones`) is complete by definition: a
+    pair holds all of its vertex pairs when the table joins it and none
+    otherwise, so no edge is read.  Any other graph's edges are counted per
+    pair (`_block_pairs`).  No kernel enters: the blocks partition the
+    vertices, and `_ones` is the graph's own definition.
     """
     block = g._types
     if block is None or len(block) != g.n or g.n == 0 or block.min() < 0:
@@ -620,10 +620,10 @@ def _type_blocks(g: FiniteGraph) -> Optional[_BlockCounts]:
     count = np.bincount(block)
     k = len(count)
     full = _vertex_pairs(count)
-    if g._ones is not None:
-        return _BlockCounts(count, g._ones[:k, :k] & (full > 0), True)
-    pairs = _block_pairs(block, k, g.edge_array)
-    return _BlockCounts(count, pairs > 0, bool(((pairs == 0) | (pairs == full)).all()))
+    pairs = _block_pairs(block, k, g.edge_array) if g._ones is None else np.where(g._ones[:k, :k], full, 0)
+    pairs.flags.writeable = False
+    complete = g._ones is not None or bool(((pairs == 0) | (pairs == full)).all())
+    return _BlockCounts(count, pairs, pairs > 0, complete)
 
 
 def _covers_blocks(g: FiniteGraph, h: np.ndarray) -> bool:
@@ -650,8 +650,8 @@ def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
     it weighs less than n/2); None only when g carries no blocks.  Kept on
     g as `g._type_cover`.
 
-    The cover is the least min cut of g's block flow (`g._block_flow`); a
-    diagonal is occupied only if its block holds an edge, and so two
+    The cover is the folded least min cut of g's block flow (`g._block_flow`);
+    a diagonal is occupied only if its block holds an edge, and so two
     vertices.  Every edge lies in an occupied pair, so the lift covers g
     whatever the partition, and a failed check is a bug that raises
     `InvariantViolation`.  So is an integer flow
@@ -668,14 +668,12 @@ def _lifted_cover(g: FiniteGraph) -> Optional[HalfCover]:
     if g._block_flow is None:
         return None
     count = g._blocks.count.tolist()
-    k = len(count)
-    flow, r, reach = g._block_flow
-    into = [row[:k] for row in r[k:2 * k]]  # into[x][v] = f(v, x), the flow on v -> k + x
-    out_of, into_of = [sum(col) for col in zip(*into)], [sum(row) for row in into]
-    over = any(s > c for s, c in zip(out_of, count)) or any(s > c for s, c in zip(into_of, count))
-    if over or sum(into_of) != flow:
+    flow, arcs, cut, _ = g._block_flow
+    out_of, into = [sum(row) for row in arcs], [sum(col) for col in zip(*arcs)]
+    over = any(s > c for s, c in zip(out_of, count)) or any(s > c for s, c in zip(into, count))
+    if over or sum(into) != flow:
         raise InvariantViolation(f"block flow {flow} exceeds a block or disagrees with its arcs")
-    units = np.array([(v not in reach) + (k + v in reach) for v in range(k)], dtype=np.int64)
+    units = np.array(cut, dtype=np.int64)
     return _self_checked((GraphPeninsula if flow < g.n else HalfCover)(units[g._types], Fraction(flow, 2)), g)
 
 

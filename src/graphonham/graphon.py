@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -536,14 +536,16 @@ def build_certificate(g: StepGraphon, zmask: int, kind: str) -> PeninsulaCertifi
     return _self_checked(PeninsulaCertificate(a, tuple(a_fr), tuple(b_fr), kind), g)
 
 
-def _zero_set(closed, k: int) -> int:
-    """Mask of the blocks whose left copy is in `closed` and right copy is not."""
-    return sum(1 << v for v in range(k) if v in closed and k + v not in closed)
+def _fold(reach, k: int) -> list[int]:
+    """A set of nodes of `_cover_flow`'s residual graph folded to half-units
+    per block: 0 where it holds the block's left copy and not its right
+    one, 2 where it holds only the right one, 1 elsewhere."""
+    return [(v not in reach) + (k + v in reach) for v in range(k)]
 
 
 def _cover_flow(
     weights: list[int], positive, drains: Optional[list[int]] = None
-) -> tuple[int, list[list[int]], dict[int, int]]:
+) -> tuple[int, list[list[int]], list[int], list[list[int]]]:
     """Max flow of the double cover of a weighted block graph (Nemhauser and
     Trotter 1975): left copy v is fed from the source and right copy k + v
     drained to the sink, both of capacity weights[v], with an uncuttable arc
@@ -551,13 +553,11 @@ def _cover_flow(
     right copy k + v is drained with capacity drains[v] instead, and only the
     flow is meant: the cut no longer folds to a cover.
 
-    The min cut is twice the least weight of a half-integral vertex cover of
-    the block graph, and the least min cut, the source's residual reach,
-    folds to an optimal one, in half-units: 0 on a block whose left copy is
-    reached and right copy is not, 2 where only the right copy is reached,
-    1 elsewhere.  Returns the flow, the residual capacities (the flow
-    on an arc v -> k + w is r[k + w][v]) and that reach, each reached node
-    with its BFS parent.
+    The min cut is twice the least weight of a half-integral vertex cover
+    of the block graph, and the least min cut, the source's residual reach,
+    folds to an optimal one (`_fold`).  Returns the flow, the k x k table
+    f[v][w] of the flow on each arc v -> k + w, that folded cut, and the
+    residual table, which only this module reads (`_closures`).
     """
     k, uncuttable = len(weights), sum(weights) + 1
     source, sink = 2 * k, 2 * k + 1
@@ -576,7 +576,22 @@ def _cover_flow(
             r[u][w] -= push
             r[w][u] += push
         flow += push
-    return flow, r, parent
+    # the reverse residual k + w -> v holds the flow pushed on v -> k + w
+    arcs = [list(col) for col in zip(*(row[:k] for row in r[k:2 * k]))]
+    return flow, arcs, _fold(parent, k), r
+
+
+def _closures(r, blocks: Iterable[int]) -> Iterator[list[int]]:
+    """The min cuts of a flow that saturates the source (a perfect one),
+    folded to half-units per block: for each block v of `blocks` in turn,
+    the least closed set of the residual graph r that holds v's left copy,
+    when it leaves out v's right copy.  Each is then a half cover of weight
+    half the flow that is 0 on v (Picard and Queyranne 1980)."""
+    k = len(r) // 2 - 1
+    for v in blocks:
+        closed = _reach(r, v)
+        if k + v not in closed:
+            yield _fold(closed, k)
 
 
 def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
@@ -589,24 +604,22 @@ def find_peninsula(g: Graphon) -> Optional[PeninsulaCertificate]:
     a fractional vertex cover of the block graph, loops at positive diagonals.
     2c is the min cut of `_cover_flow` with the masses as weights, in units
     of their common denominator.  A flow below 1 is narrow, and the least min
-    cut then reaches the best margin.  At flow 1 the min cuts are the
-    residual graph's closed sets (Picard and Queyranne 1980): a trap exists
-    iff the least one holding some block v, tried in ascending order, leaves
-    out k + v, the test `fracmatch.uniquely_half_covered` runs on graphs.
+    cut then reaches the best margin.  At flow 1 a trap exists iff some
+    block's closure leaves out its right copy (`_closures`, blocks in
+    ascending order), the test `fracmatch.uniquely_half_covered` runs on
+    graphs.
     """
     if isinstance(g, PowerFamilyGraphon):
         return None  # kernel positive almost everywhere
-    k = g.k
     scale = math.lcm(*(m.denominator for m in g.block_masses))
     weights = [m.numerator * (scale // m.denominator) for m in g.block_masses]
-    flow, r, reach = _cover_flow(weights, [[d > 0 for d in row] for row in g.densities])
-    if flow < scale:
-        return build_certificate(g, _zero_set(reach, k), "narrow")
-    for v in range(k):
-        closed = _reach(r, v)
-        if k + v not in closed:
-            return build_certificate(g, _zero_set(closed, k), "peninsula")
-    return None
+    flow, _, cut, r = _cover_flow(weights, [[d > 0 for d in row] for row in g.densities])
+    if flow == scale:
+        cut = next(_closures(r, range(g.k)), None)
+        if cut is None:
+            return None
+    zmask = sum(1 << v for v, h in enumerate(cut) if h == 0)
+    return build_certificate(g, zmask, "narrow" if flow < scale else "peninsula")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Hamiltonicity decisions, tried in this order by `classify`: cheap
 certified obstructions; on a graph its vertex blocks prove complete, a
-Hamilton cycle lifted from the block graph, else a tight trap, which proves
-that there is none; a rotation heuristic; an exact bitmask dynamic program
-for small graphs and budgeted backtracking above.
+Hamilton cycle lifted from the block graph, else a tight trap, a
+`GraphPeninsula` of weight n/2 that proves there is none; a rotation
+heuristic; an exact bitmask dynamic program for small graphs and budgeted
+backtracking above.
 
 Verdict soundness contract: a `hamiltonian` verdict always carries a witness
 cycle that is re-validated edge by edge; a `not_hamiltonian` verdict carries
@@ -20,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError, InvariantViolation
+from .errors import FormatError, InvariantViolation, _self_checked
 from .fracmatch import FiniteGraph, GraphPeninsula, _are_edges, fvcn_value, graph_peninsula, is_connected
-from .graphon import _cover_flow, _reach
+from .graphon import _closures, _cover_flow, _reach
 
 STATUS_HAMILTONIAN = "hamiltonian"
 STATUS_NOT_HAMILTONIAN = "not_hamiltonian"
@@ -154,13 +155,13 @@ def _block_cycle(g: FiniteGraph) -> Optional[tuple[int, ...]]:
     blocks = g._blocks
     count, occupied = blocks.count.tolist(), blocks.occupied.tolist()
     k, nonempty = len(count), np.flatnonzero(blocks.count).tolist()
-    flow, r, _ = g._block_flow
+    flow, arcs, _, _ = g._block_flow
     rows, cols = count[:], count[:]  # the capacities the forced units leave
     forced = [[0] * k for _ in range(k)]
     for _ in nonempty:
         if flow < sum(rows):
             return None
-        f = [[r[k + b][a] + forced[a][b] for b in range(k)] for a in range(k)]
+        f = [[p + q for p, q in zip(arow, frow)] for arow, frow in zip(arcs, forced)]
         x = [[f[a][b] + f[b][a] if a != b else f[a][a] for b in range(k)] for a in range(k)]
         part: dict[int, int] = {}  # block -> the first block of its part
         for a in nonempty:
@@ -176,48 +177,31 @@ def _block_cycle(g: FiniteGraph) -> Optional[tuple[int, ...]]:
         forced[a][b] += 1
         rows[a] -= 1
         cols[b] -= 1
-        flow, r, _ = _cover_flow(rows, occupied, cols)
+        flow, arcs, _, _ = _cover_flow(rows, occupied, cols)
     return None
 
 
-def _is_tight_trap(g: FiniteGraph, h: np.ndarray) -> bool:
-    """Whether units h (0 on A, 1 on B, 2 on R) are a tight trap of g, read
-    off its edge array: A is nonempty, every edge at A ends in R, |A| >= |R|
-    and B = V \\ (A u R) is nonempty.  Then G - R has each vertex of A alone
-    and B besides, more than |R| components, so g is not 1-tough and not
-    Hamiltonian (Chvatal, Discrete Math. 5, 1973)."""
-    u, v = g.edge_array.T
-    hu, hv = h.take(u), h.take(v)
-    size = np.bincount(h, minlength=3)
-    at_a = (hu == 0) | (hv == 0)
-    return bool(size[0] and size[1] and size[0] >= size[2] and ((hu + hv)[at_a] == 2).all())
+def _tight_trap(g: FiniteGraph) -> Optional[GraphPeninsula]:
+    """A tight trap of a complete g, a `GraphPeninsula` of weight n/2 with
+    B nonempty checked as it was built, or None when the block graph shows
+    none.
 
-
-def _tight_trap(g: FiniteGraph) -> Optional[np.ndarray]:
-    """A tight trap of a complete g, as the units of `_is_tight_trap`
-    checked on g's edges, or None when the block graph shows none.
-
-    With fvcn = n/2 the block flow is perfect, and each closed set of its
-    residual graph is a min cut (`graphon.find_peninsula` at flow 1): the
-    least one holding block v's left copy lifts to a half cover of weight
-    n/2, 0 on A (left copy in, right copy out), 2 on R (the reverse) and 1
-    on B, so |A| = |R|.  The first v, ascending, that puts v in A and leaves
-    B nonempty gives the trap.
+    With fvcn = n/2 the block flow is perfect, and each of its closures
+    (`graphon._closures`, nonempty blocks ascending) lifts to a half cover
+    of weight n/2 that is 0 on A, 1/2 on B and 1 on R, so |A| = |R|; the
+    first that leaves B nonempty is the trap.  G - R then has each vertex
+    of A alone and B besides, more than |R| components, so g is not 1-tough
+    and not Hamiltonian (Chvatal, Discrete Math. 5, 1973).  Its check is
+    every trap's: on a blow-up it reads the occupied block pairs, no edge.
     """
-    flow, r, _ = g._block_flow
-    k = len(g._blocks.count)
+    flow, _, _, r = g._block_flow
     if flow < g.n:
         return None
-    for v in np.flatnonzero(g._blocks.count).tolist():
-        closed = _reach(r, v)
-        if k + v in closed:
-            continue
-        units = np.array([(a not in closed) + (k + a in closed) for a in range(k)], dtype=np.int8)[g._types]
-        if not (units == 1).any():
-            continue
-        if not _is_tight_trap(g, units):
-            raise InvariantViolation("a tight trap read off the block graph fails its check on the edges")
-        return units
+    count = g._blocks.count.tolist()
+    for units in _closures(r, [v for v, c in enumerate(count) if c]):
+        if any(h == 1 and c for h, c in zip(units, count)):
+            trap = GraphPeninsula(np.array(units, dtype=np.int64)[g._types], Fraction(flow, 2))
+            return _self_checked(trap, g)
     return None
 
 
@@ -448,9 +432,10 @@ def classify(
     The block cycle and the tight trap run only on a graph its blocks prove
     complete (a sample of a 0/1 kernel), where the cheap obstructions leave
     fvcn = n/2.  A cycle lifted from the block graph (`_block_cycle`) is the
-    answer.  A tight trap (`_tight_trap`) proves that no cycle exists, so
-    with a budget below 1 above `DP_VERTEX_CAP` it answers `unknown` at once,
-    as the heuristic and the search would; it is not yet reported as an
+    answer.  A tight trap (`_tight_trap`), checked like every trap on the
+    occupied block pairs with no edge, proves that no cycle exists, so with
+    a budget below 1 above `DP_VERTEX_CAP` it answers `unknown` at once, as
+    the heuristic and the search would; it is not yet reported as an
     obstruction.  Every other case keeps the order after it.
     """
     if seed < 0:

@@ -113,7 +113,8 @@ class SampledGraph:
         return self._graph.edge_array
 
     def degrees(self) -> np.ndarray:
-        """Degree of every vertex, counted while the edges were drawn."""
+        """Degree of every vertex, read-only: counted while the coins were
+        drawn, or on a 0/1 kernel the graph's own (`FiniteGraph._degrees`)."""
         return self._degrees
 
     def to_finite_graph(self) -> FiniteGraph:
@@ -165,8 +166,8 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     lies in [0, 1), so it always falls below 1 and never below 0, and the
     graph is the blow-up of the kernel's 0/1 table over the types, kept as
     that definition; its edges are built only when read (`FiniteGraph`), and
-    a degree is the size of every block the vertex's block joins, less one
-    on a loop, with no pass over the edges.  Every other kernel draws
+    its degrees are the graph's own, read off its blocks with no pass over
+    the edges.  Every other kernel draws
     exactly C(n, 2) coins (`_coin_edges`), whose rows define the graph, so
     either way the sample's one `FiniteGraph` is made here and builds its
     read-only int32 (m, 2) edge array, row-major, only when first read.
@@ -176,11 +177,11 @@ def sample_graph(g: Graphon, n: int, seed: int, trial_index: int = 0) -> Sampled
     ones = g._zero_one_table if step else None
     if ones is not None:
         graph = FiniteGraph(n, None, block, ones)
-        deg = ((ones @ np.bincount(block, minlength=len(ones))) - ones.diagonal())[block]
+        deg = graph._degrees
     else:
         rows, deg = _coin_edges(g, g._float_densities if step else None, block, offset, seed, trial_index)
         graph = FiniteGraph(n, None, block, _rows=rows)
-    deg.flags.writeable = False
+        deg.flags.writeable = False
     return SampledGraph(g, n, block, offset, seed, trial_index, deg, graph)
 
 

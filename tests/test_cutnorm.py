@@ -254,3 +254,30 @@ def test_empirical_step_function_matches_the_per_cell_loop(rng):
             empty += 0 in got.masses
             singleton += F(1, n) in got.masses
     assert empty and singleton  # empty type classes and loopless 1-vertex cells
+
+
+#: A 0/1 kernel whose top block, of mass 10^-12, draws no vertex at n <= 400:
+#: the graph's block counts then cover one block fewer than the model.
+EMPTY_TOP_BLOCK = StepGraphon.build(
+    ["1/2", "499999999999/1000000000000", "1/1000000000000"],
+    [["0", "1", "1"], ["1", "1", "0"], ["1", "0", "0"]],
+)
+
+
+@pytest.mark.parametrize("name", ["balanced-bipartite", "bipartite-plus-clique", "narrow-three-block", "empty-top-block"])
+def test_empirical_step_function_reads_the_graphs_block_counts(name):
+    """The empirical densities are the sample's own block counts, padded to
+    the model's k when the top block draws no vertex: on every 0/1 preset
+    and on a kernel whose top block is empty they equal the per-cell loop,
+    and a 0/1 kernel's sample reads them off its definition, with no edge
+    array built."""
+    from graphonham import get_preset
+
+    kernel = EMPTY_TOP_BLOCK if name == "empty-top-block" else get_preset(name)
+    for n, trial in [(1, 0), (2, 1), (7, 2), (40, 3), (400, 4)]:
+        s = sample_graph(kernel, n, 9, trial)
+        got = empirical_step_function(s)
+        assert "edge_array" not in vars(s.to_finite_graph())
+        if name == "empty-top-block":
+            assert len(s.to_finite_graph()._blocks.count) < kernel.k
+        assert repr(got) == repr(empirical_step_function_reference(s))

@@ -837,7 +837,7 @@ def test_blowup_agrees_with_its_edges():
     blocks; it answers as that copy does; every witness validates on the
     edges alone; and its edge array, once read, is the reference's."""
     from graphonham.fracmatch import _type_blocks
-    from graphonham.hamilton import _is_tight_trap, _tight_trap
+    from graphonham.hamilton import _tight_trap
     from oracles import sample_graph_reference
 
     rng = random.Random(32)
@@ -868,7 +868,9 @@ def test_blowup_agrees_with_its_edges():
             if g._type_cover is not None:
                 g._type_cover.validate(bare)
             trap = _tight_trap(g) if verdict.status == "unknown" else None
-            assert trap is None or _is_tight_trap(bare, trap)
+            if trap is not None:
+                trap.validate(bare)
+                assert trap.B and 2 * trap.weight == n
             assert np.array_equal(g.edge_array, edges) and g.edge_array is s.edges
     assert seen["empty block"] and seen["one-vertex looped block"] and seen["empty diagonal"], seen
 
@@ -1025,10 +1027,11 @@ def test_complete_fractional_sample_is_proved_exact():
 @pytest.mark.parametrize("corrupt", ["reach_drops_a_right_copy", "phantom_flow", "arc_loses_a_unit"])
 def test_a_broken_block_flow_raises(monkeypatch, corrupt):
     """The lifted cover is a certificate the package builds, so a corrupted
-    max flow is a bug, never a cover read as unproved: a least cut missing a
-    right copy lifts units that do not sum to the flow, a phantom flow of
-    10^6 on one arc overfills its blocks, and an arc that loses a unit
-    leaves arcs that no longer total the flow."""
+    max flow is a bug, never a cover read as unproved: a folded least cut
+    missing a right copy (a half-unit less on a block) lifts units that do
+    not sum to the flow, a phantom flow of 10^6 on one arc overfills its
+    blocks, and an arc that loses a unit leaves arcs that no longer total
+    the flow."""
     from graphonham import InvariantViolation, fracmatch
 
     g = sample_graph(get_preset("narrow-three-block"), 60, 0).to_finite_graph()
@@ -1036,18 +1039,17 @@ def test_a_broken_block_flow_raises(monkeypatch, corrupt):
     flow_of = fracmatch._cover_flow
 
     def broken(weights, positive):
-        flow, r, reach = flow_of(weights, positive)
+        flow, arcs, cut, r = flow_of(weights, positive)
         k = len(weights)
         if corrupt == "reach_drops_a_right_copy":
-            right = min(x for x in reach if k <= x < 2 * k)
-            reach = {x: p for x, p in reach.items() if x != right}
+            cut[cut.index(2)] -= 1  # a block whose right copy alone was reached
         elif corrupt == "arc_loses_a_unit":
-            v, x = next((v, x) for v in range(k) for x in range(k) if r[k + x][v])
-            r[k + x][v] -= 1
+            v, x = next((v, x) for v in range(k) for x in range(k) if arcs[v][x])
+            arcs[v][x] -= 1
         else:
             v, x = next((v, x) for v in range(k) for x in range(k) if positive[v][x])
-            r[k + x][v] += 10 ** 6
-        return flow, r, reach
+            arcs[v][x] += 10 ** 6
+        return flow, arcs, cut, r
 
     monkeypatch.setattr(fracmatch, "_cover_flow", broken)
     with pytest.raises(InvariantViolation):

@@ -353,8 +353,10 @@ def test_block_bfs_matches_the_python_scan(kind):
     """`_reach` scans rows with `itertools.compress` and `_cover_flow` runs on
     it: on seeded random tables with k <= 8 both return what the per-entry
     Python scan returned, the parents in the same insertion order, and the
-    flow the same value, residual table and least cut, with and without
-    drains."""
+    flow the same value and residual table, the flow on each arc v -> k + w
+    read off that table, and the least cut folded to half-units per block
+    (0 where only the left copy is reached, 2 where only the right one),
+    with and without drains."""
     rng = random.Random(f"block-bfs-{kind}")
     for _ in range(300):
         k = rng.randrange(1, 9)
@@ -363,7 +365,8 @@ def test_block_bfs_matches_the_python_scan(kind):
         assert list(graphon._reach(table, source).items()) == list(reach_reference(table, source).items())
         weights = [rng.choice((0, rng.randrange(1, 12))) for _ in range(k)]
         drains = rng.choice((None, [rng.choice((0, rng.randrange(1, 12))) for _ in range(k)]))
-        flow, r, reach = graphon._cover_flow(weights, table, drains)
+        flow, arcs, cut, r = graphon._cover_flow(weights, table, drains)
         ref_flow, ref_r, ref_reach = cover_flow_reference(weights, table, drains)
         assert (flow, r) == (ref_flow, ref_r)
-        assert list(reach.items()) == list(ref_reach.items())
+        assert arcs == [[ref_r[k + w][v] for w in range(k)] for v in range(k)]
+        assert cut == [(v not in ref_reach) + (k + v in ref_reach) for v in range(k)]

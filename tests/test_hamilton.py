@@ -376,7 +376,7 @@ def test_narrow_three_block_blowups(a, b):
     assert_block_cycle(blowup([a, b, a + 1], NARROW_THREE_BLOCK))
     g = blowup([a, b, a], NARROW_THREE_BLOCK)
     assert cheap_obstructions(g) is None and _block_cycle(g) is None
-    assert _tight_trap(g).tolist() == [0] * a + [1] * b + [2] * a
+    assert _tight_trap(g).units.tolist() == [0] * a + [1] * b + [2] * a
 
 
 def test_forced_unit_takes_the_pair_with_most_capacity_left():
@@ -394,16 +394,21 @@ def test_bipartite_and_a_clique_on_one_side_is_tight():
         assert _tight_trap(blowup([k, k], BIPARTITE)) is None
         g = blowup([k, k, 3], BIPARTITE_AND_CLIQUE_ON_R)
         assert cheap_obstructions(g) is None and _block_cycle(g) is None
-        assert _tight_trap(g).tolist() == [0] * k + [2] * k + [1] * 3
+        assert _tight_trap(g).units.tolist() == [0] * k + [2] * k + [1] * 3
 
 
 def test_tight_trap_above_the_dp_cap_is_unknown_at_once():
     """With no budget above `DP_VERTEX_CAP` a tight trap answers `unknown`
-    before the heuristic, with no CSR, as today's order answers after it;
-    with a budget, or at the DP's sizes, the order after it decides."""
+    before the heuristic, with no CSR, as today's order answers after it,
+    and on a graph defined as a blow-up, as a 0/1 kernel's sample is, with
+    no edge array; with a budget, or at the DP's sizes, the order after it
+    decides."""
     g = blowup([10, 6, 10], NARROW_THREE_BLOCK)
     assert classify(g, budget=0) == HamiltonVerdict("unknown")
     assert "indptr" not in vars(g)
+    defined = FiniteGraph(26, None, g._types, np.array(NARROW_THREE_BLOCK, dtype=bool))
+    assert classify(defined, budget=0) == HamiltonVerdict("unknown")
+    assert "indptr" not in vars(defined) and "edge_array" not in vars(defined)
     g = blowup([10, 6, 10], NARROW_THREE_BLOCK)
     assert classify(g, budget=5000, posa_restarts=1).status == "unknown"
     assert "indptr" in vars(g)  # the heuristic and backtracking ran
@@ -462,13 +467,14 @@ def test_a_lift_off_by_one_raises(monkeypatch):
 
 
 def test_a_tight_trap_that_fails_its_check_raises(monkeypatch):
-    """A tight trap is checked on the edge array: a closure that keeps only
-    block v's left copy puts all of C's neighbours of A into B, which the
-    check rejects as a bug."""
-    from graphonham import InvariantViolation, hamilton
+    """A tight trap is checked as it is built, like every trap: a closure
+    that keeps only block v's left copy puts all of C's neighbours of A into
+    B, which the cover check rejects as a bug."""
+    from graphonham import InvariantViolation, graphon
 
     g = blowup([10, 6, 10], NARROW_THREE_BLOCK)
-    monkeypatch.setattr(hamilton, "_reach", lambda r, v: {v: v})
+    assert g._block_flow[0] == g.n  # the flow, run before the closure scan is broken
+    monkeypatch.setattr(graphon, "_reach", lambda r, v: {v: v})
     with pytest.raises(InvariantViolation):
         _tight_trap(g)
 
